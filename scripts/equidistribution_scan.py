@@ -13,8 +13,9 @@ deviations should shrink roughly like a power of N.
 import argparse
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from factexp.cli import int_list, integer
 from factexp.experiments import ScanConfig, discrepancy, joint_histogram

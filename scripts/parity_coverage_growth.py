@@ -15,8 +15,9 @@ above.
 import argparse
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from factexp.cli import integer
 from factexp.experiments import pattern_coverage

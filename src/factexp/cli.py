@@ -10,7 +10,6 @@ and FACTEXP_OUT_DIR is prepended to relative --out paths.
 """
 
 import argparse
-import json
 import os
 import sys
 from decimal import Decimal, InvalidOperation
@@ -28,6 +27,7 @@ from .construction import (
 from .exponents import legendre_exponent
 from .experiments import ScanConfig, discrepancy, joint_histogram, pattern_coverage, pattern_search
 from .reports import (
+    _dumps,
     coverage_csv,
     coverage_json,
     emit,
@@ -44,6 +44,8 @@ def integer(text: str) -> int:
         value = Decimal(text)
     except InvalidOperation:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not value.is_finite():
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     if value != value.to_integral_value():
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     return int(value)
@@ -55,10 +57,6 @@ def int_list(text: str) -> tuple[int, ...]:
         return tuple(integer(part) for part in text.split(","))
     except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
-
-
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _threads(args) -> int:
@@ -78,6 +76,8 @@ def _out_path(path):
 
 
 def cmd_exponent(args) -> int:
+    if args.mod is not None and args.mod < 1:
+        raise ValueError(f"modulus must be >= 1, got {args.mod}")
     e = legendre_exponent(args.n, args.prime)
     print(e % args.mod if args.mod is not None else e)
     return 0

@@ -31,11 +31,16 @@ from math import e as _E, floor, gcd, log
 
 import numpy as np
 
+from .experiments import ScanConfig, map_spans
 from .exponents import exponent_range
 from .primes import is_prime, nth_odd_prime
-from .qadditive import TABLE_CAP, QAdditiveFunction, derive_invariants, evaluate_range
-
-_U64 = 1 << 64
+from .qadditive import (
+    TABLE_CAP,
+    QAdditiveFunction,
+    derive_invariants,
+    evaluate_range,
+    kim_error_exponent,
+)
 
 __all__ = [
     "LambdaCertificate",
@@ -300,16 +305,15 @@ def verify_congruence(p: int, m: int, limit: int, chunk_size: int = 1 << 20) -> 
     base-q digits vs. the floor sum for e_p), chunk by chunk; the report
     carries the smallest counterexample if there is one.
     """
-    if limit < 1:
-        raise ValueError(f"limit must be positive, got {limit}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk size must be positive, got {chunk_size}")
+    config = ScanConfig(primes=(p,), mods=(m,), limit=limit, chunk_size=chunk_size)
     built = build_function(p, m)
-    for start in range(0, limit, chunk_size):
-        stop = min(start + chunk_size, limit)
+
+    def mismatches(start, stop):
         lhs = evaluate_range(built.f, start, stop, mod=m)
         rhs = exponent_range(start, stop, p, mod=m)
-        bad = np.flatnonzero(lhs != rhs)
+        return start, rhs, np.flatnonzero(lhs != rhs)
+
+    for start, rhs, bad in map_spans(mismatches, config):
         if bad.size:
             n = start + int(bad[0])
             return CongruenceReport(
@@ -321,17 +325,11 @@ def verify_congruence(p: int, m: int, limit: int, chunk_size: int = 1 << 20) -> 
 
 def construction_error_exponent(k: int, p: int, m: int) -> Fraction:
     """The equidistribution error exponent 1/(120 k^2 p^{3m} m^2) for a
-    system of k factorial-exponent congruences with maxima p and m."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    system of k factorial-exponent congruences with maxima p and m: the
+    generic 1/(120 k^2 q^3 m^2) at q = p^m."""
     if p < 2 or m < 2:
         raise ValueError(f"need p >= 2 and m >= 2, got p={p}, m={m}")
-    denominator = 120 * k * k * p ** (3 * m) * m * m
-    if denominator >= _U64:
-        raise OverflowError(
-            f"error-exponent denominator 120*{k}^2*{p}^(3*{m})*{m}^2 = {denominator} exceeds 64 bits"
-        )
-    return Fraction(1, denominator)
+    return kim_error_exponent(k, p**m, m)
 
 
 @dataclass(frozen=True)

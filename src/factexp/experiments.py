@@ -6,15 +6,15 @@ are independent of chunk size and thread count by construction; the
 floating-point summaries in DiscrepancyReport are derived from those
 exact counts at the very end.
 
-Residue classes are stored flat in mixed radix with the first
-coordinate fastest: class (a_1, ..., a_k) lives at index
-a_1 + m_1*(a_2 + m_2*(a_3 + ...)).  Exports and iteration order are
-lexicographic in the tuple instead; count_of() translates.
+Histogram counts are a read-only int64 ndarray of shape `mods`, indexed
+by class tuple; its C order is the lexicographic order of exports.
 """
 
 import itertools
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "DiscrepancyReport",
     "PatternReport",
     "CoverageReport",
+    "map_spans",
     "joint_histogram",
     "discrepancy",
     "pattern_search",
@@ -92,41 +93,59 @@ class ScanConfig:
             yield start, min(start + self.chunk_size, self.limit)
 
 
-def _flat_index(residues, mods) -> int:
-    idx = 0
-    for a, m in zip(reversed(residues), reversed(mods)):
-        idx = idx * m + a
-    return idx
+def map_spans(fn, config: ScanConfig, threads: int = 1):
+    """Yield fn(start, stop) for each span of config.spans(), in span order.
 
-
-def _unflatten(idx: int, mods) -> tuple[int, ...]:
-    out = []
-    for m in mods:
-        out.append(idx % m)
-        idx //= m
-    return tuple(out)
+    With threads > 1 the calls run on a pool that keeps at most `threads`
+    of them ahead of the consumer, so memory stays bounded by the chunks
+    in flight.  Closing the generator early cancels the calls not yet
+    started and waits for the running ones.
+    """
+    if threads < 1:
+        raise ValueError(f"thread count must be positive, got {threads}")
+    spans = config.spans()
+    if threads == 1:
+        yield from itertools.starmap(fn, spans)
+        return
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        ahead = deque()
+        for span in spans:
+            ahead.append(pool.submit(fn, *span))
+            if len(ahead) > threads:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)
 class ResidueHistogram:
-    """Exact class counts for one scan.  counts is the flat mixed-radix
-    layout described in the module docstring."""
+    """Exact class counts for one scan, in the layout described in the
+    module docstring; the constructor also takes them flat, in that order."""
 
     config: ScanConfig
-    counts: tuple[int, ...] = field(repr=False)
+    counts: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        if len(self.counts) != self.config.class_count:
-            raise ValueError(
-                f"expected {self.config.class_count} counts, got {len(self.counts)}"
-            )
-        if any(c < 0 for c in self.counts):
+        # reshape raises ValueError unless there is one count per class
+        counts = np.array(self.counts, dtype=np.int64).reshape(self.config.mods)
+        if (counts < 0).any():
             raise ValueError("counts must be nonnegative")
-        if sum(self.counts) != self.config.limit:
+        # an int64 sum can wrap; split each count so both partial sums stay exact
+        total = (int((counts >> 32).sum()) << 32) + int((counts & 0xFFFFFFFF).sum())
+        if total != self.config.limit:
             raise ValueError(
-                f"counts sum to {sum(self.counts)}, but {self.config.limit} integers were scanned"
+                f"counts sum to {total}, but {self.config.limit} integers were scanned"
             )
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
+
+    def __eq__(self, other):
+        if not isinstance(other, ResidueHistogram):
+            return NotImplemented
+        return self.config == other.config and np.array_equal(self.counts, other.counts)
 
     def count_of(self, residues) -> int:
         residues = tuple(residues)
@@ -135,22 +154,21 @@ class ResidueHistogram:
         for a, m in zip(residues, self.config.mods):
             if not 0 <= a < m:
                 raise ValueError(f"residue {a} out of range for modulus {m}")
-        return self.counts[_flat_index(residues, self.config.mods)]
+        return int(self.counts[residues])
 
     def classes(self):
         """All class tuples in lexicographic order."""
         return itertools.product(*(range(m) for m in self.config.mods))
 
     def as_dict(self):
-        return {cls: self.count_of(cls) for cls in self.classes()}
+        return dict(zip(self.classes(), self.counts.ravel().tolist()))
 
 
 def _chunk_histogram(config: ScanConfig, start: int, stop: int) -> np.ndarray:
     idx = np.zeros(stop - start, dtype=np.int64)
-    stride = 1
     for p, m in zip(config.primes, config.mods):
-        idx += stride * exponent_range(start, stop, p, mod=m)
-        stride *= m
+        idx *= m
+        idx += exponent_range(start, stop, p, mod=m)
     return np.bincount(idx, minlength=config.class_count)
 
 
@@ -161,18 +179,10 @@ def joint_histogram(config: ScanConfig, threads: int = 1) -> ResidueHistogram:
     Chunks may be computed on a thread pool; the merge is a plain sum of
     exact integer arrays, so the outcome never depends on scheduling.
     """
-    if threads < 1:
-        raise ValueError(f"thread count must be positive, got {threads}")
-    spans = list(config.spans())
-    if threads == 1 or len(spans) == 1:
-        parts = [_chunk_histogram(config, a, b) for a, b in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda ab: _chunk_histogram(config, *ab), spans))
     total = np.zeros(config.class_count, dtype=np.int64)
-    for part in parts:
+    for part in map_spans(partial(_chunk_histogram, config), config, threads):
         total += part
-    return ResidueHistogram(config=config, counts=tuple(total.tolist()))
+    return ResidueHistogram(config=config, counts=total)
 
 
 @dataclass(frozen=True)
@@ -192,23 +202,16 @@ def discrepancy(hist: ResidueHistogram) -> DiscrepancyReport:
     Ties on the deviation pick the lexicographically smallest class, so
     the report is reproducible.
     """
-    mods = hist.config.mods
     main = hist.config.limit / hist.config.class_count
-    worst = None
-    worst_dev = -1.0
-    for idx, c in enumerate(hist.counts):
-        dev = abs(c - main)
-        if dev > worst_dev:
-            worst_dev = dev
-            worst = [idx]
-        elif dev == worst_dev:
-            worst.append(idx)
-    worst_class = min(_unflatten(i, mods) for i in worst)
+    devs = np.abs(hist.counts - main)
+    # argmax takes the first maximum, and C order is lexicographic
+    worst = np.unravel_index(np.argmax(devs), hist.config.mods)
+    worst_dev = float(devs[worst])
     return DiscrepancyReport(
         main_term=main,
         max_abs_dev=worst_dev,
         max_rel_dev=worst_dev / main,
-        worst_class=worst_class,
+        worst_class=tuple(int(a) for a in worst),
     )
 
 
@@ -241,20 +244,13 @@ def pattern_search(config: ScanConfig, pattern, threads: int = 1) -> PatternRepo
     max_gap is None when there are fewer than two hits; leading and
     trailing runs without hits do not count as gaps.
     """
-    if threads < 1:
-        raise ValueError(f"thread count must be positive, got {threads}")
     pattern = tuple(int(a) for a in pattern)
     if len(pattern) != config.k:
         raise ValueError(f"pattern length {len(pattern)} does not match k = {config.k}")
     for a, m in zip(pattern, config.mods):
         if not 0 <= a < m:
             raise ValueError(f"pattern entry {a} out of range for modulus {m}")
-    spans = list(config.spans())
-    if threads == 1 or len(spans) == 1:
-        parts = [_chunk_hits(config, pattern, a, b) for a, b in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda ab: _chunk_hits(config, pattern, *ab), spans))
+    parts = map_spans(partial(_chunk_hits, config, pattern), config, threads)
     hits = 0
     minimal = None
     prev_last = None
@@ -296,6 +292,14 @@ class CoverageReport:
         return all(n is not None for n in self.minimal)
 
 
+def _chunk_first_codes(primes, start: int, stop: int):
+    codes = np.zeros(stop - start, dtype=np.int64)
+    for i, p in enumerate(primes):
+        codes |= exponent_range(start, stop, p, mod=2) << i
+    values, first_at = np.unique(codes, return_index=True)
+    return start, values, first_at
+
+
 def pattern_coverage(primes, limit: int, chunk_size: int = 1 << 20) -> CoverageReport:
     """First witnesses for all 2^k parity patterns of (e_p(n))_p below
     `limit`, stopping the scan early once every pattern has one."""
@@ -306,11 +310,7 @@ def pattern_coverage(primes, limit: int, chunk_size: int = 1 << 20) -> CoverageR
     total = 1 << k
     minimal = [None] * total
     found = 0
-    for start, stop in config.spans():
-        codes = np.zeros(stop - start, dtype=np.int64)
-        for i, p in enumerate(primes):
-            codes |= exponent_range(start, stop, p, mod=2) << i
-        values, first_at = np.unique(codes, return_index=True)
+    for start, values, first_at in map_spans(partial(_chunk_first_codes, primes), config):
         for v, at in zip(values.tolist(), first_at.tolist()):
             if minimal[v] is None:
                 minimal[v] = start + at

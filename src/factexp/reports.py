@@ -45,14 +45,15 @@ def histogram_csv(hist: ResidueHistogram) -> str:
     the tuple coordinates."""
     k = hist.config.k
     lines = [",".join(f"a_{i}" for i in range(1, k + 1)) + ",count"]
-    for cls in hist.classes():
-        lines.append(",".join(str(a) for a in cls) + f",{hist.count_of(cls)}")
+    for cls, count in zip(hist.classes(), hist.counts.ravel().tolist()):
+        lines.append(",".join(str(a) for a in cls) + f",{count}")
     return "\n".join(lines) + "\n"
 
 
 def histogram_json(hist: ResidueHistogram, report: DiscrepancyReport | None = None) -> str:
     counts = [
-        {"residues": list(cls), "count": hist.count_of(cls)} for cls in hist.classes()
+        {"residues": list(cls), "count": count}
+        for cls, count in zip(hist.classes(), hist.counts.ravel().tolist())
     ]
     payload = _config_dict(hist.config)
     payload["counts"] = counts

@@ -171,6 +171,27 @@ def test_usage_errors_exit_2(capsys, argv):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("n", ["inf", "-Infinity", "sNaN"])
+def test_non_finite_integer_exits_2(capsys, n):
+    with pytest.raises(SystemExit) as exc:
+        main(["exponent", "--prime", "3", f"--n={n}"])
+    assert exc.value.code == 2
+    assert "not a" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mod", ["0", "-3"])
+def test_exponent_mod_below_one_exits_1(capsys, mod):
+    code, out, err = run(capsys, "exponent", "--prime", "3", "--n", "10", "--mod", mod)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: modulus must be >= 1")
+
+
+def test_verify_refuses_limit_past_int64_at_once(capsys):
+    code, out, err = run(capsys, "verify", "--prime", "3", "--mod", "2", "--limit", "1e19")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: limit must be in [1, 2^63)")
+
+
 def test_integer_argument_type():
     assert integer("1000") == 1000
     assert integer("1e3") == 1000

@@ -4,11 +4,16 @@ The stream-based oracle below recounts everything one n at a time in
 pure Python, which keeps the vectorized chunk kernels honest.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import factexp.construction
+from factexp.construction import verify_congruence
 from factexp.exponents import ExponentStream, exponent_range, legendre_exponent
 from factexp.experiments import (
     CLASS_CAP,
@@ -16,6 +21,7 @@ from factexp.experiments import (
     ScanConfig,
     discrepancy,
     joint_histogram,
+    map_spans,
     parity_of_e2,
     pattern_coverage,
     pattern_search,
@@ -134,7 +140,69 @@ def test_histogram_determinism_quick():
     for chunk in (1, 103, 10**3):
         for threads in (1, 8):
             cfg = ScanConfig(primes=(3, 5, 7), mods=(2, 2, 2), limit=10**4, chunk_size=chunk)
-            assert joint_histogram(cfg, threads=threads).counts == reference
+            assert np.array_equal(joint_histogram(cfg, threads=threads).counts, reference)
+
+
+def test_histogram_counts_are_a_lex_ndarray():
+    cfg = ScanConfig(primes=(3, 5, 7), mods=(2, 3, 2), limit=1000)
+    hist = joint_histogram(cfg)
+    assert hist.counts.shape == (2, 3, 2)
+    assert hist.counts.dtype == np.int64
+    assert not hist.counts.flags.writeable
+    flat = hist.counts.ravel().tolist()
+    assert flat == [hist.count_of(c) for c in hist.classes()]
+    assert ResidueHistogram(config=cfg, counts=flat) == hist
+    flat[0], flat[1] = flat[0] - 1, flat[1] + 1
+    assert ResidueHistogram(config=cfg, counts=flat) != hist
+
+
+def test_histogram_rejects_counts_that_wrap_int64():
+    # 3 * 2^62 + (2^62 + 3) = 2^64 + 3 sums to 3 in wrapping int64 arithmetic
+    cfg = ScanConfig(primes=(3, 5), mods=(2, 2), limit=3)
+    with pytest.raises(ValueError):
+        ResidueHistogram(config=cfg, counts=(1 << 62, 1 << 62, 1 << 62, (1 << 62) + 3))
+
+
+def test_map_spans_yields_in_span_order():
+    cfg = ScanConfig(primes=(3,), mods=(2,), limit=4, chunk_size=1)
+    finished = []
+
+    def fn(start, stop):
+        time.sleep(0.05 * (4 - start))  # earlier spans finish last
+        finished.append(start)
+        return start, stop
+
+    assert list(map_spans(fn, cfg, threads=2)) == list(cfg.spans())
+    assert finished != sorted(finished)
+
+
+def test_map_spans_runs_bounded_ahead_and_stops_on_close():
+    cfg = ScanConfig(primes=(3,), mods=(2,), limit=100, chunk_size=1)
+    started = []
+    lock = threading.Lock()
+
+    def fn(start, stop):
+        with lock:
+            started.append(start)
+        time.sleep(0.01)
+        return start
+
+    gen = map_spans(fn, cfg, threads=2)
+    assert next(gen) == 0
+    time.sleep(0.1)  # a slow consumer: the pool must not run on without it
+    gen.close()
+    assert len(started) <= 3
+    time.sleep(0.05)
+    assert len(started) <= 3
+
+
+def test_verify_congruence_checks_limit_before_any_chunk(monkeypatch):
+    calls = []
+    monkeypatch.setattr(factexp.construction, "evaluate_range",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match="limit"):
+        verify_congruence(3, 2, 2**63)
+    assert calls == []
 
 
 def test_histogram_rejects_bad_threads():
@@ -157,15 +225,15 @@ def test_discrepancy_tie_breaks_lexicographically():
     hist = ResidueHistogram(config=cfg, counts=(2, 0, 1, 1))
     rep = discrepancy(hist)
     assert rep.max_abs_dev == 1.0
-    # flat indices 0 and 1 tie; their class tuples are (0,0) and (1,0)
+    # classes (0,0) and (0,1) tie
     assert rep.worst_class == (0, 0)
 
 
 def test_discrepancy_flat_order_is_not_lex_order():
     cfg = ScanConfig(primes=(3, 5), mods=(2, 2), limit=6)
-    hist = ResidueHistogram(config=cfg, counts=(1, 1, 3, 1))
+    hist = ResidueHistogram(config=cfg, counts=(1, 3, 1, 1))
     rep = discrepancy(hist)
-    assert rep.worst_class == (0, 1)  # flat index 2
+    assert rep.worst_class == (0, 1)
 
 
 PATTERN_CASES = {
