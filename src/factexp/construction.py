@@ -301,9 +301,12 @@ class CongruenceReport:
 def verify_congruence(p: int, m: int, limit: int, chunk_size: int = 1 << 20) -> CongruenceReport:
     """Check f(n) = e_p(n) (mod m) for all 0 <= n < limit.
 
-    The two sides are computed by unrelated routes (table evaluation over
-    base-q digits vs. the floor sum for e_p), chunk by chunk; the report
-    carries the smallest counterexample if there is one.
+    The two sides are computed chunk by chunk by independent routes that
+    share only the block loop of the tiled kernels: e_p from a floor-sum
+    table on base p^J with scalar Legendre offsets, and f from a table
+    folded out of the lambda-digit value table on base q^j with scalar
+    `f.evaluate` offsets.  The report carries the smallest counterexample
+    if there is one.
     """
     config = ScanConfig(primes=(p,), mods=(m,), limit=limit, chunk_size=chunk_size)
     built = build_function(p, m)

@@ -19,10 +19,9 @@ from functools import partial
 import numpy as np
 
 from .exponents import exponent_range
-from .primes import is_prime
+from .primes import _U63, is_prime
 
 CLASS_CAP = 1 << 24
-_U63 = 1 << 63
 
 __all__ = [
     "CLASS_CAP",

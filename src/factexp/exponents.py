@@ -8,19 +8,31 @@ with e_p(0) = 0 because 0! = 1.  Three classical identities compute it:
            = (n - s_p(n)) / (p - 1)                         (digit sum)
 
 where n = sum n_j p^j is the base-p expansion and s_p(n) = sum n_j.  The
-library computes the floor sum; the test suite pins all three against
-each other.  `exponent_range` is the vectorized workhorse behind the
-scan harness, and `ExponentStream` advances e_p(n) -> e_p(n+1) in
+scalar `legendre_exponent` computes the floor sum; the test suite pins
+all three against each other.
+
+`exponent_range`, the vectorized workhorse behind the scan harness,
+splits n = A*P + b with b < P = p^J and uses
+
+    e_p(n) = e_p(b) + A*(P - 1)/(p - 1) + e_p(A),
+
+so a range is a short run of blocks, each one slice of a cached table
+of e_p on [0, P) plus one exact scalar offset, with no division per
+element.  The vectorized floor sum only builds that table and serves
+the tests as an oracle.  `ExponentStream` advances e_p(n) -> e_p(n+1) in
 amortized constant time via e_p(n+1) - e_p(n) = v_p(n+1).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .primes import is_prime
+from .primes import _U63, is_prime
 
-_U63 = 1 << 63
+# Range kernels tile by the largest power of the base that is at most
+# this, or by the base itself when it is larger.
+_TILE = 1 << 16
 
 
 def _require_base(p: int) -> None:
@@ -155,12 +167,69 @@ class ExponentStream:
         return f"ExponentStream(p={self.prime}, n={self.cursor}, e={self.current_exponent}{mod})"
 
 
+def _tile_span(base: int) -> int:
+    """The largest power of base that is at most max(base, 2**16)."""
+    span = base
+    while span * base <= _TILE:
+        span *= base
+    return span
+
+
+def _tiled_range(start: int, stop: int, span: int, tile, offset, mod: int | None) -> np.ndarray:
+    """Values on [start, stop) of a function g with g(A*span + b) =
+    tile[b] + offset(A) for 0 <= b < span, as an int64 array.
+
+    `tile` is an array of the span values, or None when they are all 0;
+    offset(A) is an exact Python int.  With `mod` the offsets are reduced
+    before they are added and the result once at the end, so the sums
+    stay below the largest tile value plus mod.
+    """
+    out = np.empty(stop - start, dtype=np.int64)
+    n = start
+    while n < stop:
+        a, b = divmod(n, span)
+        end = min(stop, n - b + span)
+        off = offset(a) if mod is None else offset(a) % mod
+        block = out[n - start : end - start]
+        if tile is None:
+            block.fill(off)
+        else:
+            np.add(tile[b : b + end - n], off, out=block)
+        n = end
+    if mod is not None:
+        out %= mod
+    return out
+
+
+def _floor_sum_range(start: int, stop: int, p: int) -> np.ndarray:
+    """The vectorized floor sum: e_p(n) for n in [start, stop), one int64
+    division per base-p level over every element."""
+    ns = np.arange(start, stop, dtype=np.int64)
+    acc = np.zeros(ns.shape, dtype=np.int64)
+    pj = p
+    while pj < stop:
+        acc += ns // pj
+        pj *= p
+    return acc
+
+
+@lru_cache(maxsize=32)
+def _exponent_tile(p: int) -> np.ndarray:
+    # e_p on [0, p^J), unreduced so one table serves every modulus
+    tile = _floor_sum_range(0, _tile_span(p), p)
+    tile.flags.writeable = False
+    return tile
+
+
 def exponent_range(start: int, stop: int, p: int, mod: int | None = None) -> np.ndarray:
     """e_p(n) for every n in [start, stop) as an int64 array.
 
-    Vectorized floor sum; with `mod` the values come back reduced.  The
-    range must sit below 2**63 so the intermediate quotients fit int64
-    (e_p(n) < n, so the results always fit when the inputs do).
+    Tiled by P = the largest power of p that is at most max(p, 2**16): for
+    n = A*P + b with b < P, e_p(n) = e_p(b) + A*(P - 1)/(p - 1) + e_p(A).
+    e_p(b) comes from a cached table built by the floor sum (for p > 2**16
+    it is 0, and no table exists), and the block offset is computed
+    exactly by `legendre_exponent`.  With `mod` the values come back
+    reduced.  The range must sit below 2**63, so every value fits int64.
     """
     _require_prime(p)
     if mod is not None and mod < 2:
@@ -169,12 +238,9 @@ def exponent_range(start: int, stop: int, p: int, mod: int | None = None) -> np.
         raise ValueError(f"bad range [{start}, {stop})")
     if stop >= _U63:
         raise ValueError(f"range end must stay below 2**63, got {stop}")
-    ns = np.arange(start, stop, dtype=np.int64)
-    acc = np.zeros(ns.shape, dtype=np.int64)
-    pj = p
-    while pj < stop:
-        acc += ns // pj
-        pj *= p
-    if mod is not None:
-        acc %= mod
-    return acc
+    span = _tile_span(p)
+    tile = _exponent_tile(p) if p <= _TILE else None
+    weight = (span - 1) // (p - 1)
+    return _tiled_range(
+        start, stop, span, tile, lambda a: a * weight + legendre_exponent(a, p), mod
+    )

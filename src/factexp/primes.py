@@ -13,6 +13,7 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Deterministic witness set for n < 2^64 (miller-rabin.appspot.com).
 _WITNESSES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
+_U63 = 1 << 63
 _U64 = 1 << 64
 
 

@@ -20,15 +20,17 @@ a result of Kim on joint distributions of q-additive functions.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 import numpy as np
 
+from .exponents import _tile_span, _tiled_range
+from .primes import _U64
+
 # Value tables are stored eagerly; the cap keeps memory bounded and makes
 # oversized bases fail loudly instead of thrashing.
 TABLE_CAP = 1 << 24
-
-_U64 = 1 << 64
 
 
 @dataclass(frozen=True)
@@ -61,27 +63,43 @@ class QAdditiveFunction:
 
     __call__ = evaluate
 
+    @cached_property
+    def _values(self) -> np.ndarray:
+        # the value table as a read-only int64 array, built once per function
+        values = np.asarray(self.table, dtype=np.int64)
+        values.flags.writeable = False
+        return values
+
+
+def _value_tile(f: QAdditiveFunction, span: int, mod: int | None) -> np.ndarray:
+    """f on [0, span) for span = q^j, from the value table digit level by
+    digit level: f(a*q^i + b) = f(a) + f(b) for b < q^i.  With `mod` each
+    level is reduced, so only reduced values need to fit int64."""
+    values = f._values if mod is None else f._values % mod
+    tile = values
+    while tile.size < span:
+        tile = (values[:, None] + tile).ravel()
+        if mod is not None:
+            tile %= mod
+    return tile
+
 
 def evaluate_range(f: QAdditiveFunction, start: int, stop: int, mod: int | None = None) -> np.ndarray:
     """f(n) for every n in [start, stop), vectorized over int64.
 
-    Table values must fit int64; with `mod` the accumulator is reduced at
-    every digit level, so only the reduced values need to fit.
+    Tiled by Q = the largest power of q that is at most max(q, 2**16): for
+    n = A*Q + b with b < Q, f(n) = f(b) + f(A).  f(b) comes from a table
+    of f on [0, Q) folded out of the value table, and the block offset is
+    computed exactly by `f.evaluate`.  Table values must fit int64.  With
+    `mod` a table of Q > q entries is built reduced and the offsets are
+    reduced, so only the reduced values need to fit; with Q = q the table
+    is used as it is.
     """
     if start < 0 or stop < start:
         raise ValueError(f"bad range [{start}, {stop})")
-    table = np.asarray(f.table, dtype=np.int64)
-    ns = np.arange(start, stop, dtype=np.int64)
-    acc = np.zeros(ns.shape, dtype=np.int64)
-    qj = 1
-    while True:
-        acc += np.take(table, (ns // qj) % f.q)
-        if mod is not None:
-            acc %= mod
-        qj *= f.q
-        if qj >= stop:
-            break
-    return acc
+    span = _tile_span(f.q)
+    tile = f._values if span == f.q else _value_tile(f, span, mod)
+    return _tiled_range(start, stop, span, tile, f.evaluate, mod)
 
 
 def derive_invariants(f: QAdditiveFunction, m: int) -> tuple[int, int]:

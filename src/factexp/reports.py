@@ -6,7 +6,6 @@ significant digits before serialization so platform noise cannot leak
 into diffs.
 """
 
-import itertools
 import json
 import sys
 
@@ -90,10 +89,13 @@ def pattern_json(report: PatternReport) -> str:
 
 
 def _coverage_patterns(report: CoverageReport):
+    # Patterns in lexicographic order: the t-th is t in k binary digits,
+    # bit i of the code is digit i of the pattern, so the code is t with
+    # its k bits reversed.
     k = len(report.primes)
-    for bits in itertools.product((0, 1), repeat=k):
-        code = sum(b << i for i, b in enumerate(bits))
-        yield "".join(str(b) for b in bits), report.minimal[code]
+    for t in range(1 << k):
+        pattern = format(t, f"0{k}b")[:k]  # at k = 0 format gives "0"
+        yield pattern, report.minimal[int(pattern[::-1] or "0", 2)]
 
 
 def coverage_csv(report: CoverageReport) -> str:

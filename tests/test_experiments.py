@@ -339,6 +339,30 @@ def test_coverage_witnesses_are_real_and_minimal():
         assert codes.index(code) == n
 
 
+# Chunk sizes (with the limits that keep them quick) around the tiles of
+# the range kernels: 3^10 for p = 3 and 2^16 for p = 2.
+TILE_LIMIT = 2 * 3**10 + 2**16 + 5
+TILED_CHUNKS = [(1, 300), (7, 70_000), (3**10 - 1, TILE_LIMIT), (3**10, TILE_LIMIT),
+                (3**10 + 1, TILE_LIMIT), (2**16 + 3, TILE_LIMIT)]
+
+
+@pytest.mark.parametrize("chunk,limit", TILED_CHUNKS)
+def test_scans_invariant_under_chunk_size_and_threads(chunk, limit):
+    primes, mods, pattern = (2, 3, 5), (2, 3, 4), (1, 2, 3)
+    whole = ScanConfig(primes=primes, mods=mods, limit=limit)
+    cfg = ScanConfig(primes=primes, mods=mods, limit=limit, chunk_size=chunk)
+    hist = joint_histogram(whole).counts
+    pat = pattern_search(whole, pattern)
+    for threads in (1, 2):
+        assert np.array_equal(joint_histogram(cfg, threads=threads).counts, hist)
+        got = pattern_search(cfg, pattern, threads=threads)
+        assert (got.minimal_n, got.hits, got.max_gap) == (pat.minimal_n, pat.hits, pat.max_gap)
+    # twelve primes first cover every parity pattern at n = 59235
+    cov_primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    assert (pattern_coverage(cov_primes, limit, chunk_size=chunk)
+            == pattern_coverage(cov_primes, limit))
+
+
 def test_coverage_chunking_irrelevant():
     a = pattern_coverage((3, 5, 7), 5000)
     b = pattern_coverage((3, 5, 7), 5000, chunk_size=50)

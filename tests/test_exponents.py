@@ -5,15 +5,18 @@ two digit identities are pinned against it property-style.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factexp.exponents import (
     DigitExpansion,
     ExponentStream,
+    _floor_sum_range,
+    _tile_span,
     base_digits,
     digit_sum,
     exponent_range,
@@ -22,6 +25,16 @@ from factexp.exponents import (
 )
 
 primes_st = st.sampled_from([2, 3, 5, 7, 11, 13, 47, 97])
+# tile sizes 2^16, 3^10, 47^2, 97^2, and the prime itself above 2^16
+tiled_primes_st = st.sampled_from([2, 3, 47, 97, 65537, 1000003])
+
+
+def boundary_points(start: int, stop: int, span: int):
+    """Both ends of [start, stop) and every n within one of a multiple of span."""
+    points = {start, stop - 1}
+    for a in range(start // span, (stop - 1) // span + 2):
+        points.update(n for n in (a * span - 1, a * span, a * span + 1) if start <= n < stop)
+    return sorted(points)
 
 
 def factorial_valuation(n: int, p: int) -> int:
@@ -187,3 +200,38 @@ def test_exponent_range_edges_and_rejections():
         exponent_range(0, 1 << 63, 3)
     with pytest.raises(ValueError):
         exponent_range(0, 10, 3, mod=1)
+
+
+@settings(max_examples=40)
+@given(tiled_primes_st, st.integers(0, 2**40), st.integers(-3, 3), st.integers(2, 3),
+       st.sampled_from([None, 2, 3, 10]), st.data())
+def test_exponent_range_straddles_tiles(p, block, shift, blocks, mod, data):
+    span = _tile_span(p)
+    start = max(0, block * span + shift)
+    stop = start + data.draw(st.integers((blocks - 1) * span + 1, blocks * span))
+    got = exponent_range(start, stop, p, mod=mod)
+    want = _floor_sum_range(start, stop, p)
+    if mod is not None:
+        want %= mod
+    assert np.array_equal(got, want)
+    for n in boundary_points(start, stop, span):
+        e = legendre_exponent(n, p)
+        assert e == (n - digit_sum(n, p)) // (p - 1)
+        assert got[n - start] == (e if mod is None else e % mod)
+
+
+def test_exponent_range_huge_prime_allocates_only_the_output():
+    p = 2**61 - 1
+    tracemalloc.start()
+    try:
+        got = exponent_range(2**62, 2**62 + 10**6, p, mod=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < got.nbytes + (1 << 16)
+    assert np.array_equal(got, _floor_sum_range(2**62, 2**62 + 10**6, p) % 2)
+    # the block boundary at 2p = 2^62 - 2, against the scalar route
+    start = 2 * p - 5
+    assert exponent_range(start, start + 10, p).tolist() == [
+        legendre_exponent(n, p) for n in range(start, start + 10)
+    ]

@@ -5,10 +5,10 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factexp.exponents import digit_sum
+from factexp.exponents import _tile_span, digit_sum
 from factexp.qadditive import (
     TABLE_CAP,
     KimEntry,
@@ -31,6 +31,21 @@ def small_functions(draw):
     values = draw(st.lists(st.integers(-40, 40), min_size=q, max_size=q))
     values[0] = 0
     return QAdditiveFunction(q=q, table=tuple(values))
+
+
+def digit_levels_oracle(f: QAdditiveFunction, start: int, stop: int, mod=None) -> np.ndarray:
+    """f on [start, stop) one base-q digit level at a time: a //, a % and
+    a table lookup per level, reduced at every level when mod is set."""
+    table = np.asarray(f.table, dtype=np.int64)
+    ns = np.arange(start, stop, dtype=np.int64)
+    acc = np.zeros(ns.shape, dtype=np.int64)
+    qj = 1
+    while qj < max(stop, 2):
+        acc += np.take(table, (ns // qj) % f.q)
+        if mod is not None:
+            acc %= mod
+        qj *= f.q
+    return acc
 
 
 def test_digit_sum_table_is_the_digit_sum():
@@ -79,6 +94,24 @@ def test_evaluate_range_mod(f, m):
     plain = evaluate_range(f, 0, 600)
     reduced = evaluate_range(f, 0, 600, mod=m)
     assert np.array_equal(reduced, plain % m)
+
+
+@settings(max_examples=40)
+@given(st.sampled_from([2, 3, 10, 81, 169, 300, 70001]), st.integers(1, 96),
+       st.integers(0, 2**30), st.integers(-3, 3), st.integers(2, 3),
+       st.sampled_from([None, 2, 7, 1000]), st.data())
+def test_evaluate_range_straddles_tiles(q, c, block, shift, blocks, mod, data):
+    # tiles of 2^16, 3^10, 10^4, 81^2, 169^2 and 300 or 70001 entries
+    f = QAdditiveFunction(q=q, table=tuple(r * c % 97 - 48 if r else 0 for r in range(q)))
+    span = _tile_span(q)
+    start = max(0, block * span + shift)
+    stop = start + data.draw(st.integers((blocks - 1) * span + 1, blocks * span))
+    got = evaluate_range(f, start, stop, mod=mod)
+    assert np.array_equal(got, digit_levels_oracle(f, start, stop, mod))
+    for a in range(start // span, (stop - 1) // span + 2):
+        for n in (a * span - 1, a * span, a * span + 1, start, stop - 1):
+            if start <= n < stop:
+                assert got[n - start] == (f(n) if mod is None else f(n) % mod)
 
 
 def test_evaluate_range_reduces_each_level():

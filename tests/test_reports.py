@@ -1,10 +1,12 @@
 """Serialization goldens and byte-stability."""
 
+import itertools
 import json
 
 import pytest
 
 from factexp.experiments import (
+    CoverageReport,
     ResidueHistogram,
     ScanConfig,
     discrepancy,
@@ -12,7 +14,9 @@ from factexp.experiments import (
     pattern_coverage,
     pattern_search,
 )
+from factexp.primes import primes_up_to
 from factexp.reports import (
+    _coverage_patterns,
     coverage_csv,
     coverage_json,
     emit,
@@ -107,6 +111,23 @@ def test_coverage_csv_missing_pattern_empty_field():
     rep = pattern_coverage((3, 5), 6)
     lines = coverage_csv(rep).splitlines()
     assert lines[2] == "01,"  # pattern (0,1) has no witness below 6
+
+
+def bit_by_bit_patterns(report):
+    """(pattern, witness) pairs straight from the definition: patterns in
+    lexicographic order, bit i of the code is the i-th pattern digit."""
+    k = len(report.primes)
+    for bits in itertools.product((0, 1), repeat=k):
+        code = sum(b << i for i, b in enumerate(bits))
+        yield "".join(str(b) for b in bits), report.minimal[code]
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_coverage_patterns_match_bit_by_bit_oracle(k):
+    minimal = tuple(None if c % 5 == 4 else 3 * c for c in range(1 << k))
+    report = CoverageReport(primes=tuple(primes_up_to(40)[:k]), limit=1 << 20,
+                            minimal=minimal, covered_prefix=0)
+    assert list(_coverage_patterns(report)) == list(bit_by_bit_patterns(report))
 
 
 def test_coverage_json_fields():
