@@ -134,11 +134,10 @@ def cmd_scan(args) -> int:
     config = ScanConfig(primes=args.primes, mods=args.mods, limit=args.limit,
                         chunk_size=args.chunk_size)
     hist = joint_histogram(config, threads=_threads(args))
-    report = discrepancy(hist)
     if args.format == "csv":
         emit(histogram_csv(hist), _out_path(args.out))
     else:
-        emit(histogram_json(hist, report), _out_path(args.out))
+        emit(histogram_json(hist, discrepancy(hist)), _out_path(args.out))
     return 0
 
 

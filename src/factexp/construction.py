@@ -32,8 +32,8 @@ from math import e as _E, floor, gcd, log
 import numpy as np
 
 from .experiments import ScanConfig, map_spans
-from .exponents import exponent_range
-from .primes import is_prime, nth_odd_prime
+from .exponents import _require_prime, exponent_range
+from .primes import nth_odd_prime
 from .qadditive import (
     TABLE_CAP,
     QAdditiveFunction,
@@ -61,8 +61,7 @@ __all__ = [
 
 
 def _require_odd_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"expected a prime, got {p}")
+    _require_prime(p)
     if p == 2:
         raise ValueError(
             "the construction is defined for odd primes only; "
@@ -92,8 +91,7 @@ def euler_phi(n: int) -> int:
 def split_modulus(p: int, m: int) -> tuple[int, int]:
     """Split m = m' * m'' with m' carrying exactly the prime powers of m
     whose primes divide p - 1, and m'' coprime to p - 1."""
-    if not is_prime(p):
-        raise ValueError(f"expected a prime, got {p}")
+    _require_prime(p)
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
     m_prime = 1

@@ -31,8 +31,11 @@ import numpy as np
 from .primes import _U63, is_prime
 
 # Range kernels tile by the largest power of the base that is at most
-# this, or by the base itself when it is larger.
+# this, or by the base itself when it is larger; a base below _SQUARED
+# tiles by at least its square (at most 2**18 entries), so that a base
+# just above 2**8 does not split a range into one block per base.
 _TILE = 1 << 16
+_SQUARED = 1 << 9
 
 
 def _require_base(p: int) -> None:
@@ -168,8 +171,9 @@ class ExponentStream:
 
 
 def _tile_span(base: int) -> int:
-    """The largest power of base that is at most max(base, 2**16)."""
-    span = base
+    """The largest power of base that is at most max(base, 2**16), or
+    base**2 when that is larger and base < 2**9."""
+    span = base * base if base < _SQUARED else base
     while span * base <= _TILE:
         span *= base
     return span
@@ -224,8 +228,9 @@ def _exponent_tile(p: int) -> np.ndarray:
 def exponent_range(start: int, stop: int, p: int, mod: int | None = None) -> np.ndarray:
     """e_p(n) for every n in [start, stop) as an int64 array.
 
-    Tiled by P = the largest power of p that is at most max(p, 2**16): for
-    n = A*P + b with b < P, e_p(n) = e_p(b) + A*(P - 1)/(p - 1) + e_p(A).
+    Tiled by P = `_tile_span(p)`, the largest power of p that is at most
+    max(p, 2**16) (p**2 for 2**8 < p < 2**9): for n = A*P + b with b < P,
+    e_p(n) = e_p(b) + A*(P - 1)/(p - 1) + e_p(A).
     e_p(b) comes from a cached table built by the floor sum (for p > 2**16
     it is 0, and no table exists), and the block offset is computed
     exactly by `legendre_exponent`.  With `mod` the values come back

@@ -87,13 +87,13 @@ def _value_tile(f: QAdditiveFunction, span: int, mod: int | None) -> np.ndarray:
 def evaluate_range(f: QAdditiveFunction, start: int, stop: int, mod: int | None = None) -> np.ndarray:
     """f(n) for every n in [start, stop), vectorized over int64.
 
-    Tiled by Q = the largest power of q that is at most max(q, 2**16): for
-    n = A*Q + b with b < Q, f(n) = f(b) + f(A).  f(b) comes from a table
-    of f on [0, Q) folded out of the value table, and the block offset is
-    computed exactly by `f.evaluate`.  Table values must fit int64.  With
-    `mod` a table of Q > q entries is built reduced and the offsets are
-    reduced, so only the reduced values need to fit; with Q = q the table
-    is used as it is.
+    Tiled by Q = `_tile_span(q)`, the largest power of q that is at most
+    max(q, 2**16) (q**2 for 2**8 < q < 2**9): for n = A*Q + b with b < Q,
+    f(n) = f(b) + f(A).  f(b) comes from a table of f on [0, Q) folded out
+    of the value table, and the block offset is computed exactly by
+    `f.evaluate`.  Table values must fit int64.  With `mod` a table of
+    Q > q entries is built reduced and the offsets are reduced, so only
+    the reduced values need to fit; with Q = q the table is used as it is.
     """
     if start < 0 or stop < start:
         raise ValueError(f"bad range [{start}, {stop})")

@@ -4,6 +4,15 @@ Output is byte-stable: rows follow lexicographic class order, JSON keys
 are sorted with tight separators, and floats are rounded to 12
 significant digits before serialization so platform noise cannot leak
 into diffs.
+
+The per-class and per-pattern rows are built as text: the comma-joined
+residue labels of all classes come from extending a list of prefixes one
+axis at a time, and each row is one `str.format` of a fixed template.
+A JSON row template spells out exactly what `json.dumps` writes for
+that object with sorted keys and tight separators, and the rows are
+spliced into the empty list left for them in the `json.dumps` text of
+the scalar fields, so the bytes equal a `json.dumps` of the whole
+payload without one dict per row.
 """
 
 import json
@@ -39,23 +48,39 @@ def _config_dict(config) -> dict:
     }
 
 
+def _labels(mods, sep: str = ",") -> list[str]:
+    """The residues of every class joined by `sep`, in lexicographic
+    order; [""] when there are no moduli."""
+    labels = [""]
+    for i, m in enumerate(mods):
+        glue = sep if i else ""
+        digits = [f"{glue}{d}" for d in range(m)]
+        labels = [p + d for p in labels for d in digits]
+    return labels
+
+
+def _dumps_with_rows(payload: dict, key: str, rows: str) -> str:
+    """_dumps(payload) with payload[key] holding the JSON array whose
+    elements are the preformatted `rows`."""
+    payload[key] = []
+    # the scalar fields before `key` in sorted order hold no such text
+    head, tail = _dumps(payload).split(f'"{key}":[]', 1)
+    return f'{head}"{key}":[{rows}]{tail}'
+
+
 def histogram_csv(hist: ResidueHistogram) -> str:
     """One row per residue class, lexicographic, with a header naming
     the tuple coordinates."""
     k = hist.config.k
-    lines = [",".join(f"a_{i}" for i in range(1, k + 1)) + ",count"]
-    for cls, count in zip(hist.classes(), hist.counts.ravel().tolist()):
-        lines.append(",".join(str(a) for a in cls) + f",{count}")
-    return "\n".join(lines) + "\n"
+    header = ",".join(f"a_{i}" for i in range(1, k + 1)) + ",count\n"
+    rows = map("{},{}\n".format, _labels(hist.config.mods), hist.counts.ravel().tolist())
+    return header + "".join(rows)
 
 
 def histogram_json(hist: ResidueHistogram, report: DiscrepancyReport | None = None) -> str:
-    counts = [
-        {"residues": list(cls), "count": count}
-        for cls, count in zip(hist.classes(), hist.counts.ravel().tolist())
-    ]
+    rows = ",".join(map('{{"count":{},"residues":[{}]}}'.format,
+                        hist.counts.ravel().tolist(), _labels(hist.config.mods)))
     payload = _config_dict(hist.config)
-    payload["counts"] = counts
     if report is not None:
         payload["discrepancy"] = {
             "main_term": _sig12(report.main_term),
@@ -63,7 +88,7 @@ def histogram_json(hist: ResidueHistogram, report: DiscrepancyReport | None = No
             "max_rel_dev": _sig12(report.max_rel_dev),
             "worst_class": list(report.worst_class),
         }
-    return _dumps(payload)
+    return _dumps_with_rows(payload, "counts", rows)
 
 
 def _pattern_str(pattern, mods) -> str:
@@ -89,32 +114,33 @@ def pattern_json(report: PatternReport) -> str:
 
 
 def _coverage_patterns(report: CoverageReport):
-    # Patterns in lexicographic order: the t-th is t in k binary digits,
-    # bit i of the code is digit i of the pattern, so the code is t with
-    # its k bits reversed.
+    """(pattern, witness) pairs with the patterns in lexicographic order.
+    Digit i of a pattern is bit i of its code, so the codes are built
+    digit by digit alongside the patterns."""
     k = len(report.primes)
-    for t in range(1 << k):
-        pattern = format(t, f"0{k}b")[:k]  # at k = 0 format gives "0"
-        yield pattern, report.minimal[int(pattern[::-1] or "0", 2)]
+    codes = [0]
+    for i in range(k):
+        codes = [c | b << i for c in codes for b in (0, 1)]
+    return zip(_labels((2,) * k, sep=""), [report.minimal[c] for c in codes])
 
 
 def coverage_csv(report: CoverageReport) -> str:
-    lines = ["pattern,minimal_n"]
-    for pat, n in _coverage_patterns(report):
-        lines.append(f"{pat}," + ("" if n is None else str(n)))
-    return "\n".join(lines) + "\n"
+    rows = ("{},{}\n".format(pat, "" if n is None else n)
+            for pat, n in _coverage_patterns(report))
+    return "pattern,minimal_n\n" + "".join(rows)
 
 
 def coverage_json(report: CoverageReport) -> str:
+    rows = ",".join(
+        '{{"minimal_n":{},"pattern":"{}"}}'.format("null" if n is None else n, pat)
+        for pat, n in _coverage_patterns(report)
+    )
     payload = {
         "primes": list(report.primes),
         "limit": report.limit,
         "covered_prefix": report.covered_prefix,
-        "patterns": [
-            {"pattern": pat, "minimal_n": n} for pat, n in _coverage_patterns(report)
-        ],
     }
-    return _dumps(payload)
+    return _dumps_with_rows(payload, "patterns", rows)
 
 
 def emit(text: str, destination=None) -> None:

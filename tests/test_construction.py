@@ -122,6 +122,16 @@ def test_lambda_rejections():
         lambda_index(9, 4)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: split_modulus(4, 10),
+    lambda: lambda_index(9, 4),
+    lambda: build_function(15, 4),
+])
+def test_composite_prime_argument_message(call):
+    with pytest.raises(ValueError, match="^expected a prime, got (4|9|15)$"):
+        call()
+
+
 def test_certificate_rejects_tampering():
     cert = lambda_index(3, 5)
     with pytest.raises(ValueError):

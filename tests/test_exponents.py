@@ -25,8 +25,9 @@ from factexp.exponents import (
 )
 
 primes_st = st.sampled_from([2, 3, 5, 7, 11, 13, 47, 97])
-# tile sizes 2^16, 3^10, 47^2, 97^2, and the prime itself above 2^16
-tiled_primes_st = st.sampled_from([2, 3, 47, 97, 65537, 1000003])
+# tile sizes 2^16, 3^10, 47^2, 97^2, 257^2, 509^2, and the prime itself
+# above 2^16
+tiled_primes_st = st.sampled_from([2, 3, 47, 97, 257, 509, 65537, 1000003])
 
 
 def boundary_points(start: int, stop: int, span: int):
@@ -200,6 +201,14 @@ def test_exponent_range_edges_and_rejections():
         exponent_range(0, 1 << 63, 3)
     with pytest.raises(ValueError):
         exponent_range(0, 10, 3, mod=1)
+
+
+def test_tile_span_sizes():
+    # bases up to 2^8 keep their largest power within 2^16; bases in
+    # (2^8, 2^9) tile by their square; larger bases by themselves
+    spans = {2: 2**16, 3: 3**10, 47: 47**2, 251: 251**2, 256: 256**2,
+             257: 257**2, 509: 509**2, 521: 521, 65521: 65521, 65537: 65537}
+    assert {b: _tile_span(b) for b in spans} == spans
 
 
 @settings(max_examples=40)

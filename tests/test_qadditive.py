@@ -101,7 +101,7 @@ def test_evaluate_range_mod(f, m):
        st.integers(0, 2**30), st.integers(-3, 3), st.integers(2, 3),
        st.sampled_from([None, 2, 7, 1000]), st.data())
 def test_evaluate_range_straddles_tiles(q, c, block, shift, blocks, mod, data):
-    # tiles of 2^16, 3^10, 10^4, 81^2, 169^2 and 300 or 70001 entries
+    # tiles of 2^16, 3^10, 10^4, 81^2, 169^2, 300^2 and 70001 entries
     f = QAdditiveFunction(q=q, table=tuple(r * c % 97 - 48 if r else 0 for r in range(q)))
     span = _tile_span(q)
     start = max(0, block * span + shift)

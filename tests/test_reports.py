@@ -2,8 +2,11 @@
 
 import itertools
 import json
+import math
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from factexp.experiments import (
     CoverageReport,
@@ -158,3 +161,98 @@ def test_emit_file(tmp_path):
 def test_emit_propagates_file_errors(tmp_path):
     with pytest.raises(OSError):
         emit("x", str(tmp_path / "missing" / "out.csv"))
+
+
+# The slow oracle: the serializers as plain dicts and tuple joins under
+# json.dumps(sort_keys=True) with tight separators.  The fast ones must
+# give the same bytes.
+
+
+def oracle_dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def oracle_histogram_csv(hist) -> str:
+    k = hist.config.k
+    lines = [",".join(f"a_{i}" for i in range(1, k + 1)) + ",count"]
+    for cls, count in zip(hist.classes(), hist.counts.ravel().tolist()):
+        lines.append(",".join(str(a) for a in cls) + f",{count}")
+    return "\n".join(lines) + "\n"
+
+
+def oracle_histogram_json(hist, report=None) -> str:
+    config = hist.config
+    payload = {
+        "primes": list(config.primes),
+        "mods": list(config.mods),
+        "limit": config.limit,
+        "chunk_size": config.chunk_size,
+        "counts": [
+            {"residues": list(cls), "count": count}
+            for cls, count in zip(hist.classes(), hist.counts.ravel().tolist())
+        ],
+    }
+    if report is not None:
+        payload["discrepancy"] = {
+            "main_term": float(f"{report.main_term:.12g}"),
+            "max_abs_dev": float(f"{report.max_abs_dev:.12g}"),
+            "max_rel_dev": float(f"{report.max_rel_dev:.12g}"),
+            "worst_class": list(report.worst_class),
+        }
+    return oracle_dumps(payload)
+
+
+def oracle_coverage_csv(report) -> str:
+    lines = ["pattern,minimal_n"]
+    for pat, n in bit_by_bit_patterns(report):
+        lines.append(f"{pat}," + ("" if n is None else str(n)))
+    return "\n".join(lines) + "\n"
+
+
+def oracle_coverage_json(report) -> str:
+    return oracle_dumps({
+        "primes": list(report.primes),
+        "limit": report.limit,
+        "covered_prefix": report.covered_prefix,
+        "patterns": [{"pattern": pat, "minimal_n": n} for pat, n in bit_by_bit_patterns(report)],
+    })
+
+
+@st.composite
+def histograms(draw):
+    """Histograms of k = 1..5 moduli in 2..12 (so two-digit residues
+    appear) with zero counts, small counts and counts above 2^32."""
+    k = draw(st.integers(1, 5))
+    mods, room = [], 300
+    for i in range(k):
+        m = draw(st.integers(2, min(12, room // 2 ** (k - 1 - i))))
+        mods.append(m)
+        room //= m
+    size = math.prod(mods)
+    count = st.sampled_from([0, 1]) | st.integers(0, 99) | st.integers(2**32, 2**40)
+    counts = draw(st.lists(count, min_size=size, max_size=size).filter(any))
+    config = ScanConfig(primes=primes_up_to(40)[1 : k + 1], mods=tuple(mods),
+                        limit=sum(counts), chunk_size=draw(st.integers(1, 2**40)))
+    return ResidueHistogram(config=config, counts=counts)
+
+
+# the explain phase takes over a minute to report a failing example here
+@settings(phases=[phase for phase in Phase if phase is not Phase.explain])
+@given(histograms(), st.booleans())
+def test_histogram_serializers_match_oracle(hist, with_report):
+    assert histogram_csv(hist) == oracle_histogram_csv(hist)
+    report = discrepancy(hist) if with_report else None
+    assert histogram_json(hist, report) == oracle_histogram_json(hist, report)
+
+
+@given(st.integers(0, 7).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.lists(st.none() | st.integers(0, 2**63), min_size=1 << k, max_size=1 << k),
+    st.integers(0, k),
+)), st.integers(1, 2**63))
+def test_coverage_serializers_match_oracle(drawn, limit):
+    k, minimal, covered_prefix = drawn
+    report = CoverageReport(primes=tuple(primes_up_to(40)[1 : k + 1]), limit=limit,
+                            minimal=tuple(minimal), covered_prefix=covered_prefix)
+    assert coverage_csv(report) == oracle_coverage_csv(report)
+    assert coverage_json(report) == oracle_coverage_json(report)
