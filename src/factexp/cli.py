@@ -167,7 +167,7 @@ def cmd_kofx(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    params = CoverageParams(c1=args.c1, c3=args.c3, k=args.k)
+    params = CoverageParams(c3=args.c3, k=args.k)
     value = coverage_log_threshold(params, nth_odd_prime(args.k))
     print(value)
     return 0
@@ -241,8 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", help="log of the bound past which all patterns appear")
     p.add_argument("--k", type=integer, required=True)
     p.add_argument("--c3", type=float, required=True)
-    p.add_argument("--c1", type=float, default=1.0,
-                   help="accepted for symmetry with kofx; the threshold does not use it")
     p.set_defaults(func=cmd_threshold)
 
     return parser

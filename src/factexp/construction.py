@@ -335,20 +335,17 @@ def construction_error_exponent(k: int, p: int, m: int) -> Fraction:
 
 @dataclass(frozen=True)
 class CoverageParams:
-    """User-supplied absolute constants for the coverage formulas.
-
-    Neither constant is pinned by theory, so both are mandatory inputs:
-    c1 scales the guaranteed pattern length, c3 the error-term constant
-    entering the threshold.
+    """Inputs of the coverage threshold: the pattern length k and c3,
+    the error-term constant entering the threshold.  Theory does not pin
+    c3, so it is a mandatory input.
     """
 
-    c1: float
     c3: float
     k: int
 
     def __post_init__(self):
-        if not self.c1 > 0 or not self.c3 > 0:
-            raise ValueError(f"c1 and c3 must be positive, got {self.c1}, {self.c3}")
+        if not self.c3 > 0:
+            raise ValueError(f"c3 must be positive, got {self.c3}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
 

@@ -1,9 +1,11 @@
 """Empirical scans over factorial exponents: joint residue histograms,
 pattern searches, and parity-pattern coverage.
 
-Everything here counts exactly (int64 all the way through), so results
-are independent of chunk size and thread count by construction; the
-floating-point summaries in DiscrepancyReport are derived from those
+Everything here counts exactly, so results are independent of chunk
+size and thread count by construction: the kernels hand over residues in
+narrow unsigned dtypes, class indices fold in int32 (there are at most
+CLASS_CAP = 2**24 classes), and counts and first witnesses are int64.
+The floating-point summaries in DiscrepancyReport are derived from those
 exact counts at the very end.
 
 Histogram counts are a read-only int64 ndarray of shape `mods`, indexed
@@ -164,11 +166,14 @@ class ResidueHistogram:
 
 
 def _chunk_histogram(config: ScanConfig, start: int, stop: int) -> np.ndarray:
-    idx = np.zeros(stop - start, dtype=np.int64)
-    for p, m in zip(config.primes, config.mods):
+    pairs = zip(config.primes, config.mods)
+    p, m = next(pairs)
+    # the class index stays below CLASS_CAP = 2**24, so int32 holds it
+    idx = exponent_range(start, stop, p, mod=m).astype(np.int32)
+    for p, m in pairs:
         idx *= m
         idx += exponent_range(start, stop, p, mod=m)
-    return np.bincount(idx, minlength=config.class_count)
+    return np.bincount(idx)
 
 
 def joint_histogram(config: ScanConfig, threads: int = 1) -> ResidueHistogram:
@@ -177,10 +182,12 @@ def joint_histogram(config: ScanConfig, threads: int = 1) -> ResidueHistogram:
 
     Chunks may be computed on a thread pool; the merge is a plain sum of
     exact integer arrays, so the outcome never depends on scheduling.
+    Each chunk counts only up to its largest class index, and the merge
+    adds that prefix.
     """
     total = np.zeros(config.class_count, dtype=np.int64)
     for part in map_spans(partial(_chunk_histogram, config), config, threads):
-        total += part
+        total[: part.size] += part
     return ResidueHistogram(config=config, counts=total)
 
 
@@ -291,12 +298,20 @@ class CoverageReport:
         return all(n is not None for n in self.minimal)
 
 
-def _chunk_first_codes(primes, start: int, stop: int):
-    codes = np.zeros(stop - start, dtype=np.int64)
-    for i, p in enumerate(primes):
-        codes |= exponent_range(start, stop, p, mod=2) << i
-    values, first_at = np.unique(codes, return_index=True)
-    return start, values, first_at
+# first-witness entry of a code with no witness yet: no n reaches it
+_NEVER = np.iinfo(np.int64).max
+
+
+def _chunk_first_codes(primes, start: int, stop: int) -> np.ndarray:
+    """first[c]: the smallest n in [start, stop) with parity code c, or
+    _NEVER; bit i of the code is the parity of e_{primes[i]}(n)."""
+    codes = np.zeros(stop - start, dtype=np.uint32)
+    for p in reversed(primes):
+        codes <<= 1
+        codes |= exponent_range(start, stop, p, mod=2)
+    first = np.full(1 << len(primes), _NEVER, dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(start, stop, dtype=np.int64))
+    return first
 
 
 def pattern_coverage(primes, limit: int, chunk_size: int = 1 << 20) -> CoverageReport:
@@ -306,25 +321,22 @@ def pattern_coverage(primes, limit: int, chunk_size: int = 1 << 20) -> CoverageR
     config = ScanConfig(primes=primes, mods=(2,) * len(primes), limit=limit,
                         chunk_size=chunk_size)
     k = len(primes)
-    total = 1 << k
-    minimal = [None] * total
-    found = 0
-    for start, values, first_at in map_spans(partial(_chunk_first_codes, primes), config):
-        for v, at in zip(values.tolist(), first_at.tolist()):
-            if minimal[v] is None:
-                minimal[v] = start + at
-                found += 1
-        if found == total:
+    first = np.full(1 << k, _NEVER, dtype=np.int64)
+    for part in map_spans(partial(_chunk_first_codes, primes), config):
+        np.minimum(first, part, out=first)
+        if (first != _NEVER).all():
             break
-    covered_prefix = 0
-    seen = {c for c, n in enumerate(minimal) if n is not None}
-    for kp in range(k, 0, -1):
-        mask = (1 << kp) - 1
-        if len({c & mask for c in seen}) == 1 << kp:
-            covered_prefix = kp
-            break
+    # covered[c] for the codes over the first covered_prefix primes: fold
+    # away the top bit until every code left has a witness
+    covered = first != _NEVER
+    covered_prefix = k
+    while covered_prefix and not covered.all():
+        half = covered.size // 2
+        covered = covered[:half] | covered[half:]
+        covered_prefix -= 1
+    minimal = tuple(None if n == _NEVER else n for n in first.tolist())
     return CoverageReport(
-        primes=primes, limit=limit, minimal=tuple(minimal), covered_prefix=covered_prefix
+        primes=primes, limit=limit, minimal=minimal, covered_prefix=covered_prefix
     )
 
 

@@ -18,9 +18,16 @@ splits n = A*P + b with b < P = p^J and uses
 
 so a range is a short run of blocks, each one slice of a cached table
 of e_p on [0, P) plus one exact scalar offset, with no division per
-element.  The vectorized floor sum only builds that table and serves
-the tests as an oracle.  `ExponentStream` advances e_p(n) -> e_p(n+1) in
-amortized constant time via e_p(n+1) - e_p(n) = v_p(n+1).
+element.  Without a modulus the values come back unreduced in int64.
+With a modulus m the kernel works on residues only: the table is cached
+reduced mod m in the narrowest unsigned dtype that holds 2(m - 1)
+(uint8 for m <= 2**7, uint16 for m <= 2**15, then uint32 or uint64),
+each block adds an offset below m and subtracts m where the sum reached
+it, and the result comes back in that dtype.  The vectorized floor sum
+only builds the table and serves the tests as an oracle.
+
+`ExponentStream` advances e_p(n) -> e_p(n+1) in amortized constant time
+via e_p(n+1) - e_p(n) = v_p(n+1).
 """
 
 from dataclasses import dataclass
@@ -179,16 +186,30 @@ def _tile_span(base: int) -> int:
     return span
 
 
+def _residue_dtype(mod: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds 2*(mod - 1), the largest
+    sum of two residues mod `mod`."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if 2 * (mod - 1) <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    if mod >= _U63:
+        raise OverflowError(f"modulus must stay below 2**63, got {mod}")
+    return np.dtype(np.uint64)
+
+
 def _tiled_range(start: int, stop: int, span: int, tile, offset, mod: int | None) -> np.ndarray:
     """Values on [start, stop) of a function g with g(A*span + b) =
-    tile[b] + offset(A) for 0 <= b < span, as an int64 array.
+    tile[b] + offset(A) for 0 <= b < span.
 
     `tile` is an array of the span values, or None when they are all 0;
-    offset(A) is an exact Python int.  With `mod` the offsets are reduced
-    before they are added and the result once at the end, so the sums
-    stay below the largest tile value plus mod.
+    offset(A) is an exact Python int.  Without `mod` the result is int64.
+    With `mod` the tile must hold residues in `_residue_dtype(mod)`, and
+    the result comes back reduced in that dtype: each block adds its
+    offset reduced below mod, and where the sum reached mod, unsigned
+    wrap-around makes block - mod the larger one, so the minimum of the
+    two subtracts mod exactly there.  Mod 2 the sum is an XOR.
     """
-    out = np.empty(stop - start, dtype=np.int64)
+    out = np.empty(stop - start, dtype=np.int64 if mod is None else _residue_dtype(mod))
     n = start
     while n < stop:
         a, b = divmod(n, span)
@@ -197,11 +218,13 @@ def _tiled_range(start: int, stop: int, span: int, tile, offset, mod: int | None
         block = out[n - start : end - start]
         if tile is None:
             block.fill(off)
+        elif mod == 2:
+            np.bitwise_xor(tile[b : b + end - n], off, out=block)
         else:
             np.add(tile[b : b + end - n], off, out=block)
+            if mod is not None and off:
+                np.minimum(block, block - mod, out=block)
         n = end
-    if mod is not None:
-        out %= mod
     return out
 
 
@@ -218,23 +241,27 @@ def _floor_sum_range(start: int, stop: int, p: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _exponent_tile(p: int) -> np.ndarray:
-    # e_p on [0, p^J), unreduced so one table serves every modulus
+def _exponent_tile(p: int, mod: int | None) -> np.ndarray:
+    # e_p on [0, p^J): int64, or reduced mod `mod` in the dtype _tiled_range adds in
     tile = _floor_sum_range(0, _tile_span(p), p)
+    if mod is not None:
+        tile = (tile % mod).astype(_residue_dtype(mod))
     tile.flags.writeable = False
     return tile
 
 
 def exponent_range(start: int, stop: int, p: int, mod: int | None = None) -> np.ndarray:
-    """e_p(n) for every n in [start, stop) as an int64 array.
+    """e_p(n) for every n in [start, stop): an int64 array, or with `mod`
+    the residues in the narrowest unsigned dtype that holds 2*(mod - 1).
 
     Tiled by P = `_tile_span(p)`, the largest power of p that is at most
     max(p, 2**16) (p**2 for 2**8 < p < 2**9): for n = A*P + b with b < P,
     e_p(n) = e_p(b) + A*(P - 1)/(p - 1) + e_p(A).
     e_p(b) comes from a cached table built by the floor sum (for p > 2**16
     it is 0, and no table exists), and the block offset is computed
-    exactly by `legendre_exponent`.  With `mod` the values come back
-    reduced.  The range must sit below 2**63, so every value fits int64.
+    exactly by `legendre_exponent`.  With `mod` the table is cached
+    reduced mod `mod` and every block stays below it.  The range must sit
+    below 2**63, so every value fits int64, and so must the modulus.
     """
     _require_prime(p)
     if mod is not None and mod < 2:
@@ -244,7 +271,7 @@ def exponent_range(start: int, stop: int, p: int, mod: int | None = None) -> np.
     if stop >= _U63:
         raise ValueError(f"range end must stay below 2**63, got {stop}")
     span = _tile_span(p)
-    tile = _exponent_tile(p) if p <= _TILE else None
+    tile = _exponent_tile(p, mod) if p <= _TILE else None
     weight = (span - 1) // (p - 1)
     return _tiled_range(
         start, stop, span, tile, lambda a: a * weight + legendre_exponent(a, p), mod

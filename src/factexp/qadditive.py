@@ -25,7 +25,7 @@ from math import gcd
 
 import numpy as np
 
-from .exponents import _tile_span, _tiled_range
+from .exponents import _residue_dtype, _tile_span, _tiled_range
 from .primes import _U64
 
 # Value tables are stored eagerly; the cap keeps memory bounded and makes
@@ -70,35 +70,48 @@ class QAdditiveFunction:
         values.flags.writeable = False
         return values
 
+    @cached_property
+    def _tiles(self) -> dict:
+        # modulus or None -> _value_tile on [0, _tile_span(q)), filled by evaluate_range
+        return {}
+
 
 def _value_tile(f: QAdditiveFunction, span: int, mod: int | None) -> np.ndarray:
     """f on [0, span) for span = q^j, from the value table digit level by
-    digit level: f(a*q^i + b) = f(a) + f(b) for b < q^i.  With `mod` each
-    level is reduced, so only reduced values need to fit int64."""
-    values = f._values if mod is None else f._values % mod
+    digit level: f(a*q^i + b) = f(a) + f(b) for b < q^i.  Without `mod`
+    the tile is int64; with it each level is reduced mod `mod` in
+    `_residue_dtype(mod)`, so only reduced values need to fit."""
+    if mod is None:
+        values = f._values
+    else:
+        values = (f._values % mod).astype(_residue_dtype(mod))
     tile = values
     while tile.size < span:
         tile = (values[:, None] + tile).ravel()
         if mod is not None:
-            tile %= mod
+            np.minimum(tile, tile - mod, out=tile)
+    tile.flags.writeable = False
     return tile
 
 
 def evaluate_range(f: QAdditiveFunction, start: int, stop: int, mod: int | None = None) -> np.ndarray:
-    """f(n) for every n in [start, stop), vectorized over int64.
+    """f(n) for every n in [start, stop): an int64 array, or with `mod`
+    the residues in the narrowest unsigned dtype that holds 2*(mod - 1).
 
     Tiled by Q = `_tile_span(q)`, the largest power of q that is at most
     max(q, 2**16) (q**2 for 2**8 < q < 2**9): for n = A*Q + b with b < Q,
     f(n) = f(b) + f(A).  f(b) comes from a table of f on [0, Q) folded out
-    of the value table, and the block offset is computed exactly by
-    `f.evaluate`.  Table values must fit int64.  With `mod` a table of
-    Q > q entries is built reduced and the offsets are reduced, so only
-    the reduced values need to fit; with Q = q the table is used as it is.
+    of the value table and kept with f, one per modulus, and the block
+    offset is computed exactly by `f.evaluate`.  Without `mod` table
+    values must fit int64.  With `mod` the table is folded reduced and
+    the offsets are reduced, so only the reduced values need to fit.
     """
     if start < 0 or stop < start:
         raise ValueError(f"bad range [{start}, {stop})")
     span = _tile_span(f.q)
-    tile = f._values if span == f.q else _value_tile(f, span, mod)
+    tile = f._tiles.get(mod)
+    if tile is None:
+        tile = f._tiles[mod] = _value_tile(f, span, mod)
     return _tiled_range(start, stop, span, tile, f.evaluate, mod)
 
 

@@ -300,7 +300,7 @@ def test_criterion_9_coverage_formulas():
     depths = [fx.coverage_depth(10**e, 20.0) for e in (300, 1000, 3000, 10**4, 10**5, 10**6)]
     if any(a > b for a, b in zip(depths, depths[1:])):
         problems.append(f"depth not monotone on grid: {depths}")
-    threshold = fx.coverage_log_threshold(fx.CoverageParams(c1=1.0, c3=1.0, k=1), 3)
+    threshold = fx.coverage_log_threshold(fx.CoverageParams(c3=1.0, k=1), 3)
     expected = 349920 * log(18)  # 480 * 3^6 * (ln 2 + 2 ln 3)
     if not abs(threshold - expected) <= 1e-6 * expected:
         problems.append(f"threshold {threshold} != {expected}")

@@ -128,7 +128,7 @@ def test_threshold_round_trips(capsys):
     assert code == 0
     assert float(out) == pytest.approx(349920 * math.log(18), rel=1e-10)
     # printed repr parses back to the exact float the library computes
-    expected = coverage_log_threshold(CoverageParams(c1=1.0, c3=1.0, k=1), 3)
+    expected = coverage_log_threshold(CoverageParams(c3=1.0, k=1), 3)
     assert float(out) == expected
 
 
@@ -162,6 +162,7 @@ def test_write_failure_exits_1(tmp_path, capsys):
         ["exponent", "--n", "10"],
         ["exponent", "--n", "1.5", "--prime", "3"],
         ["scan", "--primes", "3"],
+        ["threshold", "--k", "1", "--c3", "1.0", "--c1", "1.0"],
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

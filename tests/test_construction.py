@@ -259,26 +259,26 @@ def test_error_exponent_never_beats_system_bound():
 
 
 def test_coverage_params_validation():
-    CoverageParams(c1=1.0, c3=2.0, k=3)
+    CoverageParams(c3=2.0, k=3)
     with pytest.raises(ValueError):
-        CoverageParams(c1=0.0, c3=1.0, k=1)
+        CoverageParams(c3=0.0, k=1)
     with pytest.raises(ValueError):
-        CoverageParams(c1=1.0, c3=-2.0, k=1)
+        CoverageParams(c3=-2.0, k=1)
     with pytest.raises(ValueError):
-        CoverageParams(c1=1.0, c3=1.0, k=0)
+        CoverageParams(c3=1.0, k=0)
 
 
 def test_threshold_closed_form():
-    value = coverage_log_threshold(CoverageParams(c1=1.0, c3=1.0, k=1), 3)
+    value = coverage_log_threshold(CoverageParams(c3=1.0, k=1), 3)
     assert value == pytest.approx(349920 * math.log(18), rel=1e-12)
     # generic case against the single-log form of the same expression
-    params = CoverageParams(c1=1.0, c3=2.5, k=2)
+    params = CoverageParams(c3=2.5, k=2)
     expected = 480 * 4 * 5**6 * math.log(2.5 * 2**2 * math.sqrt(2) * 25)
     assert coverage_log_threshold(params, 5) == pytest.approx(expected, rel=1e-12)
 
 
 def test_threshold_requires_odd_prime():
-    params = CoverageParams(c1=1.0, c3=1.0, k=1)
+    params = CoverageParams(c3=1.0, k=1)
     with pytest.raises(ValueError):
         coverage_log_threshold(params, 2)
     with pytest.raises(ValueError):

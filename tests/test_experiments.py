@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 import factexp.construction
 from factexp.construction import verify_congruence
-from factexp.exponents import ExponentStream, exponent_range, legendre_exponent
+from factexp.exponents import ExponentStream, _floor_sum_range, exponent_range, legendre_exponent
 from factexp.experiments import (
     CLASS_CAP,
+    _chunk_first_codes,
     ResidueHistogram,
     ScanConfig,
     discrepancy,
@@ -361,6 +362,44 @@ def test_scans_invariant_under_chunk_size_and_threads(chunk, limit):
     cov_primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     assert (pattern_coverage(cov_primes, limit, chunk_size=chunk)
             == pattern_coverage(cov_primes, limit))
+
+
+@pytest.mark.parametrize("chunk,limit", [(1, 40), (7, 600), (2**16 + 3, 2**17 + 5)])
+def test_histogram_at_the_class_cap_is_invariant_under_chunk_size_and_threads(chunk, limit):
+    # 2^16 * 2^4 * 2^4 = CLASS_CAP classes, against an int64 class index
+    # built from the unreduced floor sum
+    primes, mods = (7, 2, 3), (2**16, 2**4, 2**4)
+    idx = np.zeros(limit, dtype=np.int64)
+    for p, m in zip(primes, mods):
+        idx = idx * m + _floor_sum_range(0, limit, p) % m
+    want = np.bincount(idx, minlength=CLASS_CAP)
+    for threads in (1, 2):
+        cfg = ScanConfig(primes=primes, mods=mods, limit=limit, chunk_size=chunk)
+        assert cfg.class_count == CLASS_CAP
+        assert np.array_equal(joint_histogram(cfg, threads=threads).counts.ravel(), want)
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 14), st.integers(0, 2**40), st.integers(1, 3000))
+def test_chunk_first_codes_match_a_sorting_oracle(k, start, width):
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)[:k]
+    codes = np.zeros(width, dtype=np.int64)
+    for i, p in enumerate(primes):
+        codes |= (exponent_range(start, start + width, p) % 2) << i
+    values, first_at = np.unique(codes, return_index=True)
+    want = np.full(1 << k, np.iinfo(np.int64).max)
+    want[values] = start + first_at
+    assert np.array_equal(_chunk_first_codes(primes, start, start + width), want)
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 10), st.integers(1, 3000))
+def test_covered_prefix_matches_a_set_oracle(k, limit):
+    primes = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)[:k]
+    rep = pattern_coverage(primes, limit)
+    seen = {c for c, n in enumerate(rep.minimal) if n is not None}
+    full = [kp for kp in range(1, k + 1) if len({c % (1 << kp) for c in seen}) == 1 << kp]
+    assert rep.covered_prefix == max(full, default=0)
 
 
 def test_coverage_chunking_irrelevant():

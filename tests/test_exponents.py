@@ -16,6 +16,7 @@ from factexp.exponents import (
     DigitExpansion,
     ExponentStream,
     _floor_sum_range,
+    _residue_dtype,
     _tile_span,
     base_digits,
     digit_sum,
@@ -28,6 +29,14 @@ primes_st = st.sampled_from([2, 3, 5, 7, 11, 13, 47, 97])
 # tile sizes 2^16, 3^10, 47^2, 97^2, 257^2, 509^2, and the prime itself
 # above 2^16
 tiled_primes_st = st.sampled_from([2, 3, 47, 97, 257, 509, 65537, 1000003])
+
+
+# Moduli on each side of every residue dtype boundary, with the narrowest
+# unsigned dtype that holds 2*(m - 1), the largest sum of two residues
+RESIDUE_DTYPES = {2: np.uint8, 3: np.uint8, 127: np.uint8, 128: np.uint8,
+                  129: np.uint16, 255: np.uint16, 256: np.uint16, 257: np.uint16,
+                  2**15: np.uint16, 2**15 + 1: np.uint32, 2**16 + 1: np.uint32,
+                  2**24: np.uint32}
 
 
 def boundary_points(start: int, stop: int, span: int):
@@ -244,3 +253,29 @@ def test_exponent_range_huge_prime_allocates_only_the_output():
     assert exponent_range(start, start + 10, p).tolist() == [
         legendre_exponent(n, p) for n in range(start, start + 10)
     ]
+
+
+@settings(max_examples=80)
+@given(st.sampled_from([2, 3, 257, 509, 65537, 1000003]), st.sampled_from(sorted(RESIDUE_DTYPES)),
+       st.integers(0, 2**40), st.integers(-3, 3), st.integers(1, 3), st.data())
+def test_reduced_exponent_range_is_the_unreduced_one_mod_m(p, m, block, shift, blocks, data):
+    # tiles of 2^16, 3^10, 257^2 and 509^2 entries, and none above 2^16
+    span = _tile_span(p)
+    start = max(0, block * span + shift)
+    stop = start + data.draw(st.integers((blocks - 1) * span + 1, blocks * span))
+    got = exponent_range(start, stop, p, mod=m)
+    assert got.dtype == RESIDUE_DTYPES[m]
+    assert np.array_equal(got, exponent_range(start, stop, p) % m)
+
+
+def test_residue_dtype_reaches_uint64_and_stops_below_2_63():
+    assert _residue_dtype(2**31) == np.uint32
+    assert _residue_dtype(2**31 + 1) == np.uint64
+    # e_3 is about 2^61 here, so the sums of residues come near 2^62
+    start = (1 << 62) - 5
+    for m in (2**31 + 1, 2**60 + 3, 2**63 - 1):
+        got = exponent_range(start, start + 10, 3, mod=m)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [legendre_exponent(n, 3) % m for n in range(start, start + 10)]
+    with pytest.raises(OverflowError):
+        exponent_range(0, 10, 3, mod=2**63)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factexp.exponents import _tile_span, digit_sum
+from factexp.exponents import _tile_span, digit_sum, exponent_range
 from factexp.qadditive import (
     TABLE_CAP,
     KimEntry,
@@ -112,6 +112,35 @@ def test_evaluate_range_straddles_tiles(q, c, block, shift, blocks, mod, data):
         for n in (a * span - 1, a * span, a * span + 1, start, stop - 1):
             if start <= n < stop:
                 assert got[n - start] == (f(n) if mod is None else f(n) % mod)
+
+
+@settings(max_examples=80)
+@given(st.sampled_from([2, 3, 10, 81, 169, 300, 70001]), st.integers(1, 96),
+       st.sampled_from([1, 1000003]),
+       st.sampled_from([2, 3, 127, 128, 129, 255, 256, 257, 2**15, 2**15 + 1, 2**16 + 1, 2**24]),
+       st.integers(0, 2**30), st.integers(-3, 3), st.integers(1, 3), st.data())
+def test_reduced_evaluate_range_at_every_dtype_boundary(q, c, scale, m, block, shift, blocks, data):
+    f = QAdditiveFunction(q=q, table=tuple((r * c % 97 - 48) * scale if r else 0 for r in range(q)))
+    span = _tile_span(q)
+    start = max(0, block * span + shift)
+    stop = start + data.draw(st.integers((blocks - 1) * span + 1, blocks * span))
+    got = evaluate_range(f, start, stop, mod=m)
+    # the same narrow dtype as e_p mod m, so the two compare directly
+    assert got.dtype == exponent_range(0, 0, 3, mod=m).dtype
+    assert np.array_equal(got, digit_levels_oracle(f, start, stop, m))
+    assert np.array_equal(got, evaluate_range(f, start, stop) % m)
+
+
+def test_value_tile_is_built_once_per_modulus():
+    f = QAdditiveFunction(q=7, table=(0, 3, 1, 4, 1, 5, 9))
+    evaluate_range(f, 0, 10**5, mod=19)
+    tile = f._tiles[19]
+    got = evaluate_range(f, 10**5, 2 * 10**5, mod=19)
+    assert f._tiles[19] is tile
+    assert np.array_equal(got, digit_levels_oracle(f, 10**5, 2 * 10**5, 19))
+    evaluate_range(f, 0, 10, mod=5)
+    evaluate_range(f, 0, 10)
+    assert set(f._tiles) == {None, 5, 19}
 
 
 def test_evaluate_range_reduces_each_level():
