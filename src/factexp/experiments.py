@@ -16,7 +16,7 @@ import itertools
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -233,15 +233,40 @@ class PatternReport:
     max_gap: int | None
 
 
-def _chunk_hits(config: ScanConfig, pattern, start: int, stop: int):
+# (hits, first hit, last hit, largest gap between consecutive hits) of a span
+_NO_HITS = (0, None, None, None)
+# _chunk_hits scans a chunk in pieces this long, so that the allocator
+# reuses the temporaries of one piece for the next; scanned whole, a 2^20
+# chunk's megabyte temporaries go back to the system and are page-faulted
+# in again, a varying number of times per run.
+_PIECE = 1 << 16
+
+
+def _join_hits(a, b):
+    """The hit summary of two adjacent spans, a before b."""
+    if not b[0]:
+        return a
+    if not a[0]:
+        return b
+    gap = max(g for g in (a[3], b[3], b[1] - a[2]) if g is not None)
+    return a[0] + b[0], a[1], b[2], gap
+
+
+def _piece_hits(config: ScanConfig, pattern, start: int, stop: int):
     mask = np.ones(stop - start, dtype=bool)
     for p, m, want in zip(config.primes, config.mods, pattern):
         mask &= exponent_range(start, stop, p, mod=m) == want
     where = np.flatnonzero(mask)
     if where.size == 0:
-        return 0, None, None, None
+        return _NO_HITS
     inner = int(np.diff(where).max()) if where.size >= 2 else None
     return int(where.size), start + int(where[0]), start + int(where[-1]), inner
+
+
+def _chunk_hits(config: ScanConfig, pattern, start: int, stop: int):
+    pieces = (_piece_hits(config, pattern, lo, min(lo + _PIECE, stop))
+              for lo in range(start, stop, _PIECE))
+    return reduce(_join_hits, pieces, _NO_HITS)
 
 
 def pattern_search(config: ScanConfig, pattern, threads: int = 1) -> PatternReport:
@@ -257,22 +282,7 @@ def pattern_search(config: ScanConfig, pattern, threads: int = 1) -> PatternRepo
         if not 0 <= a < m:
             raise ValueError(f"pattern entry {a} out of range for modulus {m}")
     parts = map_spans(partial(_chunk_hits, config, pattern), config, threads)
-    hits = 0
-    minimal = None
-    prev_last = None
-    max_gap = None
-    for count, first, last, inner in parts:
-        if count == 0:
-            continue
-        hits += count
-        if minimal is None:
-            minimal = first
-        if prev_last is not None:
-            boundary = first - prev_last
-            max_gap = boundary if max_gap is None else max(max_gap, boundary)
-        if inner is not None:
-            max_gap = inner if max_gap is None else max(max_gap, inner)
-        prev_last = last
+    hits, minimal, _, max_gap = reduce(_join_hits, parts, _NO_HITS)
     return PatternReport(
         config=config, pattern=pattern, minimal_n=minimal, hits=hits, max_gap=max_gap
     )

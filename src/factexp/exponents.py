@@ -43,6 +43,8 @@ from .primes import _U63, is_prime
 # just above 2**8 does not split a range into one block per base.
 _TILE = 1 << 16
 _SQUARED = 1 << 9
+# (dtype, largest value) in the order _residue_dtype tries them
+_RESIDUE_DTYPES = tuple((np.dtype(t), np.iinfo(t).max) for t in (np.uint8, np.uint16, np.uint32))
 
 
 def _require_base(p: int) -> None:
@@ -189,9 +191,9 @@ def _tile_span(base: int) -> int:
 def _residue_dtype(mod: int) -> np.dtype:
     """The narrowest unsigned dtype that holds 2*(mod - 1), the largest
     sum of two residues mod `mod`."""
-    for dtype in (np.uint8, np.uint16, np.uint32):
-        if 2 * (mod - 1) <= np.iinfo(dtype).max:
-            return np.dtype(dtype)
+    for dtype, top in _RESIDUE_DTYPES:
+        if 2 * (mod - 1) <= top:
+            return dtype
     if mod >= _U63:
         raise OverflowError(f"modulus must stay below 2**63, got {mod}")
     return np.dtype(np.uint64)

@@ -295,6 +295,23 @@ def test_pattern_gaps_survive_chunk_boundaries():
         assert (a.minimal_n, a.hits, a.max_gap) == (c.minimal_n, c.hits, c.max_gap)
 
 
+@pytest.mark.parametrize("chunk", [1 << 20, 3**10 + 1])
+def test_pattern_pieces_match_int64_oracle(chunk):
+    # e_65537(n) = n // 65537 here, so the (1, 2) and (0, 1) hits come in
+    # runs of 65537 with gaps that cross several pieces of a chunk, and
+    # some pieces have no hit at all
+    primes, mods, limit = (3, 65537), (2, 3), 5 * 2**16 + 3
+    cfg = ScanConfig(primes=primes, mods=mods, limit=limit, chunk_size=chunk)
+    residues = [exponent_range(0, limit, p) % m for p, m in zip(primes, mods)]
+    for pattern in [(1, 2), (0, 1), (1, 0)]:
+        hits = np.flatnonzero((residues[0] == pattern[0]) & (residues[1] == pattern[1]))
+        for threads in (1, 2):
+            rep = pattern_search(cfg, pattern, threads=threads)
+            assert rep.hits == hits.size
+            assert rep.minimal_n == int(hits[0])
+            assert rep.max_gap == int(np.diff(hits).max())
+
+
 def test_pattern_validation():
     cfg = ScanConfig(primes=(3, 5), mods=(2, 2), limit=10)
     with pytest.raises(ValueError):
