@@ -27,13 +27,13 @@ are formula-level tools, not scan parameters.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import e as _E, floor, gcd, log
+from math import e as _E, floor, gcd, log, prod
 
 import numpy as np
 
 from .experiments import ScanConfig, map_spans
 from .exponents import _require_prime, exponent_range
-from .primes import nth_odd_prime
+from .primes import factorize, nth_odd_prime
 from .qadditive import (
     TABLE_CAP,
     QAdditiveFunction,
@@ -70,22 +70,10 @@ def _require_odd_prime(p: int) -> None:
 
 
 def euler_phi(n: int) -> int:
-    """Euler's totient by trial-division factorization."""
+    """Euler's totient from the factorization of n."""
     if n < 1:
         raise ValueError(f"totient needs n >= 1, got {n}")
-    result = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            pe = 1
-            while n % d == 0:
-                n //= d
-                pe *= d
-            result *= pe - pe // d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        result *= n - 1
-    return result
+    return prod((r - 1) * r ** (e - 1) for r, e in factorize(n).items())
 
 
 def split_modulus(p: int, m: int) -> tuple[int, int]:
@@ -94,41 +82,20 @@ def split_modulus(p: int, m: int) -> tuple[int, int]:
     _require_prime(p)
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    m_prime = 1
-    rest = m
-    d = 2
-    while d * d <= rest:
-        if rest % d == 0:
-            pe = 1
-            while rest % d == 0:
-                rest //= d
-                pe *= d
-            if (p - 1) % d == 0:
-                m_prime *= pe
-        d += 1 if d == 2 else 2
-    if rest > 1 and (p - 1) % rest == 0:
-        m_prime *= rest
+    m_prime = prod(r**e for r, e in factorize(m).items() if (p - 1) % r == 0)
     return m_prime, m // m_prime
-
-
-def _only_factors_of(x: int, base: int) -> bool:
-    """True when every prime factor of x divides base."""
-    while x > 1:
-        g = gcd(x, base)
-        if g == 1:
-            return False
-        while x % g == 0:
-            x //= g
-    return True
 
 
 @dataclass(frozen=True)
 class LambdaCertificate:
     """The repunit order lambda of p modulo m, with the split m = m'*m''
-    and the bound mu = m' * phi(m'') that caps the search.
+    and the bound mu = m' * phi(m'') that caps it.
 
-    Self-validating: construction re-checks minimality and the bound
-    chain lambda >= 2, lambda <= mu <= m.
+    Self-validating.  The repunit (p^j - 1)/(p - 1) is divisible by m
+    exactly when p^j = 1 mod m(p - 1), and the lengths j that pass are
+    the multiples of the least one.  So construction checks that lambda
+    passes and lambda/r fails for every prime r dividing lambda, plus the
+    bound chain lambda >= 2, lambda <= mu <= m.
     """
 
     p: int
@@ -144,7 +111,7 @@ class LambdaCertificate:
             raise ValueError(f"modulus must be >= 2 and not divisible by p, got {self.m}")
         if self.m_prime * self.m_dprime != self.m or gcd(self.m_prime, self.m_dprime) != 1:
             raise ValueError("m' and m'' must be a coprime factorization of m")
-        if not _only_factors_of(self.m_prime, self.p - 1):
+        if any((self.p - 1) % r for r in factorize(self.m_prime)):
             raise ValueError("every prime factor of m' must divide p - 1")
         if gcd(self.m_dprime, self.p - 1) != 1:
             raise ValueError("m'' must be coprime to p - 1")
@@ -152,24 +119,27 @@ class LambdaCertificate:
             raise ValueError("mu must equal m' * phi(m'')")
         if not (2 <= self.lam <= self.mu <= self.m):
             raise ValueError(f"need 2 <= lambda <= mu <= m, got {self.lam}, {self.mu}, {self.m}")
-        acc = 0
-        power = 1
-        for j in range(1, self.lam + 1):
-            acc = (acc + power) % self.m
-            power = power * self.p % self.m
-            if acc == 0 and j < self.lam:
-                raise ValueError(f"lambda = {self.lam} is not minimal: repunit({j}) = 0 mod {self.m}")
-        if acc != 0:
+        modulus = self.m * (self.p - 1)
+        if pow(self.p, self.lam, modulus) != 1:
             raise ValueError(f"repunit({self.lam}) is not divisible by {self.m}")
+        for r in factorize(self.lam):
+            if pow(self.p, self.lam // r, modulus) == 1:
+                raise ValueError(
+                    f"lambda = {self.lam} is not minimal: "
+                    f"repunit({self.lam // r}) = 0 mod {self.m}"
+                )
 
 
 def lambda_index(p: int, m: int) -> LambdaCertificate:
     """Find the least lambda with (p^lambda - 1)/(p - 1) = 0 mod m.
 
-    The repunit is accumulated incrementally mod m, so the search is
-    O(lambda) without big powers.  The bound mu = m' * phi(m'') always
-    stops it; running past mu would contradict the Lucas-sequence
-    divisibility fact backing the bound, so that is a hard internal error.
+    That is the multiplicative order of p modulo m(p - 1).  The bound
+    mu = m' * phi(m'') is a length whose repunit m divides, so lambda
+    divides mu: starting at mu, each prime factor r is stripped while
+    p^(lambda/r) = 1 mod m(p - 1), one modular power per try.  A repunit
+    of length mu that m does not divide would contradict the
+    Lucas-sequence divisibility fact backing the bound, so that is a hard
+    internal error.
     """
     _require_odd_prime(p)
     if m < 2:
@@ -180,20 +150,16 @@ def lambda_index(p: int, m: int) -> LambdaCertificate:
         )
     m_prime, m_dprime = split_modulus(p, m)
     mu = m_prime * euler_phi(m_dprime)
-    acc = 0
-    power = 1
-    lam = 0
-    for j in range(1, mu + 1):
-        acc = (acc + power) % m
-        power = power * p % m
-        if acc == 0:
-            lam = j
-            break
-    else:
+    modulus = m * (p - 1)
+    if pow(p, mu, modulus) != 1:
         raise RuntimeError(
-            f"no repunit of length <= mu = {mu} is divisible by m = {m}; "
+            f"the repunit of length mu = {mu} is not divisible by m = {m}; "
             "this contradicts the divisibility bound"
         )
+    lam = mu
+    for r in factorize(mu):
+        while lam % r == 0 and pow(p, lam // r, modulus) == 1:
+            lam //= r
     return LambdaCertificate(p=p, m=m, lam=lam, m_prime=m_prime, m_dprime=m_dprime, mu=mu)
 
 
@@ -257,11 +223,12 @@ def build_function(p: int, m: int) -> ConstructionResult:
     error, not a user mistake.
     """
     cert = lambda_index(p, m)
-    q = p**cert.lam
-    if q > TABLE_CAP:
+    # p^lambda >= 2^lambda, so a long lambda is refused before the power
+    if cert.lam >= TABLE_CAP.bit_length() or p**cert.lam > TABLE_CAP:
         raise ValueError(
-            f"table for q = {p}^{cert.lam} = {q} exceeds the {TABLE_CAP}-entry cap"
+            f"table for q = {p}^{cert.lam} exceeds the {TABLE_CAP}-entry cap"
         )
+    q = p**cert.lam
     weights = _repunit_weights(p, cert.lam)
     a = np.arange(q, dtype=np.int64)
     acc = np.zeros(q, dtype=np.int64)

@@ -312,16 +312,14 @@ class CoverageReport:
 _NEVER = np.iinfo(np.int64).max
 
 
-def _chunk_first_codes(primes, start: int, stop: int) -> np.ndarray:
-    """first[c]: the smallest n in [start, stop) with parity code c, or
-    _NEVER; bit i of the code is the parity of e_{primes[i]}(n)."""
+def _chunk_first_codes(primes, first: np.ndarray, start: int, stop: int) -> None:
+    """Lower first[c] to the smallest n in [start, stop) with parity code
+    c; bit i of the code is the parity of e_{primes[i]}(n)."""
     codes = np.zeros(stop - start, dtype=np.uint32)
     for p in reversed(primes):
         codes <<= 1
         codes |= exponent_range(start, stop, p, mod=2)
-    first = np.full(1 << len(primes), _NEVER, dtype=np.int64)
     np.minimum.at(first, codes, np.arange(start, stop, dtype=np.int64))
-    return first
 
 
 def pattern_coverage(primes, limit: int, chunk_size: int = 1 << 20) -> CoverageReport:
@@ -332,8 +330,9 @@ def pattern_coverage(primes, limit: int, chunk_size: int = 1 << 20) -> CoverageR
                         chunk_size=chunk_size)
     k = len(primes)
     first = np.full(1 << k, _NEVER, dtype=np.int64)
-    for part in map_spans(partial(_chunk_first_codes, primes), config):
-        np.minimum(first, part, out=first)
+    # map_spans runs one thread here, so the chunks lower `first` in place
+    # one after another and never race
+    for _ in map_spans(partial(_chunk_first_codes, primes, first), config):
         if (first != _NEVER).all():
             break
     # covered[c] for the codes over the first covered_prefix primes: fold

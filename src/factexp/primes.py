@@ -1,8 +1,9 @@
-"""Primality and prime enumeration helpers.
+"""Primality, factorization and prime enumeration helpers.
 
 Everything here is exact: the Miller-Rabin witness set below decides
-primality deterministically for every n < 2**64, and the sieve is a plain
-Eratosthenes bytearray.
+primality deterministically for every n < 2**64, `factorize` is the
+package's one trial-division loop, and the sieve is a plain Eratosthenes
+bytearray.
 """
 
 from functools import lru_cache
@@ -15,6 +16,10 @@ _WITNESSES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 _U63 = 1 << 63
 _U64 = 1 << 64
+
+# Largest trial divisor `factorize` tries: every n < 2^40 factors within
+# it, and a larger n that would need more is refused before that work.
+_TRIAL_LIMIT = 1 << 20
 
 
 @lru_cache(maxsize=4096)
@@ -45,6 +50,30 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def factorize(n: int) -> dict[int, int]:
+    """{prime: exponent} of n >= 1 by trial division.
+
+    No divisor above 2**20 is tried, so every n < 2**40 is factored; an n
+    whose cofactor still has a possible factor past that bound raises
+    ValueError naming n.
+    """
+    if n < 1:
+        raise ValueError(f"can only factor n >= 1, got {n}")
+    factors = {}
+    rest = n
+    d = 2
+    while d * d <= rest:
+        if d > _TRIAL_LIMIT:
+            raise ValueError(f"cannot factor {n}: it needs trial divisors above {_TRIAL_LIMIT}")
+        while rest % d == 0:
+            rest //= d
+            factors[d] = factors.get(d, 0) + 1
+        d += 1 if d == 2 else 2
+    if rest > 1:
+        factors[rest] = 1
+    return factors
 
 
 def primes_up_to(limit: int) -> list[int]:

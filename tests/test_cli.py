@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,30 @@ def test_runtime_errors_exit_1(capsys):
     code, _, err = run(capsys, "construct", "--prime", "3", "--mod", "49")
     assert code == 1
     assert "cap" in err
+
+
+def test_lambda_of_a_large_prime_modulus_is_fast(capsys):
+    # lambda is the order of 3 mod 2(10^9 + 7): no search up to mu = 10^9 + 6
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "lambda", "--prime", "3", "--mod", "1000000007")
+    elapsed = time.perf_counter() - t0
+    assert (code, err) == (0, "")
+    assert '"lambda":500000003' in out
+    assert elapsed < 5.0
+
+
+def test_lambda_refuses_a_modulus_it_cannot_factor(capsys):
+    # 2^61 - 1 is prime, so factoring it needs trial divisors up to 2^30.5
+    code, out, err = run(capsys, "lambda", "--prime", "3", "--mod", str(2**61 - 1))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot factor 2305843009213693951")
+    assert "Traceback" not in err
+
+
+def test_construct_refuses_a_huge_lambda_before_forming_the_base(capsys):
+    code, out, err = run(capsys, "construct", "--prime", "3", "--mod", "1000000007")
+    assert (code, out) == (1, "")
+    assert err == "error: table for q = 3^500000003 exceeds the 16777216-entry cap\n"
 
 
 def test_write_failure_exits_1(tmp_path, capsys):

@@ -102,12 +102,13 @@ def test_lambda_frozen_values():
 
 
 def test_lambda_matches_brute_oracle_on_subgrid():
-    for p in [q for q in primes_up_to(31) if q > 2]:
-        for m in range(2, 31):
+    for p in [q for q in primes_up_to(59) if q > 2]:
+        for m in range(2, 200):
             if m % p == 0:
                 continue
             cert = lambda_index(p, m)
             assert cert.lam == brute_lambda(p, m), (p, m)
+            assert pow(p, cert.lam, m * (p - 1)) == 1, (p, m)
             assert 2 <= cert.lam <= cert.mu <= m
 
 

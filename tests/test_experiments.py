@@ -406,7 +406,9 @@ def test_chunk_first_codes_match_a_sorting_oracle(k, start, width):
     values, first_at = np.unique(codes, return_index=True)
     want = np.full(1 << k, np.iinfo(np.int64).max)
     want[values] = start + first_at
-    assert np.array_equal(_chunk_first_codes(primes, start, start + width), want)
+    first = np.full(1 << k, np.iinfo(np.int64).max)
+    _chunk_first_codes(primes, first, start, start + width)
+    assert np.array_equal(first, want)
 
 
 @settings(max_examples=30)

@@ -1,10 +1,13 @@
-"""Primality helpers against brute-force and well-known values."""
+"""Primality and factorization helpers against brute-force and well-known
+values."""
+
+import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from factexp.primes import is_prime, nth_odd_prime, primes_up_to
+from factexp.primes import factorize, is_prime, nth_odd_prime, primes_up_to
 
 PRIMES_BELOW_100 = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
@@ -62,6 +65,30 @@ def test_is_prime_large_known_values():
 def test_is_prime_rejects_beyond_64_bits():
     with pytest.raises(ValueError):
         is_prime(1 << 64)
+
+
+@given(st.integers(min_value=1, max_value=2**40 - 1))
+def test_factorize_multiplies_back_to_primes(n):
+    factors = factorize(n)
+    assert math.prod(r**e for r, e in factors.items()) == n
+    assert all(is_prime(r) and e >= 1 for r, e in factors.items())
+
+
+def test_factorize_known_values():
+    assert factorize(1) == {}
+    assert factorize(360) == {2: 3, 3: 2, 5: 1}
+    assert factorize(10**9 + 6) == {2: 1, 500000003: 1}
+    with pytest.raises(ValueError):
+        factorize(0)
+
+
+def test_factorize_refuses_work_past_its_trial_bound():
+    # 1048573 is the largest prime below 2^20 and 1048583 the smallest above
+    assert factorize(1048573 * 1048583) == {1048573: 1, 1048583: 1}
+    with pytest.raises(ValueError, match="^cannot factor 1099526307889: "):
+        factorize(1048583**2)
+    with pytest.raises(ValueError, match="^cannot factor 2305843009213693951: "):
+        factorize(2**61 - 1)
 
 
 def test_nth_odd_prime_sequence():
