@@ -14,26 +14,20 @@ residue histograms, pattern hits, and parity-pattern coverage; and
 from .construction import (
     CongruenceReport,
     ConstructionResult,
-    CoverageParams,
     LambdaCertificate,
     build_function,
     construction_error_exponent,
     coverage_depth,
     coverage_log_threshold,
     euler_phi,
-    folded_value,
     lambda_index,
     split_modulus,
     verify_congruence,
 )
 from .exponents import (
-    DigitExpansion,
-    ExponentStream,
-    base_digits,
     digit_sum,
     exponent_range,
     legendre_exponent,
-    p_adic_valuation,
 )
 from .experiments import (
     CoverageReport,
@@ -43,15 +37,12 @@ from .experiments import (
     ScanConfig,
     discrepancy,
     joint_histogram,
-    parity_of_e2,
     pattern_coverage,
     pattern_search,
 )
 from .primes import is_prime, nth_odd_prime, primes_up_to
 from .qadditive import (
     HypothesisReport,
-    KimEntry,
-    KimSystem,
     QAdditiveFunction,
     check_system,
     derive_invariants,
@@ -62,31 +53,23 @@ from .qadditive import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DigitExpansion",
-    "ExponentStream",
-    "base_digits",
     "digit_sum",
     "exponent_range",
     "legendre_exponent",
-    "p_adic_valuation",
     "QAdditiveFunction",
     "HypothesisReport",
-    "KimEntry",
-    "KimSystem",
     "check_system",
     "derive_invariants",
     "evaluate_range",
     "kim_error_exponent",
     "CongruenceReport",
     "ConstructionResult",
-    "CoverageParams",
     "LambdaCertificate",
     "build_function",
     "construction_error_exponent",
     "coverage_depth",
     "coverage_log_threshold",
     "euler_phi",
-    "folded_value",
     "lambda_index",
     "split_modulus",
     "verify_congruence",
@@ -97,7 +80,6 @@ __all__ = [
     "ScanConfig",
     "discrepancy",
     "joint_histogram",
-    "parity_of_e2",
     "pattern_coverage",
     "pattern_search",
     "is_prime",

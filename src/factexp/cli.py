@@ -15,13 +15,11 @@ import sys
 from decimal import Decimal, InvalidOperation
 
 from .construction import (
-    CoverageParams,
     build_function,
     construction_error_exponent,
     coverage_depth,
     coverage_log_threshold,
     lambda_index,
-    nth_odd_prime,
     verify_congruence,
 )
 from .exponents import legendre_exponent
@@ -167,9 +165,7 @@ def cmd_kofx(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    params = CoverageParams(c3=args.c3, k=args.k)
-    value = coverage_log_threshold(params, nth_odd_prime(args.k))
-    print(value)
+    print(coverage_log_threshold(args.k, args.c3))
     return 0
 
 

@@ -27,7 +27,7 @@ are formula-level tools, not scan parameters.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import e as _E, floor, gcd, log, prod
+from math import e as _E, floor, gcd, inf, log, prod
 
 import numpy as np
 
@@ -46,12 +46,10 @@ __all__ = [
     "LambdaCertificate",
     "ConstructionResult",
     "CongruenceReport",
-    "CoverageParams",
     "euler_phi",
     "split_modulus",
     "lambda_index",
     "build_function",
-    "folded_value",
     "verify_congruence",
     "construction_error_exponent",
     "coverage_log_threshold",
@@ -196,25 +194,6 @@ class ConstructionResult:
             raise ValueError(f"construction invariants must be F = 0, d = 1, got {self.F}, {self.d}")
 
 
-def folded_value(n: int, p: int, weights: tuple[int, ...]) -> int:
-    """Evaluate the construction directly from base-p digits of n, with
-    the weight index folded modulo lambda = len(weights).
-
-    This is the closed form of the q-additive extension; it is kept
-    independent of the value table so the two can check each other.
-    """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    lam = len(weights)
-    acc = 0
-    j = 0
-    while n:
-        acc += (n % p) * weights[j % lam]
-        n //= p
-        j += 1
-    return acc
-
-
 def build_function(p: int, m: int) -> ConstructionResult:
     """Materialize the value table on [0, p^lambda) and derive (F, d).
 
@@ -294,50 +273,46 @@ def verify_congruence(p: int, m: int, limit: int, chunk_size: int = 1 << 20) -> 
 def construction_error_exponent(k: int, p: int, m: int) -> Fraction:
     """The equidistribution error exponent 1/(120 k^2 p^{3m} m^2) for a
     system of k factorial-exponent congruences with maxima p and m: the
-    generic 1/(120 k^2 q^3 m^2) at q = p^m."""
-    if p < 2 or m < 2:
-        raise ValueError(f"need p >= 2 and m >= 2, got p={p}, m={m}")
+    generic 1/(120 k^2 q^3 m^2) at q = p^m.  Once p^{3m} alone reaches
+    2^64 the overflow is certain, and it is raised before p^m is formed."""
+    if k < 1 or p < 2 or m < 2:
+        raise ValueError(f"need k >= 1, p >= 2 and m >= 2, got k={k}, p={p}, m={m}")
+    # p^(3m) >= 2^(3m(b - 1)) for a b-bit p
+    bits = 3 * m * (p.bit_length() - 1)
+    if bits >= 64:
+        raise OverflowError(
+            f"error-exponent denominator 120*k^2*p^(3m)*m^2 for k = {k}, p = {p}, "
+            f"m = {m} has over {bits} bits, exceeding 64"
+        )
     return kim_error_exponent(k, p**m, m)
 
 
-@dataclass(frozen=True)
-class CoverageParams:
-    """Inputs of the coverage threshold: the pattern length k and c3,
-    the error-term constant entering the threshold.  Theory does not pin
-    c3, so it is a mandatory input.
-    """
-
-    c3: float
-    k: int
-
-    def __post_init__(self):
-        if not self.c3 > 0:
-            raise ValueError(f"c3 must be positive, got {self.c3}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-
-
-def coverage_log_threshold(params: CoverageParams, p_k: int) -> float:
+def coverage_log_threshold(k: int, c3: float) -> float:
     """ln N above which every parity pattern of length k over the first k
     odd primes is guaranteed a witness below N:
 
         480 k^2 p_k^6 (ln c3 + k ln 2 + 0.5 ln k + 2 ln p_k)
 
-    Natural logs throughout.  Already at k = 1 this exceeds any scannable
-    magnitude; it exists to study the formula, not to schedule scans.
+    with p_k = nth_odd_prime(k) and c3 the error-term constant, which
+    theory does not pin.  Natural logs throughout.  Already at k = 1 this
+    exceeds any scannable magnitude; it exists to study the formula, not
+    to schedule scans.
     """
-    _require_odd_prime(p_k)
-    k = params.k
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if not 0 < c3 < inf:
+        raise ValueError(f"c3 must be positive and finite, got {c3}")
+    p_k = nth_odd_prime(k)
     return 480.0 * k * k * float(p_k**6) * (
-        log(params.c3) + k * log(2.0) + 0.5 * log(k) + 2.0 * log(p_k)
+        log(c3) + k * log(2.0) + 0.5 * log(k) + 2.0 * log(p_k)
     )
 
 
 def coverage_depth(x: float, c1: float) -> int:
     """floor(c1 * (ln x / (ln ln x)^6)^(1/9)): the guaranteed coverable
     pattern length below x.  Requires x > e so the inner log is positive."""
-    if not c1 > 0:
-        raise ValueError(f"c1 must be positive, got {c1}")
-    if not x > _E:
-        raise ValueError(f"x must exceed e, got {x}")
+    if not 0 < c1 < inf:
+        raise ValueError(f"c1 must be positive and finite, got {c1}")
+    if not _E < x < inf:
+        raise ValueError(f"x must be finite and exceed e, got {x}")
     return int(floor(c1 * (log(x) / log(log(x)) ** 6) ** (1.0 / 9.0)))

@@ -37,7 +37,6 @@ __all__ = [
     "discrepancy",
     "pattern_search",
     "pattern_coverage",
-    "parity_of_e2",
 ]
 
 
@@ -156,13 +155,6 @@ class ResidueHistogram:
             if not 0 <= a < m:
                 raise ValueError(f"residue {a} out of range for modulus {m}")
         return int(self.counts[residues])
-
-    def classes(self):
-        """All class tuples in lexicographic order."""
-        return itertools.product(*(range(m) for m in self.config.mods))
-
-    def as_dict(self):
-        return dict(zip(self.classes(), self.counts.ravel().tolist()))
 
 
 def _chunk_histogram(config: ScanConfig, start: int, stop: int) -> np.ndarray:
@@ -348,10 +340,3 @@ def pattern_coverage(primes, limit: int, chunk_size: int = 1 << 20) -> CoverageR
         primes=primes, limit=limit, minimal=minimal, covered_prefix=covered_prefix
     )
 
-
-def parity_of_e2(n: int) -> int:
-    """Parity of the exponent of 2 in n!, straight from the binary
-    expansion: it is the bit-count of n >> 1 mod 2."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return (n >> 1).bit_count() & 1

@@ -25,12 +25,8 @@ reduced mod m in the narrowest unsigned dtype that holds 2(m - 1)
 each block adds an offset below m and subtracts m where the sum reached
 it, and the result comes back in that dtype.  The vectorized floor sum
 only builds the table and serves the tests as an oracle.
-
-`ExponentStream` advances e_p(n) -> e_p(n+1) in amortized constant time
-via e_p(n+1) - e_p(n) = v_p(n+1).
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -57,52 +53,6 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"expected a prime, got {p}")
 
 
-@dataclass(frozen=True)
-class DigitExpansion:
-    """Digits of a nonnegative integer, least significant first.
-
-    Canonical form: no most-significant zero digit, except that the
-    value 0 is the single digit [0].
-    """
-
-    base: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self):
-        _require_base(self.base)
-        object.__setattr__(self, "digits", tuple(self.digits))
-        if not self.digits:
-            raise ValueError("digit vector must be nonempty")
-        if any(d < 0 or d >= self.base for d in self.digits):
-            raise ValueError(f"digit out of range for base {self.base}: {self.digits}")
-        if len(self.digits) > 1 and self.digits[-1] == 0:
-            raise ValueError("non-canonical expansion: most-significant digit is zero")
-
-    def value(self) -> int:
-        """Reconstruct the integer the digits encode."""
-        acc = 0
-        for d in reversed(self.digits):
-            acc = acc * self.base + d
-        return acc
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-
-def base_digits(n: int, p: int) -> DigitExpansion:
-    """Canonical base-p expansion of n >= 0, least significant digit first."""
-    _require_base(p)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        return DigitExpansion(p, (0,))
-    digits = []
-    while n:
-        n, d = divmod(n, p)
-        digits.append(d)
-    return DigitExpansion(p, tuple(digits))
-
-
 def digit_sum(n: int, p: int) -> int:
     """Sum of the base-p digits of n."""
     _require_base(p)
@@ -125,58 +75,6 @@ def legendre_exponent(n: int, p: int) -> int:
         n //= p
         e += n
     return e
-
-
-def p_adic_valuation(m: int, p: int) -> int:
-    """Largest j with p^j dividing m; rejects m = 0."""
-    _require_prime(p)
-    if m < 1:
-        raise ValueError(f"valuation needs m >= 1, got {m}")
-    j = 0
-    while m % p == 0:
-        m //= p
-        j += 1
-    return j
-
-
-class ExponentStream:
-    """Incremental tracker of e_p(n) over consecutive n.
-
-    Each `advance` moves the cursor from n to n+1 and adds v_p(n+1) to
-    the running exponent, so a scan over [a, b) costs one valuation per
-    step instead of a from-scratch floor sum.  With a modulus the
-    exponent is kept reduced, which is all the residue scans need.
-
-    Streams are single-owner: share nothing, move freely.
-    """
-
-    __slots__ = ("prime", "modulus", "cursor", "current_exponent")
-
-    def __init__(self, prime: int, start: int = 0, modulus: int | None = None):
-        _require_prime(prime)
-        if start < 0:
-            raise ValueError(f"start must be nonnegative, got {start}")
-        if modulus is not None and modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {modulus}")
-        self.prime = prime
-        self.modulus = modulus
-        self.cursor = start
-        e = legendre_exponent(start, prime)
-        self.current_exponent = e if modulus is None else e % modulus
-
-    def advance(self) -> tuple[int, int]:
-        """Step to n+1; return (n+1, e_p(n+1)) (reduced if a modulus is set)."""
-        n = self.cursor + 1
-        e = self.current_exponent + p_adic_valuation(n, self.prime)
-        if self.modulus is not None:
-            e %= self.modulus
-        self.cursor = n
-        self.current_exponent = e
-        return n, e
-
-    def __repr__(self) -> str:
-        mod = f", mod {self.modulus}" if self.modulus is not None else ""
-        return f"ExponentStream(p={self.prime}, n={self.cursor}, e={self.current_exponent}{mod})"
 
 
 def _tile_span(base: int) -> int:

@@ -14,13 +14,15 @@ hypotheses on the invariants
     d = gcd(m, (q-1)*F, f(r) - r*F for 2 <= r <= q-1),
 
 a result of Kim on joint distributions of q-additive functions.
-`check_system` evaluates exactly those hypotheses and
-`kim_error_exponent` the accompanying exponent delta = 1/(120 k^2 q^3 m^2).
+`check_system` evaluates exactly those hypotheses on (function, modulus)
+pairs, deriving each (F, d) itself, and `kim_error_exponent` the
+accompanying exponent delta = 1/(120 k^2 q^3 m^2).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import gcd
 
 import numpy as np
@@ -134,51 +136,6 @@ def derive_invariants(f: QAdditiveFunction, m: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class KimEntry:
-    """One (base, modulus, function) slot of a joint system, with its
-    derived invariants."""
-
-    q: int
-    m: int
-    f: QAdditiveFunction
-    F: int
-    d: int
-
-    def __post_init__(self):
-        if self.q != self.f.q:
-            raise ValueError(f"entry base {self.q} does not match function base {self.f.q}")
-        if self.m < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.m}")
-
-    @classmethod
-    def make(cls, f: QAdditiveFunction, m: int) -> "KimEntry":
-        F, d = derive_invariants(f, m)
-        return cls(q=f.q, m=m, f=f, F=F, d=d)
-
-
-@dataclass(frozen=True)
-class KimSystem:
-    """A k-tuple of q-additive functions with moduli, ready for the
-    hypothesis checks."""
-
-    entries: tuple[KimEntry, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if not self.entries:
-            raise ValueError("a system needs at least one entry")
-
-    @classmethod
-    def of(cls, pairs) -> "KimSystem":
-        """Build from (function, modulus) pairs, deriving invariants."""
-        return cls(tuple(KimEntry.make(f, m) for f, m in pairs))
-
-    @property
-    def k(self) -> int:
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
 class HypothesisReport:
     """Outcome of the gcd hypotheses for a joint system."""
 
@@ -188,18 +145,20 @@ class HypothesisReport:
     all_pass: bool
 
 
-def check_system(system: KimSystem) -> HypothesisReport:
-    """Evaluate the joint-distribution hypotheses exactly as stated:
-    pairwise coprime bases, gcd(F_i, d_i) = 1 per entry, pairwise
+def check_system(pairs) -> HypothesisReport:
+    """Evaluate the joint-distribution hypotheses exactly as stated for
+    (function, modulus) pairs, with each (F, d) from `derive_invariants`:
+    pairwise coprime bases, gcd(F_i, d_i) = 1 per pair, pairwise
     coprime d_i."""
-    es = system.entries
-    bases_ok = all(
-        gcd(es[i].q, es[j].q) == 1 for i in range(len(es)) for j in range(i + 1, len(es))
-    )
-    fd_ok = tuple(gcd(e.F, e.d) == 1 for e in es)
-    d_ok = all(
-        gcd(es[i].d, es[j].d) == 1 for i in range(len(es)) for j in range(i + 1, len(es))
-    )
+    pairs = tuple(pairs)
+    if not pairs:
+        raise ValueError("a system needs at least one entry")
+    invariants = [derive_invariants(f, m) for f, m in pairs]
+    bases = [f.q for f, _ in pairs]
+    ds = [d for _, d in invariants]
+    bases_ok = all(gcd(a, b) == 1 for a, b in combinations(bases, 2))
+    fd_ok = tuple(gcd(F, d) == 1 for F, d in invariants)
+    d_ok = all(gcd(a, b) == 1 for a, b in combinations(ds, 2))
     return HypothesisReport(
         pairwise_coprime_bases=bases_ok,
         gcd_F_d_one=fd_ok,
@@ -217,7 +176,9 @@ def kim_error_exponent(k: int, q: int, m: int) -> Fraction:
         raise ValueError(f"need q >= 2 and m >= 2, got q={q}, m={m}")
     denominator = 120 * k * k * q**3 * m * m
     if denominator >= _U64:
+        # q can have thousands of digits, so the message gives a bit length
         raise OverflowError(
-            f"error-exponent denominator 120*{k}^2*{q}^3*{m}^2 = {denominator} exceeds 64 bits"
+            f"error-exponent denominator 120*k^2*q^3*m^2 for k = {k}, m = {m} "
+            f"has {denominator.bit_length()} bits, exceeding 64"
         )
     return Fraction(1, denominator)

@@ -1,0 +1,66 @@
+"""Slow, independent routes the tests compare the package against.
+
+Each follows its defining identity one integer at a time, in pure
+Python.  None validates its arguments: the tests only pass valid ones.
+"""
+
+from factexp.exponents import legendre_exponent
+
+
+def base_digits(n: int, p: int) -> tuple[int, ...]:
+    """The base-p digits of n >= 0, least significant first; (0,) for 0."""
+    digits = []
+    while True:
+        n, d = divmod(n, p)
+        digits.append(d)
+        if not n:
+            return tuple(digits)
+
+
+class ExponentStream:
+    """e_p(n) over consecutive n.
+
+    Each `advance` moves the cursor from n to n+1 and adds v_p(n+1) to
+    the running exponent, since e_p(n+1) - e_p(n) = v_p(n+1).  With a
+    modulus the exponent is kept reduced.
+    """
+
+    def __init__(self, prime: int, start: int = 0, modulus: int | None = None):
+        self.prime = prime
+        self.modulus = modulus
+        self.cursor = start
+        e = legendre_exponent(start, prime)
+        self.current_exponent = e if modulus is None else e % modulus
+
+    def advance(self) -> tuple[int, int]:
+        """Step to n+1; return (n+1, e_p(n+1)), reduced if a modulus is set."""
+        n = rest = self.cursor + 1
+        e = self.current_exponent
+        while rest % self.prime == 0:
+            rest //= self.prime
+            e += 1
+        if self.modulus is not None:
+            e %= self.modulus
+        self.cursor = n
+        self.current_exponent = e
+        return n, e
+
+
+def parity_of_e2(n: int) -> int:
+    """Parity of e_2(n), straight from the binary expansion: e_2(n) =
+    n - s_2(n), and n - s_2(n) has the parity of the bit count of n >> 1."""
+    return (n >> 1).bit_count() & 1
+
+
+def folded_value(n: int, p: int, weights: tuple[int, ...]) -> int:
+    """The construction evaluated from the base-p digits of n, with the
+    weight index folded modulo lambda = len(weights): the closed form of
+    the q-additive extension, independent of its value table."""
+    lam = len(weights)
+    acc = 0
+    j = 0
+    while n:
+        acc += (n % p) * weights[j % lam]
+        n //= p
+        j += 1
+    return acc

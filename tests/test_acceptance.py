@@ -14,6 +14,7 @@ from math import gcd, log
 import numpy as np
 
 import factexp as fx
+from oracles import folded_value
 
 GRID = [
     (p, m)
@@ -101,7 +102,7 @@ def test_criterion_3_grid_invariants():
             built = fx.build_function(p, m)
             if fx.derive_invariants(built.f, m) != (0, 1):
                 problems.append(f"invariants off for ({p},{m})")
-            entries.append(fx.KimEntry.make(built.f, m))
+            entries.append((built.f, m))
         else:
             # too big to tabulate; evaluate the defining gcd on a subset.
             # F = f(1) exactly, and a unit gcd over any subset of the
@@ -112,12 +113,12 @@ def test_criterion_3_grid_invariants():
                 weights.append(w)
                 w = w * p + 1
             weights = tuple(weights)
-            F = fx.folded_value(1, p, weights)
+            F = folded_value(1, p, weights)
             if F != 0:
                 problems.append(f"F != 0 for ({p},{m})")
             d = gcd(m, (q - 1) * F)
             for r in (2, 3, p, p + 1):
-                d = gcd(d, fx.folded_value(r, p, weights) - r * F)
+                d = gcd(d, folded_value(r, p, weights) - r * F)
             if d != 1:
                 problems.append(f"d != 1 for ({p},{m})")
 
@@ -125,22 +126,20 @@ def test_criterion_3_grid_invariants():
     pair_count = 0
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
-            a, b = entries[i], entries[j]
-            if gcd(a.q, b.q) != 1:
+            (fa, ma), (fb, mb) = entries[i], entries[j]
+            if gcd(fa.q, fb.q) != 1:
                 continue  # same underlying prime
             pair_count += 1
-            report = fx.check_system(fx.KimSystem((a, b)))
+            report = fx.check_system((entries[i], entries[j]))
             if not report.all_pass:
-                problems.append(f"pair hypothesis failed: q={a.q},{b.q} m={a.m},{b.m}")
+                problems.append(f"pair hypothesis failed: q={fa.q},{fb.q} m={ma},{mb}")
 
     # one wide system: every odd prime below 100 at modulus 2
-    wide = fx.KimSystem(
-        tuple(fx.KimEntry.make(fx.build_function(p, 2).f, 2) for p in fx.primes_up_to(100) if p > 2)
-    )
+    wide = tuple((fx.build_function(p, 2).f, 2) for p in fx.primes_up_to(100) if p > 2)
     if not fx.check_system(wide).all_pass:
         problems.append("24-entry parity system failed")
     # sanity: a repeated prime must be flagged, not silently accepted
-    clash = fx.KimSystem((entries[0], entries[0]))
+    clash = (entries[0], entries[0])
     if fx.check_system(clash).all_pass:
         problems.append("repeated base not flagged")
 
@@ -300,7 +299,7 @@ def test_criterion_9_coverage_formulas():
     depths = [fx.coverage_depth(10**e, 20.0) for e in (300, 1000, 3000, 10**4, 10**5, 10**6)]
     if any(a > b for a, b in zip(depths, depths[1:])):
         problems.append(f"depth not monotone on grid: {depths}")
-    threshold = fx.coverage_log_threshold(fx.CoverageParams(c3=1.0, k=1), 3)
+    threshold = fx.coverage_log_threshold(1, 1.0)
     expected = 349920 * log(18)  # 480 * 3^6 * (ln 2 + 2 ln 3)
     if not abs(threshold - expected) <= 1e-6 * expected:
         problems.append(f"threshold {threshold} != {expected}")

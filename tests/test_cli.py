@@ -14,7 +14,7 @@ import pytest
 
 import factexp
 from factexp.cli import int_list, integer, main
-from factexp.construction import CoverageParams, coverage_log_threshold
+from factexp.construction import coverage_log_threshold
 
 
 def run(capsys, *argv):
@@ -57,6 +57,14 @@ def test_construct_delta_null_when_unrepresentable(capsys):
     payload = json.loads(out)
     assert payload["q"] == 49
     assert payload["delta"] is None
+
+
+def test_construct_delta_null_when_the_denominator_has_thousands_of_digits(capsys):
+    # lambda = 9, so q = 3^9 is small, but delta's denominator holds 3^(3*9841)
+    code, out, err = run(capsys, "construct", "--prime", "3", "--mod", "9841")
+    assert (code, err) == (0, "")
+    assert '"lambda":9' in out
+    assert '"delta":null' in out
 
 
 def test_verify_json(capsys):
@@ -129,7 +137,7 @@ def test_threshold_round_trips(capsys):
     assert code == 0
     assert float(out) == pytest.approx(349920 * math.log(18), rel=1e-10)
     # printed repr parses back to the exact float the library computes
-    expected = coverage_log_threshold(CoverageParams(c3=1.0, k=1), 3)
+    expected = coverage_log_threshold(1, 1.0)
     assert float(out) == expected
 
 
@@ -203,6 +211,22 @@ def test_non_finite_integer_exits_2(capsys, n):
         main(["exponent", "--prime", "3", f"--n={n}"])
     assert exc.value.code == 2
     assert "not a" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kofx", "--x", "inf", "--c1", "1.0"],
+        ["kofx", "--x", "1e400", "--c1", "1.0"],
+        ["kofx", "--x", "1e100", "--c1", "inf"],
+        ["threshold", "--k", "1", "--c3", "inf"],
+    ],
+)
+def test_non_finite_coverage_inputs_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "finite" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("mod", ["0", "-3"])

@@ -17,13 +17,11 @@ from hypothesis import strategies as st
 import factexp.construction as cons
 from factexp.construction import (
     CongruenceReport,
-    CoverageParams,
     build_function,
     construction_error_exponent,
     coverage_depth,
     coverage_log_threshold,
     euler_phi,
-    folded_value,
     lambda_index,
     split_modulus,
     verify_congruence,
@@ -31,6 +29,7 @@ from factexp.construction import (
 from factexp.exponents import legendre_exponent
 from factexp.primes import nth_odd_prime, primes_up_to
 from factexp.qadditive import derive_invariants, kim_error_exponent
+from oracles import folded_value
 
 odd_primes_st = st.sampled_from([3, 5, 7, 11, 13, 31, 97])
 
@@ -183,8 +182,6 @@ def test_folded_value_matches_table_route():
     built = build_function(13, 10)
     for n in list(range(200)) + [28560, 28561, 10**6, 10**9 + 7]:
         assert folded_value(n, 13, built.weights) == built.f.evaluate(n)
-    with pytest.raises(ValueError):
-        folded_value(-1, 13, built.weights)
 
 
 @given(st.integers(0, 10**12), st.sampled_from(sorted(FROZEN_LAMBDAS)))
@@ -244,6 +241,15 @@ def test_error_exponent_overflow_and_rejections():
         construction_error_exponent(1, 1, 2)
     with pytest.raises(ValueError):
         construction_error_exponent(1, 3, 1)
+    with pytest.raises(ValueError):
+        construction_error_exponent(0, 3, 9841)
+    # 3^(3*9841) has about 14,000 digits, more than str() may print; the
+    # message gives a bit count instead, and p^m is never formed
+    with pytest.raises(OverflowError, match=r" for k = 1, p = 3, m = 9841 has over 29523 bits"):
+        construction_error_exponent(1, 3, 9841)
+    # below the shortcut (3*m < 64 for p = 3) the exact denominator decides
+    with pytest.raises(OverflowError, match=r" for k = 1, m = 21 has 116 bits"):
+        construction_error_exponent(1, 3, 21)
 
 
 def test_error_exponent_never_beats_system_bound():
@@ -260,30 +266,21 @@ def test_error_exponent_never_beats_system_bound():
 
 
 def test_coverage_params_validation():
-    CoverageParams(c3=2.0, k=3)
-    with pytest.raises(ValueError):
-        CoverageParams(c3=0.0, k=1)
-    with pytest.raises(ValueError):
-        CoverageParams(c3=-2.0, k=1)
-    with pytest.raises(ValueError):
-        CoverageParams(c3=1.0, k=0)
+    coverage_log_threshold(3, 2.0)
+    for c3 in (0.0, -2.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="c3"):
+            coverage_log_threshold(1, c3)
+    with pytest.raises(ValueError, match="k must be"):
+        coverage_log_threshold(0, 1.0)
 
 
 def test_threshold_closed_form():
-    value = coverage_log_threshold(CoverageParams(c3=1.0, k=1), 3)
+    value = coverage_log_threshold(1, 1.0)
     assert value == pytest.approx(349920 * math.log(18), rel=1e-12)
-    # generic case against the single-log form of the same expression
-    params = CoverageParams(c3=2.5, k=2)
+    # generic case against the single-log form of the same expression,
+    # at p_2 = 5
     expected = 480 * 4 * 5**6 * math.log(2.5 * 2**2 * math.sqrt(2) * 25)
-    assert coverage_log_threshold(params, 5) == pytest.approx(expected, rel=1e-12)
-
-
-def test_threshold_requires_odd_prime():
-    params = CoverageParams(c3=1.0, k=1)
-    with pytest.raises(ValueError):
-        coverage_log_threshold(params, 2)
-    with pytest.raises(ValueError):
-        coverage_log_threshold(params, 4)
+    assert coverage_log_threshold(2, 2.5) == pytest.approx(expected, rel=1e-12)
 
 
 def test_coverage_depth_values():
@@ -300,6 +297,12 @@ def test_coverage_depth_rejections():
         coverage_depth(2.0, 1.0)  # x must exceed e
     with pytest.raises(ValueError):
         coverage_depth(10**100, 0.0)
+    for x in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="x must be finite"):
+            coverage_depth(x, 1.0)
+    for c1 in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="c1 must be positive and finite"):
+            coverage_depth(10**100, c1)
 
 
 def test_odd_prime_lookup_reexported():

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from factexp.exponents import _tile_span, digit_sum, exponent_range
 from factexp.qadditive import (
     TABLE_CAP,
-    KimEntry,
-    KimSystem,
     QAdditiveFunction,
     check_system,
     derive_invariants,
@@ -188,25 +186,15 @@ def test_invariants_reject_bad_modulus():
         derive_invariants(digit_sum_function(3), 1)
 
 
-def test_entry_make_and_base_mismatch():
-    f = digit_sum_function(10)
-    entry = KimEntry.make(f, 3)
-    assert (entry.q, entry.m, entry.F, entry.d) == (10, 3, 1, 3)
-    with pytest.raises(ValueError):
-        KimEntry(q=9, m=3, f=f, F=1, d=3)
-    with pytest.raises(ValueError):
-        KimEntry(q=10, m=1, f=f, F=1, d=3)
-
-
 def test_system_needs_entries():
     with pytest.raises(ValueError):
-        KimSystem(())
+        check_system(())
+    with pytest.raises(ValueError):
+        check_system([(digit_sum_function(10), 1)])  # modulus below 2
 
 
 def test_system_of_coprime_digit_sums_passes():
-    system = KimSystem.of([(digit_sum_function(2), 2), (digit_sum_function(3), 2)])
-    assert system.k == 2
-    report = check_system(system)
+    report = check_system([(digit_sum_function(2), 2), (digit_sum_function(3), 2)])
     assert report.pairwise_coprime_bases
     assert report.gcd_F_d_one == (True, True)
     assert report.pairwise_coprime_d
@@ -214,8 +202,7 @@ def test_system_of_coprime_digit_sums_passes():
 
 
 def test_system_flags_shared_base():
-    system = KimSystem.of([(digit_sum_function(4), 3), (digit_sum_function(2), 2)])
-    report = check_system(system)
+    report = check_system([(digit_sum_function(4), 3), (digit_sum_function(2), 2)])
     assert not report.pairwise_coprime_bases
     assert not report.all_pass
 
@@ -223,8 +210,7 @@ def test_system_flags_shared_base():
 def test_system_flags_shared_d():
     # both entries have d = 3; bases 10 and 7 are coprime, so the failure
     # is isolated to the pairwise-coprime-d condition
-    system = KimSystem.of([(digit_sum_function(10), 3), (digit_sum_function(7), 3)])
-    report = check_system(system)
+    report = check_system(iter([(digit_sum_function(10), 3), (digit_sum_function(7), 3)]))
     assert report.pairwise_coprime_bases
     assert all(report.gcd_F_d_one)
     assert not report.pairwise_coprime_d
@@ -240,6 +226,9 @@ def test_error_exponent_values():
 def test_error_exponent_overflow_and_rejections():
     with pytest.raises(OverflowError):
         kim_error_exponent(1000, 10**4, 10**4)
+    # a base of thousands of digits: the message gives its bit length, not its digits
+    with pytest.raises(OverflowError, match=r" for k = 1, m = 9841 has 46827 bits, exceeding 64$"):
+        kim_error_exponent(1, 3**9841, 9841)
     with pytest.raises(ValueError):
         kim_error_exponent(0, 2, 2)
     with pytest.raises(ValueError):

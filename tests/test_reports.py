@@ -172,10 +172,14 @@ def oracle_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def lex_classes(hist):
+    return itertools.product(*(range(m) for m in hist.config.mods))
+
+
 def oracle_histogram_csv(hist) -> str:
     k = hist.config.k
     lines = [",".join(f"a_{i}" for i in range(1, k + 1)) + ",count"]
-    for cls, count in zip(hist.classes(), hist.counts.ravel().tolist()):
+    for cls, count in zip(lex_classes(hist), hist.counts.ravel().tolist()):
         lines.append(",".join(str(a) for a in cls) + f",{count}")
     return "\n".join(lines) + "\n"
 
@@ -189,7 +193,7 @@ def oracle_histogram_json(hist, report=None) -> str:
         "chunk_size": config.chunk_size,
         "counts": [
             {"residues": list(cls), "count": count}
-            for cls, count in zip(hist.classes(), hist.counts.ravel().tolist())
+            for cls, count in zip(lex_classes(hist), hist.counts.ravel().tolist())
         ],
     }
     if report is not None:
