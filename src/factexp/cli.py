@@ -77,7 +77,8 @@ def cmd_exponent(args) -> int:
     if args.mod is not None and args.mod < 1:
         raise ValueError(f"modulus must be >= 1, got {args.mod}")
     e = legendre_exponent(args.n, args.prime)
-    print(e % args.mod if args.mod is not None else e)
+    # a Decimal prints every digit, past the interpreter's int-to-str digit cap
+    print(e % args.mod if args.mod is not None else Decimal(e))
     return 0
 
 

@@ -24,6 +24,11 @@ from .exponents import exponent_range
 from .primes import _U63, is_prime
 
 CLASS_CAP = 1 << 24
+# _chunk_hits and ResidueHistogram work in pieces this long, so that the
+# allocator reuses the temporaries of one piece for the next; scanned whole,
+# a 2^20 chunk's megabyte temporaries go back to the system and are
+# page-faulted in again, a varying number of times per run.
+_PIECE = 1 << 16
 
 __all__ = [
     "CLASS_CAP",
@@ -122,19 +127,21 @@ def map_spans(fn, config: ScanConfig, threads: int = 1):
 
 @dataclass(frozen=True)
 class ResidueHistogram:
-    """Exact class counts for one scan, in the layout described in the
-    module docstring; the constructor also takes them flat, in that order."""
+    """Exact class counts for one scan, in the layout described in the module
+    docstring (also taken flat); kept without a copy when int64 C-contiguous."""
 
     config: ScanConfig
     counts: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         # reshape raises ValueError unless there is one count per class
-        counts = np.array(self.counts, dtype=np.int64).reshape(self.config.mods)
-        if (counts < 0).any():
+        counts = np.asarray(self.counts, dtype=np.int64, order="C").reshape(self.config.mods)
+        if counts.min() < 0:
             raise ValueError("counts must be nonnegative")
-        # an int64 sum can wrap; split each count so both partial sums stay exact
-        total = (int((counts >> 32).sum()) << 32) + int((counts & 0xFFFFFFFF).sum())
+        # an int64 sum can wrap; sum the high and low halves exactly, by pieces
+        flat = counts.ravel()
+        total = sum((int((x >> 32).sum()) << 32) + int((x & 0xFFFFFFFF).sum())
+                    for x in np.split(flat, range(_PIECE, flat.size, _PIECE)))
         if total != self.config.limit:
             raise ValueError(
                 f"counts sum to {total}, but {self.config.limit} integers were scanned"
@@ -227,11 +234,6 @@ class PatternReport:
 
 # (hits, first hit, last hit, largest gap between consecutive hits) of a span
 _NO_HITS = (0, None, None, None)
-# _chunk_hits scans a chunk in pieces this long, so that the allocator
-# reuses the temporaries of one piece for the next; scanned whole, a 2^20
-# chunk's megabyte temporaries go back to the system and are page-faulted
-# in again, a varying number of times per run.
-_PIECE = 1 << 16
 
 
 def _join_hits(a, b):
@@ -304,14 +306,20 @@ class CoverageReport:
 _NEVER = np.iinfo(np.int64).max
 
 
-def _chunk_first_codes(primes, first: np.ndarray, start: int, stop: int) -> None:
+def _chunk_first_codes(primes, first: np.ndarray, start: int, stop: int) -> int:
     """Lower first[c] to the smallest n in [start, stop) with parity code
-    c; bit i of the code is the parity of e_{primes[i]}(n)."""
+    c, and return how many codes had no witness before; bit i of the code
+    is the parity of e_{primes[i]}(n). Spans must come in increasing order."""
     codes = np.zeros(stop - start, dtype=np.uint32)
     for p in reversed(primes):
         codes <<= 1
         codes |= exponent_range(start, stop, p, mod=2)
-    np.minimum.at(first, codes, np.arange(start, stop, dtype=np.int64))
+    ns = np.arange(start, stop, dtype=np.int64)
+    np.minimum.at(first, codes, ns)
+    # a new code's witness is the one n here with first[code] == n, an old one is below start
+    if first.size < ns.size:
+        return int(np.count_nonzero((first >= start) & (first < stop)))
+    return int(np.count_nonzero(first[codes] == ns))
 
 
 def pattern_coverage(primes, limit: int, chunk_size: int = 1 << 20) -> CoverageReport:
@@ -323,9 +331,9 @@ def pattern_coverage(primes, limit: int, chunk_size: int = 1 << 20) -> CoverageR
     k = len(primes)
     first = np.full(1 << k, _NEVER, dtype=np.int64)
     # map_spans runs one thread here, so the chunks lower `first` in place
-    # one after another and never race
-    for _ in map_spans(partial(_chunk_first_codes, primes, first), config):
-        if (first != _NEVER).all():
+    # one after another, in span order, and never race
+    for found in itertools.accumulate(map_spans(partial(_chunk_first_codes, primes, first), config)):
+        if found == first.size:
             break
     # covered[c] for the codes over the first covered_prefix primes: fold
     # away the top bit until every code left has a witness

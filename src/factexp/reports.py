@@ -5,18 +5,19 @@ are sorted with tight separators, and floats are rounded to 12
 significant digits before serialization so platform noise cannot leak
 into diffs.
 
-The per-class and per-pattern rows are built as text: the comma-joined
-residue labels of all classes come from extending a list of prefixes one
-axis at a time, and each row is one `str.format` of a fixed template.
-A JSON row template spells out exactly what `json.dumps` writes for
-that object with sorted keys and tight separators, and the rows are
-spliced into the empty list left for them in the `json.dumps` text of
-the scalar fields, so the bytes equal a `json.dumps` of the whole
-payload without one dict per row.
+Rows are built as text in row groups: one template spells out the rows of
+the longest suffix of axes with at most _GROUP classes, field 0 holding the
+residues of a prefix class and the other fields the values, so a group is
+one `str.format` call. A JSON row spells out what `json.dumps` writes for
+it with sorted keys and tight separators, spliced into the empty list left
+for the rows in the `json.dumps` of the scalar fields, so the bytes equal a
+`json.dumps` of the whole payload without one dict per row.
 """
 
 import json
 import sys
+
+import numpy as np
 
 from .experiments import CoverageReport, DiscrepancyReport, PatternReport, ResidueHistogram
 
@@ -29,6 +30,8 @@ __all__ = [
     "coverage_json",
     "emit",
 ]
+
+_GROUP = 256  # the most classes one row group spells out in its template
 
 
 def _sig12(x: float) -> float:
@@ -48,15 +51,32 @@ def _config_dict(config) -> dict:
     }
 
 
-def _labels(mods, sep: str = ",") -> list[str]:
-    """The residues of every class joined by `sep`, in lexicographic
-    order; [""] when there are no moduli."""
+def _labels(mods, sep: str, lead: str = "") -> list[str]:
+    """The residues of every class joined by `sep` and led by `lead`, in
+    lexicographic order; [""] when there are no moduli."""
     labels = [""]
     for i, m in enumerate(mods):
-        glue = sep if i else ""
+        glue = sep if i else lead
         digits = [f"{glue}{d}" for d in range(m)]
         labels = [p + d for p in labels for d in digits]
     return labels
+
+
+def _rows(mods, values, row: str, sep: str, join: str) -> str:
+    """The rows of all classes of `mods`, lexicographic, joined by `join`; `row`
+    formats one from the residues joined by `sep` ({0}) and its value ({1})."""
+    cut, size = len(mods), 1
+    while cut and size * mods[cut - 1] <= _GROUP:
+        cut -= 1
+        size *= mods[cut]
+    prefixes = _labels(mods[:cut], sep)
+    if size == 1:  # no group: auto-numbered fields format a little faster
+        args = (prefixes, values) if row.index("{0}") < row.index("{1}") else (values, prefixes)
+        return join.join(map(row.replace("{0}", "{}").replace("{1}", "{}").format, *args))
+    group = join.join(row.replace("{0}", "{0}" + label).replace("{1}", f"{{{i}}}")
+                      for i, label in enumerate(_labels(mods[cut:], sep, sep if cut else ""), 1))
+    # map draws the `size` values of each group from the one iterator in turn
+    return join.join(map(group.format, prefixes, *[iter(values)] * size))
 
 
 def _dumps_with_rows(payload: dict, key: str, rows: str) -> str:
@@ -73,13 +93,12 @@ def histogram_csv(hist: ResidueHistogram) -> str:
     the tuple coordinates."""
     k = hist.config.k
     header = ",".join(f"a_{i}" for i in range(1, k + 1)) + ",count\n"
-    rows = map("{},{}\n".format, _labels(hist.config.mods), hist.counts.ravel().tolist())
-    return header + "".join(rows)
+    return header + _rows(hist.config.mods, hist.counts.ravel().tolist(), "{0},{1}\n", ",", "")
 
 
 def histogram_json(hist: ResidueHistogram, report: DiscrepancyReport | None = None) -> str:
-    rows = ",".join(map('{{"count":{},"residues":[{}]}}'.format,
-                        hist.counts.ravel().tolist(), _labels(hist.config.mods)))
+    rows = _rows(hist.config.mods, hist.counts.ravel().tolist(),
+                 '{{"count":{1},"residues":[{0}]}}', ",", ",")
     payload = _config_dict(hist.config)
     if report is not None:
         payload["discrepancy"] = {
@@ -113,28 +132,20 @@ def pattern_json(report: PatternReport) -> str:
     return _dumps(payload)
 
 
-def _coverage_patterns(report: CoverageReport):
-    """(pattern, witness) pairs with the patterns in lexicographic order.
-    Digit i of a pattern is bit i of its code, so the codes are built
-    digit by digit alongside the patterns."""
-    k = len(report.primes)
-    codes = [0]
-    for i in range(k):
-        codes = [c | b << i for c in codes for b in (0, 1)]
-    return zip(_labels((2,) * k, sep=""), [report.minimal[c] for c in codes])
+def _coverage_rows(report: CoverageReport, row: str, missing, join: str) -> str:
+    """_rows over the patterns, `missing` standing for a None witness. Digit i
+    of a pattern is bit i of its code: pattern order reverses the k bit axes."""
+    mods = (2,) * len(report.primes)
+    codes = np.array(report.minimal, dtype=object).reshape(mods).transpose()
+    return _rows(mods, [missing if n is None else n for n in codes.ravel().tolist()], row, "", join)
 
 
 def coverage_csv(report: CoverageReport) -> str:
-    rows = ("{},{}\n".format(pat, "" if n is None else n)
-            for pat, n in _coverage_patterns(report))
-    return "pattern,minimal_n\n" + "".join(rows)
+    return "pattern,minimal_n\n" + _coverage_rows(report, "{0},{1}\n", "", "")
 
 
 def coverage_json(report: CoverageReport) -> str:
-    rows = ",".join(
-        '{{"minimal_n":{},"pattern":"{}"}}'.format("null" if n is None else n, pat)
-        for pat, n in _coverage_patterns(report)
-    )
+    rows = _coverage_rows(report, '{{"minimal_n":{1},"pattern":"{0}"}}', "null", ",")
     payload = {
         "primes": list(report.primes),
         "limit": report.limit,

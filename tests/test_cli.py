@@ -32,6 +32,25 @@ def test_exponent_scientific_and_mod(capsys):
     assert (code, out, err) == (0, "4\n", "")
 
 
+def test_exponent_prints_every_digit_past_the_str_digit_cap(capsys):
+    # e_3(10^5000) = (n - s_3(n)) / 2 has 5000 digits, past the 4300-digit
+    # default cap on int-to-str conversion; printing leaves the cap as it was
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run(capsys, "exponent", "--n", "1e5000", "--prime", "3")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+    assert (code, err) == (0, "")
+    n, s3 = 10**5000, 0
+    rest = n
+    while rest:
+        rest, digit = divmod(rest, 3)
+        s3 += digit
+    want, digits = (n - s3) // 2, []
+    while want:
+        want, low = divmod(want, 10**100)
+        digits.append(f"{low:0100d}")
+    assert out == "".join(reversed(digits)).lstrip("0") + "\n"
+
+
 def test_lambda_json(capsys):
     code, out, _ = run(capsys, "lambda", "--prime", "13", "--mod", "10")
     assert code == 0

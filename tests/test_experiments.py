@@ -7,6 +7,7 @@ pure Python, which keeps the vectorized chunk kernels honest.
 import itertools
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,12 +129,28 @@ def test_histogram_accessors():
 
 def test_histogram_rejects_inconsistent_counts():
     cfg = ScanConfig(primes=(3,), mods=(2,), limit=9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot reshape array of size 3"):
         ResidueHistogram(config=cfg, counts=(6, 3, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="counts sum to 8, but 9 integers were scanned"):
         ResidueHistogram(config=cfg, counts=(5, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="counts must be nonnegative"):
         ResidueHistogram(config=cfg, counts=(10, -1))
+
+
+def test_histogram_keeps_int64_counts_without_a_copy():
+    # 2^22 classes of 2^40 each sum to 2^62 over 64 pieces of the exact sum;
+    # construction adds no full-size copy or temporary to the counts
+    cfg = ScanConfig(primes=(3, 5), mods=(2**11, 2**11), limit=2**62)
+    tracemalloc.start()
+    try:
+        counts = np.full(2**22, 2**40, dtype=np.int64)
+        hist = ResidueHistogram(config=cfg, counts=counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * counts.nbytes
+    assert np.shares_memory(hist.counts, counts)
+    assert not hist.counts.flags.writeable
 
 
 def test_histogram_determinism_quick():
@@ -161,7 +178,7 @@ def test_histogram_counts_are_a_lex_ndarray():
 def test_histogram_rejects_counts_that_wrap_int64():
     # 3 * 2^62 + (2^62 + 3) = 2^64 + 3 sums to 3 in wrapping int64 arithmetic
     cfg = ScanConfig(primes=(3, 5), mods=(2, 2), limit=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"counts sum to {2**64 + 3}, but 3 "):
         ResidueHistogram(config=cfg, counts=(1 << 62, 1 << 62, 1 << 62, (1 << 62) + 3))
 
 
@@ -408,8 +425,14 @@ def test_chunk_first_codes_match_a_sorting_oracle(k, start, width):
     want = np.full(1 << k, np.iinfo(np.int64).max)
     want[values] = start + first_at
     first = np.full(1 << k, np.iinfo(np.int64).max)
-    _chunk_first_codes(primes, first, start, start + width)
+    assert _chunk_first_codes(primes, first, start, start + width) == values.size
     assert np.array_equal(first, want)
+    # the next span reports only the codes it adds
+    codes = np.zeros(width, dtype=np.int64)
+    for i, p in enumerate(primes):
+        codes |= (exponent_range(start + width, start + 2 * width, p) % 2) << i
+    fresh = np.setdiff1d(codes, values).size
+    assert _chunk_first_codes(primes, first, start + width, start + 2 * width) == fresh
 
 
 @settings(max_examples=30)
@@ -426,6 +449,25 @@ def test_coverage_chunking_irrelevant():
     a = pattern_coverage((3, 5, 7), 5000)
     b = pattern_coverage((3, 5, 7), 5000, chunk_size=50)
     assert a == b
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 2**16 + 3])
+def test_coverage_stops_at_full_cover_for_any_chunk_size(chunk, monkeypatch):
+    # eight primes first cover every parity pattern at n = 4074; the scan
+    # must stop with the chunk that covers the last one
+    primes = (3, 5, 7, 11, 13, 17, 19, 23)
+    whole = pattern_coverage(primes, 2**17)
+    assert whole.complete and max(whole.minimal) == 4074
+    stops = []
+    real = factexp.experiments.exponent_range
+
+    def spy(start, stop, p, mod=None):
+        stops.append(stop)
+        return real(start, stop, p, mod=mod)
+
+    monkeypatch.setattr(factexp.experiments, "exponent_range", spy)
+    assert pattern_coverage(primes, 2**17, chunk_size=chunk) == whole
+    assert max(stops) == min(2**17, (4074 // chunk + 1) * chunk)
 
 
 def test_parity_of_e2_identity():

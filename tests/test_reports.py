@@ -19,7 +19,6 @@ from factexp.experiments import (
 )
 from factexp.primes import primes_up_to
 from factexp.reports import (
-    _coverage_patterns,
     coverage_csv,
     coverage_json,
     emit,
@@ -125,12 +124,6 @@ def bit_by_bit_patterns(report):
         yield "".join(str(b) for b in bits), report.minimal[code]
 
 
-@pytest.mark.parametrize("k", range(13))
-def test_coverage_patterns_match_bit_by_bit_oracle(k):
-    minimal = tuple(None if c % 5 == 4 else 3 * c for c in range(1 << k))
-    report = CoverageReport(primes=tuple(primes_up_to(40)[:k]), limit=1 << 20,
-                            minimal=minimal, covered_prefix=0)
-    assert list(_coverage_patterns(report)) == list(bit_by_bit_patterns(report))
 
 
 def test_coverage_json_fields():
@@ -247,6 +240,29 @@ def test_histogram_serializers_match_oracle(hist, with_report):
     assert histogram_csv(hist) == oracle_histogram_csv(hist)
     report = discrepancy(hist) if with_report else None
     assert histogram_json(hist, report) == oracle_histogram_json(hist, report)
+
+
+# Shapes around the row groups of at most 256 classes: one axis just
+# inside and just outside a group, a group under a prefix axis, a suffix
+# that stops growing at the group size, no group at all, and nine axes.
+@pytest.mark.parametrize("mods", [(256,), (257,), (2, 128), (2, 129), (16, 16), (16, 17),
+                                  (3, 1009), (2,) * 9])
+def test_histogram_serializers_match_oracle_at_group_boundaries(mods):
+    counts = [(7919 * i) % 1000 for i in range(math.prod(mods))]
+    config = ScanConfig(primes=primes_up_to(40)[1 : len(mods) + 1], mods=mods, limit=sum(counts))
+    hist = ResidueHistogram(config=config, counts=counts)
+    assert histogram_csv(hist) == oracle_histogram_csv(hist)
+    report = discrepancy(hist)
+    assert histogram_json(hist, report) == oracle_histogram_json(hist, report)
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_coverage_patterns_match_bit_by_bit_oracle(k):
+    minimal = tuple(None if c % 5 == 4 else 3 * c for c in range(1 << k))
+    report = CoverageReport(primes=tuple(primes_up_to(40)[:k]), limit=1 << 20,
+                            minimal=minimal, covered_prefix=0)
+    assert coverage_csv(report) == oracle_coverage_csv(report)
+    assert coverage_json(report) == oracle_coverage_json(report)
 
 
 @given(st.integers(0, 7).flatmap(lambda k: st.tuples(
