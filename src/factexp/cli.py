@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 from decimal import Decimal, InvalidOperation
+from functools import lru_cache
 
 from .construction import (
     build_function,
@@ -107,7 +108,7 @@ def cmd_construct(args) -> int:
         "lambda": built.certificate.lam,
         "q": built.q,
         "weights": list(built.weights),
-        "table_prefix": list(built.f.table[:16]),
+        "table_prefix": built.f.table[:16].tolist(),
         "F": built.F,
         "d": built.d,
         "delta": delta,
@@ -170,6 +171,7 @@ def cmd_threshold(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)  # built once per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="factexp",

@@ -37,6 +37,7 @@ from .primes import factorize, nth_odd_prime
 from .qadditive import (
     TABLE_CAP,
     QAdditiveFunction,
+    _fold,
     derive_invariants,
     evaluate_range,
     kim_error_exponent,
@@ -161,16 +162,6 @@ def lambda_index(p: int, m: int) -> LambdaCertificate:
     return LambdaCertificate(p=p, m=m, lam=lam, m_prime=m_prime, m_dprime=m_dprime, mu=mu)
 
 
-def _repunit_weights(p: int, lam: int) -> tuple[int, ...]:
-    # (p^j - 1)/(p - 1) for j = 0..lam-1, built by w <- w*p + 1
-    weights = []
-    w = 0
-    for _ in range(lam):
-        weights.append(w)
-        w = w * p + 1
-    return tuple(weights)
-
-
 @dataclass(frozen=True)
 class ConstructionResult:
     """The q-additive function representing e_p mod m, with its
@@ -197,7 +188,11 @@ class ConstructionResult:
 def build_function(p: int, m: int) -> ConstructionResult:
     """Materialize the value table on [0, p^lambda) and derive (F, d).
 
-    The derived invariants are recomputed through the generic q-additive
+    The table is folded digit level by digit level, lowest first: level j
+    puts base-p digit a_j on top with weight (p^j - 1)/(p - 1), so each
+    level is one broadcast add, t <- (w_j*arange(p)[:, None] + t).ravel(),
+    and the last one writes the int64 table the function keeps.  The
+    derived invariants are recomputed through the generic q-additive
     path and must come out F = 0, d = 1; anything else is an internal
     error, not a user mistake.
     """
@@ -208,14 +203,9 @@ def build_function(p: int, m: int) -> ConstructionResult:
             f"table for q = {p}^{cert.lam} exceeds the {TABLE_CAP}-entry cap"
         )
     q = p**cert.lam
-    weights = _repunit_weights(p, cert.lam)
-    a = np.arange(q, dtype=np.int64)
-    acc = np.zeros(q, dtype=np.int64)
-    pj = 1
-    for j in range(cert.lam):
-        acc += (a // pj) % p * weights[j]
-        pj *= p
-    f = QAdditiveFunction(q=q, table=tuple(acc.tolist()))
+    weights = tuple((p**j - 1) // (p - 1) for j in range(cert.lam))
+    digits = np.arange(p, dtype=np.int64)
+    f = QAdditiveFunction(q=q, table=_fold([w * digits for w in weights]))
     F, d = derive_invariants(f, m)
     if F != 0 or d != 1:
         raise RuntimeError(
@@ -246,11 +236,11 @@ def verify_congruence(p: int, m: int, limit: int, chunk_size: int = 1 << 20) -> 
     """Check f(n) = e_p(n) (mod m) for all 0 <= n < limit.
 
     The two sides are computed chunk by chunk by independent routes that
-    share only the block loop of the tiled kernels: e_p from a floor-sum
-    table on base p^J with scalar Legendre offsets, and f from a table
-    folded out of the lambda-digit value table on base q^j with scalar
-    `f.evaluate` offsets.  The report carries the smallest counterexample
-    if there is one.
+    share only the block loop of the tiled kernels: e_p from a table on
+    base p^J built by the Legendre recurrence, with scalar Legendre
+    offsets, and f from a table folded out of the lambda-digit value
+    table on base q^j, with scalar `f.evaluate` offsets.  The report
+    carries the smallest counterexample if there is one.
     """
     config = ScanConfig(primes=(p,), mods=(m,), limit=limit, chunk_size=chunk_size)
     built = build_function(p, m)

@@ -23,8 +23,9 @@ With a modulus m the kernel works on residues only: the table is cached
 reduced mod m in the narrowest unsigned dtype that holds 2(m - 1)
 (uint8 for m <= 2**7, uint16 for m <= 2**15, then uint32 or uint64),
 each block adds an offset below m and subtracts m where the sum reached
-it, and the result comes back in that dtype.  The vectorized floor sum
-only builds the table and serves the tests as an oracle.
+it, and the result comes back in that dtype.  The table itself is built
+one base-p level at a time by the Legendre recurrence
+e_p(a*p + b) = a + e_p(a) for b < p, with no division.
 """
 
 from functools import lru_cache
@@ -128,22 +129,15 @@ def _tiled_range(start: int, stop: int, span: int, tile, offset, mod: int | None
     return out
 
 
-def _floor_sum_range(start: int, stop: int, p: int) -> np.ndarray:
-    """The vectorized floor sum: e_p(n) for n in [start, stop), one int64
-    division per base-p level over every element."""
-    ns = np.arange(start, stop, dtype=np.int64)
-    acc = np.zeros(ns.shape, dtype=np.int64)
-    pj = p
-    while pj < stop:
-        acc += ns // pj
-        pj *= p
-    return acc
-
-
 @lru_cache(maxsize=32)
 def _exponent_tile(p: int, mod: int | None) -> np.ndarray:
-    # e_p on [0, p^J): int64, or reduced mod `mod` in the dtype _tiled_range adds in
-    tile = _floor_sum_range(0, _tile_span(p), p)
+    """e_p on [0, p^J) by the Legendre recurrence e_p(a*p + b) = a + e_p(a)
+    for b < p, one base-p level per step: int64, or reduced mod `mod` in
+    the dtype _tiled_range adds in."""
+    span = _tile_span(p)
+    tile = np.zeros(1, dtype=np.int64)
+    while tile.size < span:
+        tile = np.repeat(np.arange(tile.size, dtype=np.int64) + tile, p)
     if mod is not None:
         tile = (tile % mod).astype(_residue_dtype(mod))
     tile.flags.writeable = False
@@ -157,8 +151,8 @@ def exponent_range(start: int, stop: int, p: int, mod: int | None = None) -> np.
     Tiled by P = `_tile_span(p)`, the largest power of p that is at most
     max(p, 2**16) (p**2 for 2**8 < p < 2**9): for n = A*P + b with b < P,
     e_p(n) = e_p(b) + A*(P - 1)/(p - 1) + e_p(A).
-    e_p(b) comes from a cached table built by the floor sum (for p > 2**16
-    it is 0, and no table exists), and the block offset is computed
+    e_p(b) comes from a cached table built by the Legendre recurrence (for
+    p > 2**16 it is 0, and no table exists), and the block offset is computed
     exactly by `legendre_exponent`.  With `mod` the table is cached
     reduced mod `mod` and every block stays below it.  The range must sit
     below 2**63, so every value fits int64, and so must the modulus.

@@ -7,7 +7,8 @@ bytearray.
 """
 
 from functools import lru_cache
-from math import isqrt
+from itertools import compress
+from math import isqrt, log
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -20,6 +21,9 @@ _U64 = 1 << 64
 # Largest trial divisor `factorize` tries: every n < 2^40 factors within
 # it, and a larger n that would need more is refused before that work.
 _TRIAL_LIMIT = 1 << 20
+
+# Largest index `nth_odd_prime` accepts, refusing larger ones before sieving
+ODD_PRIME_INDEX_CAP = 10**6
 
 
 @lru_cache(maxsize=4096)
@@ -85,16 +89,17 @@ def primes_up_to(limit: int) -> list[int]:
     for p in range(2, isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-    return [i for i, flag in enumerate(sieve) if flag]
+    return list(compress(range(limit + 1), sieve))
 
 
 def nth_odd_prime(i: int) -> int:
-    """The i-th odd prime: 3, 5, 7, 11, ...  Indexing starts at 1."""
+    """The i-th odd prime: 3, 5, 7, 11, ...  Indexing starts at 1, and
+    an index above ODD_PRIME_INDEX_CAP is refused.  It is the n-th prime
+    for n = i + 1, below n(ln n + ln ln n) for n >= 6 (Rosser), so one
+    sieve to that bound finds it."""
     if i < 1:
         raise ValueError(f"odd-prime index must be >= 1, got {i}")
-    limit = 64
-    while True:
-        odd = primes_up_to(limit)[1:]
-        if len(odd) >= i:
-            return odd[i - 1]
-        limit *= 2
+    if i > ODD_PRIME_INDEX_CAP:
+        raise ValueError(f"odd-prime index {i} exceeds the cap of {ODD_PRIME_INDEX_CAP}")
+    n = i + 1
+    return primes_up_to(int(n * (log(n) + log(log(n)))) + 1 if n >= 6 else 11)[i]

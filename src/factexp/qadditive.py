@@ -19,7 +19,7 @@ pairs, deriving each (F, d) itself, and `kim_error_exponent` the
 accompanying exponent delta = 1/(120 k^2 q^3 m^2).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -37,40 +37,41 @@ TABLE_CAP = 1 << 24
 
 @dataclass(frozen=True)
 class QAdditiveFunction:
-    """A completely q-additive function given by its values on [0, q)."""
+    """A completely q-additive function given by its values on [0, q), kept
+    as a read-only int64 array (a view of an int64 array passed in)."""
 
     q: int
-    table: tuple[int, ...]
+    table: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if self.q < 2:
             raise ValueError(f"base must be >= 2, got {self.q}")
         if self.q > TABLE_CAP:
             raise ValueError(f"value table would need {self.q} entries, cap is {TABLE_CAP}")
-        object.__setattr__(self, "table", tuple(self.table))
-        if len(self.table) != self.q:
-            raise ValueError(f"table must have exactly q={self.q} entries, got {len(self.table)}")
-        if self.table[0] != 0:
+        table = np.asarray(self.table, dtype=np.int64).view()
+        if table.shape != (self.q,):
+            raise ValueError(f"table must have exactly q={self.q} entries, got {table.size}")
+        if table[0] != 0:
             raise ValueError("a completely q-additive function has f(0) = 0")
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
+
+    def __eq__(self, other):
+        if not isinstance(other, QAdditiveFunction):
+            return NotImplemented
+        return self.q == other.q and np.array_equal(self.table, other.table)
 
     def evaluate(self, n: int) -> int:
-        """Sum the value table over the base-q digits of n."""
+        """Sum the value table over the base-q digits of n, exactly."""
         if n < 0:
             raise ValueError(f"n must be nonnegative, got {n}")
         acc = 0
         while n:
-            acc += self.table[n % self.q]
+            acc += self.table.item(n % self.q)
             n //= self.q
         return acc
 
     __call__ = evaluate
-
-    @cached_property
-    def _values(self) -> np.ndarray:
-        # the value table as a read-only int64 array, built once per function
-        values = np.asarray(self.table, dtype=np.int64)
-        values.flags.writeable = False
-        return values
 
     @cached_property
     def _tiles(self) -> dict:
@@ -78,20 +79,28 @@ class QAdditiveFunction:
         return {}
 
 
-def _value_tile(f: QAdditiveFunction, span: int, mod: int | None) -> np.ndarray:
-    """f on [0, span) for span = q^j, from the value table digit level by
-    digit level: f(a*q^i + b) = f(a) + f(b) for b < q^i.  Without `mod`
-    the tile is int64; with it each level is reduced mod `mod` in
-    `_residue_dtype(mod)`, so only reduced values need to fit."""
-    if mod is None:
-        values = f._values
-    else:
-        values = (f._values % mod).astype(_residue_dtype(mod))
-    tile = values
-    while tile.size < span:
-        tile = (values[:, None] + tile).ravel()
+def _fold(rows, mod: int | None = None) -> np.ndarray:
+    """sum_j rows[j][n_j] over the base-b digits n_j of n (b = len(row)),
+    for n in [0, b^len(rows)), one digit level on top at a time.  With
+    `mod` the rows hold residues in `_residue_dtype(mod)`, reduced at
+    every level so only reduced values need to fit."""
+    tile = rows[0]
+    for row in rows[1:]:
+        tile = (row[:, None] + tile).ravel()
         if mod is not None:
             np.minimum(tile, tile - mod, out=tile)
+    return tile
+
+
+def _value_tile(f: QAdditiveFunction, span: int, mod: int | None) -> np.ndarray:
+    """f on [0, span) for span = q^j, folded out of the value table:
+    f(a*q^i + b) = f(a) + f(b) for b < q^i.  Without `mod` the tile is
+    int64; with it the table is reduced mod `mod` in `_residue_dtype(mod)`."""
+    values = f.table if mod is None else (f.table % mod).astype(_residue_dtype(mod))
+    levels = 1
+    while f.q**levels < span:
+        levels += 1
+    tile = _fold([values] * levels, mod)
     tile.flags.writeable = False
     return tile
 
@@ -126,12 +135,12 @@ def derive_invariants(f: QAdditiveFunction, m: int) -> tuple[int, int]:
     """
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    F = f.table[1]
+    F = f.table.item(1)
     d = gcd(m, (f.q - 1) * F)
     for r in range(2, f.q):
         if d == 1:
             break
-        d = gcd(d, f.table[r] - r * F)
+        d = gcd(d, f.table.item(r) - r * F)
     return F, d
 
 

@@ -4,6 +4,8 @@ Each follows its defining identity one integer at a time, in pure
 Python.  None validates its arguments: the tests only pass valid ones.
 """
 
+import numpy as np
+
 from factexp.exponents import legendre_exponent
 
 
@@ -63,4 +65,29 @@ def folded_value(n: int, p: int, weights: tuple[int, ...]) -> int:
         acc += (n % p) * weights[j % lam]
         n //= p
         j += 1
+    return acc
+
+
+def floor_sum_range(start: int, stop: int, p: int):
+    """The vectorized floor sum: e_p(n) for n in [start, stop) as int64,
+    one division per base-p level over every element."""
+    ns = np.arange(start, stop, dtype=np.int64)
+    acc = np.zeros(ns.shape, dtype=np.int64)
+    pj = p
+    while pj < stop:
+        acc += ns // pj
+        pj *= p
+    return acc
+
+
+def digit_pass_table(p: int, weights: tuple[int, ...]):
+    """The construction's value table on [0, p^lambda), lambda =
+    len(weights), one pass per digit position: a // p^j % p times the
+    j-th weight, summed over every entry, as int64."""
+    a = np.arange(p ** len(weights), dtype=np.int64)
+    acc = np.zeros(a.shape, dtype=np.int64)
+    pj = 1
+    for w in weights:
+        acc += (a // pj) % p * w
+        pj *= p
     return acc

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import factexp
-from factexp.cli import int_list, integer, main
+from factexp.cli import build_parser, int_list, integer, main
 from factexp.construction import coverage_log_threshold
 
 
@@ -160,6 +160,13 @@ def test_threshold_round_trips(capsys):
     assert float(out) == expected
 
 
+
+def test_threshold_refuses_a_huge_k_at_once(capsys):
+    t0 = time.monotonic()
+    assert run(capsys, "threshold", "--k", "1e10", "--c3", "1.0") == (
+        1, "", "error: odd-prime index 10000000000 exceeds the cap of 1000000\n")
+    assert time.monotonic() - t0 < 1.0
+
 def test_runtime_errors_exit_1(capsys):
     code, out, err = run(capsys, "lambda", "--prime", "2", "--mod", "5")
     assert code == 1
@@ -285,6 +292,21 @@ def test_threads_env_override(monkeypatch, capsys):
         "--format", "csv",
     ) == reference
 
+
+
+def test_back_to_back_calls_share_one_parser_and_no_state(monkeypatch, capsys):
+    scan = ("scan", "--primes", "3", "--mods", "2", "--limit", "9")
+    assert run(capsys, *scan, "--format", "csv") == (0, "a_1,count\n0,6\n1,3\n", "")
+    # the csv choice does not stick: a plain scan is JSON again
+    code, out, err = run(capsys, *scan)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["counts"] == [{"count": 6, "residues": [0]}, {"count": 3, "residues": [1]}]
+    # FACTEXP_THREADS is read on every call
+    monkeypatch.setenv("FACTEXP_THREADS", "0")
+    assert run(capsys, *scan) == (1, "", "error: thread count must be positive, got 0\n")
+    monkeypatch.delenv("FACTEXP_THREADS")
+    assert run(capsys, *scan, "--format", "csv")[0] == 0
+    assert build_parser() is build_parser()
 
 def test_out_dir_env(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("FACTEXP_OUT_DIR", str(tmp_path))

@@ -7,9 +7,11 @@ running on a subgrid.
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -28,8 +30,8 @@ from factexp.construction import (
 )
 from factexp.exponents import legendre_exponent
 from factexp.primes import nth_odd_prime, primes_up_to
-from factexp.qadditive import derive_invariants, kim_error_exponent
-from oracles import folded_value
+from factexp.qadditive import TABLE_CAP, derive_invariants, kim_error_exponent
+from oracles import digit_pass_table, folded_value
 
 odd_primes_st = st.sampled_from([3, 5, 7, 11, 13, 31, 97])
 
@@ -152,7 +154,7 @@ def test_build_function_smallest_case():
     built = build_function(3, 2)
     assert built.q == 9
     assert built.weights == (0, 1)
-    assert built.f.table == (0, 0, 0, 1, 1, 1, 2, 2, 2)
+    assert built.f.table.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
     assert (built.F, built.d) == (0, 1)
     assert built.certificate.lam == 2
 
@@ -172,6 +174,33 @@ def test_build_function_invariants_recomputed():
     assert built.f.table[1] == 0
     assert built.f.table[13] == 1
 
+
+
+def test_folded_table_equals_the_digit_pass_build_on_the_grid():
+    # the acceptance grid, which holds every tabulable FROZEN_LAMBDAS pair
+    built_count = 0
+    for p in primes_up_to(100)[1:]:
+        for m in range(2, 51):
+            if m % p == 0 or p ** lambda_index(p, m).lam > 1 << 20:
+                continue
+            built = build_function(p, m)
+            assert built.f.table.dtype == np.int64
+            assert np.array_equal(built.f.table, digit_pass_table(p, built.weights)), (p, m)
+            built_count += 1
+    assert built_count == 248
+
+
+def test_build_at_the_table_cap_peaks_near_the_table_size():
+    # lambda(3, 7174453) = 15, and 3^15 is just below TABLE_CAP: the fold
+    # holds the table and the level below it, never a table-sized temporary
+    tracemalloc.start()
+    try:
+        built = build_function(3, 7174453)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built.q == 3**15 <= TABLE_CAP
+    assert peak < 1.5 * built.f.table.nbytes
 
 def test_build_function_rejects_oversized_base():
     with pytest.raises(ValueError, match="cap"):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import factexp.construction
 from factexp.construction import verify_congruence
-from factexp.exponents import _floor_sum_range, exponent_range, legendre_exponent
+from factexp.exponents import exponent_range, legendre_exponent
 from factexp.experiments import (
     CLASS_CAP,
     _chunk_first_codes,
@@ -28,7 +28,7 @@ from factexp.experiments import (
     pattern_coverage,
     pattern_search,
 )
-from oracles import ExponentStream, parity_of_e2
+from oracles import ExponentStream, floor_sum_range, parity_of_e2
 
 
 def stream_histogram(primes, mods, limit):
@@ -406,7 +406,7 @@ def test_histogram_at_the_class_cap_is_invariant_under_chunk_size_and_threads(ch
     primes, mods = (7, 2, 3), (2**16, 2**4, 2**4)
     idx = np.zeros(limit, dtype=np.int64)
     for p, m in zip(primes, mods):
-        idx = idx * m + _floor_sum_range(0, limit, p) % m
+        idx = idx * m + floor_sum_range(0, limit, p) % m
     want = np.bincount(idx, minlength=CLASS_CAP)
     for threads in (1, 2):
         cfg = ScanConfig(primes=primes, mods=mods, limit=limit, chunk_size=chunk)

@@ -13,14 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factexp.exponents import (
-    _floor_sum_range,
+    _exponent_tile,
     _residue_dtype,
     _tile_span,
     digit_sum,
     exponent_range,
     legendre_exponent,
 )
-from oracles import ExponentStream, base_digits
+from oracles import ExponentStream, base_digits, floor_sum_range
 
 primes_st = st.sampled_from([2, 3, 5, 7, 11, 13, 47, 97])
 # tile sizes 2^16, 3^10, 47^2, 97^2, 257^2, 509^2, and the prime itself
@@ -177,6 +177,19 @@ def test_tile_span_sizes():
     assert {b: _tile_span(b) for b in spans} == spans
 
 
+
+@pytest.mark.parametrize("p", [2, 3, 5, 257, 263, 509, 521, 65521])
+def test_recurrence_tile_is_the_floor_sum(p):
+    # tiles of p^J <= 2^16, of p^2 for 2^8 < p < 2^9, and of p itself above
+    want = floor_sum_range(0, _tile_span(p), p)
+    tile = _exponent_tile(p, None)
+    assert tile.dtype == np.int64 and not tile.flags.writeable
+    assert np.array_equal(tile, want)
+    for m in (2, 7, 1000, 2**31 + 1):
+        reduced = _exponent_tile(p, m)
+        assert reduced.dtype == _residue_dtype(m) and not reduced.flags.writeable
+        assert np.array_equal(reduced, want % m)
+
 @settings(max_examples=40)
 @given(tiled_primes_st, st.integers(0, 2**40), st.integers(-3, 3), st.integers(2, 3),
        st.sampled_from([None, 2, 3, 10]), st.data())
@@ -185,7 +198,7 @@ def test_exponent_range_straddles_tiles(p, block, shift, blocks, mod, data):
     start = max(0, block * span + shift)
     stop = start + data.draw(st.integers((blocks - 1) * span + 1, blocks * span))
     got = exponent_range(start, stop, p, mod=mod)
-    want = _floor_sum_range(start, stop, p)
+    want = floor_sum_range(start, stop, p)
     if mod is not None:
         want %= mod
     assert np.array_equal(got, want)
@@ -204,7 +217,7 @@ def test_exponent_range_huge_prime_allocates_only_the_output():
     finally:
         tracemalloc.stop()
     assert peak < got.nbytes + (1 << 16)
-    assert np.array_equal(got, _floor_sum_range(2**62, 2**62 + 10**6, p) % 2)
+    assert np.array_equal(got, floor_sum_range(2**62, 2**62 + 10**6, p) % 2)
     # the block boundary at 2p = 2^62 - 2, against the scalar route
     start = 2 * p - 5
     assert exponent_range(start, start + 10, p).tolist() == [

@@ -2,12 +2,13 @@
 values."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from factexp.primes import factorize, is_prime, nth_odd_prime, primes_up_to
+from factexp.primes import ODD_PRIME_INDEX_CAP, factorize, is_prime, nth_odd_prime, primes_up_to
 
 PRIMES_BELOW_100 = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
@@ -94,6 +95,10 @@ def test_factorize_refuses_work_past_its_trial_bound():
 def test_nth_odd_prime_sequence():
     assert [nth_odd_prime(i) for i in range(1, 11)] == [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
     assert nth_odd_prime(100) == 547
+    # the 100001st prime, from one sieve to the Rosser bound
+    assert nth_odd_prime(10**5) == 1299721
+    odd = primes_up_to(30000)[1:]
+    assert [nth_odd_prime(i) for i in range(1, 3001)] == odd[:3000]
 
 
 def test_nth_odd_prime_rejects_bad_index():
@@ -101,3 +106,12 @@ def test_nth_odd_prime_rejects_bad_index():
         nth_odd_prime(0)
     with pytest.raises(ValueError):
         nth_odd_prime(-3)
+
+
+def test_nth_odd_prime_refuses_an_index_past_the_cap_before_sieving():
+    assert ODD_PRIME_INDEX_CAP == 10**6
+    t0 = time.monotonic()
+    for i in (ODD_PRIME_INDEX_CAP + 1, 10**10, 10**100):
+        with pytest.raises(ValueError, match=f"^odd-prime index {i} exceeds the cap of 1000000$"):
+            nth_odd_prime(i)
+    assert time.monotonic() - t0 < 0.1

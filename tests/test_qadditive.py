@@ -66,14 +66,56 @@ def test_complete_additivity(f, a, k, data):
 
 
 def test_construction_rejections():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^base must be >= 2, got 1$"):
         QAdditiveFunction(q=1, table=(0,))
-    with pytest.raises(ValueError):
-        QAdditiveFunction(q=3, table=(1, 0, 0))  # f(0) != 0
-    with pytest.raises(ValueError):
-        QAdditiveFunction(q=3, table=(0, 1))  # wrong length
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^a completely q-additive function has f\(0\) = 0$"):
+        QAdditiveFunction(q=3, table=(1, 0, 0))
+    with pytest.raises(ValueError, match="^table must have exactly q=3 entries, got 2$"):
+        QAdditiveFunction(q=3, table=(0, 1))
+    with pytest.raises(ValueError, match="^table must have exactly q=3 entries, got 2$"):
+        QAdditiveFunction(q=3, table=np.zeros(2, dtype=np.int64))
+    with pytest.raises(ValueError, match=f"^value table would need {TABLE_CAP + 1} entries, cap is {TABLE_CAP}$"):
         QAdditiveFunction(q=TABLE_CAP + 1, table=())
+
+
+def test_table_is_a_read_only_int64_array_from_any_sequence():
+    for table in ((0, 3, 1), [0, 3, 1], np.array([0, 3, 1], dtype=np.int32)):
+        f = QAdditiveFunction(q=3, table=table)
+        assert f.table.dtype == np.int64
+        assert f.table.tolist() == [0, 3, 1]
+        assert not f.table.flags.writeable
+        with pytest.raises(ValueError):
+            f.table[1] = 7
+
+
+def test_an_int64_table_is_kept_as_a_view_and_left_writeable_for_its_caller():
+    values = np.array([0, 3, 1], dtype=np.int64)
+    f = QAdditiveFunction(q=3, table=values)
+    assert np.shares_memory(f.table, values)
+    assert values.flags.writeable and not f.table.flags.writeable
+    values[1] = 5
+    assert values.tolist() == [0, 5, 1]
+
+
+def test_evaluate_and_invariants_return_python_ints():
+    f = QAdditiveFunction(q=3, table=np.array([0, 3, 1], dtype=np.int64))
+    assert type(f.evaluate(5)) is int and f.evaluate(5) == 4
+    assert type(f(0)) is int
+    # exact past int64: 2^62 at each of 64 digit positions
+    big = QAdditiveFunction(q=2, table=(0, 1 << 62))
+    assert big.evaluate(2**64 - 1) == 1 << 68
+    F, d = derive_invariants(f, 4)
+    assert (type(F), type(d)) == (int, int)
+
+
+def test_functions_compare_by_value_and_are_unhashable():
+    f = QAdditiveFunction(q=3, table=(0, 3, 1))
+    assert f == QAdditiveFunction(q=3, table=np.array([0, 3, 1]))
+    assert f != QAdditiveFunction(q=3, table=(0, 3, 2))
+    assert f != QAdditiveFunction(q=2, table=(0, 3))
+    assert f != (3, (0, 3, 1))
+    with pytest.raises(TypeError):
+        hash(f)
 
 
 def test_evaluate_rejects_negative():
