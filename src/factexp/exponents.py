@@ -23,9 +23,8 @@ With a modulus m the kernel works on residues only: the table is cached
 reduced mod m in the narrowest unsigned dtype that holds 2(m - 1)
 (uint8 for m <= 2**7, uint16 for m <= 2**15, then uint32 or uint64),
 each block adds an offset below m and subtracts m where the sum reached
-it, and the result comes back in that dtype.  The table itself is built
-one base-p level at a time by the Legendre recurrence
-e_p(a*p + b) = a + e_p(a) for b < p, with no division.
+it, and the result comes back in that dtype.  Its table is built by the
+recurrence e_p(a*p + b) = a + e_p(a) for b < p, with no division.
 """
 
 from functools import lru_cache

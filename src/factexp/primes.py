@@ -102,4 +102,5 @@ def nth_odd_prime(i: int) -> int:
     if i > ODD_PRIME_INDEX_CAP:
         raise ValueError(f"odd-prime index {i} exceeds the cap of {ODD_PRIME_INDEX_CAP}")
     n = i + 1
-    return primes_up_to(int(n * (log(n) + log(log(n)))) + 1 if n >= 6 else 11)[i]
+    limit = int(n * (log(n) + log(log(n)))) + 1 if n >= 6 else 11
+    return primes_up_to(limit)[i]

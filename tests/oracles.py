@@ -1,7 +1,9 @@
 """Slow, independent routes the tests compare the package against.
 
-Each follows its defining identity one integer at a time, in pure
-Python.  None validates its arguments: the tests only pass valid ones.
+Each follows its defining identity: one integer at a time in pure
+Python, or, for the two array routes at the bottom, one division pass
+per digit level.  None validates its arguments: the tests only pass
+valid ones.
 """
 
 import numpy as np

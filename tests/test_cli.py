@@ -160,12 +160,12 @@ def test_threshold_round_trips(capsys):
     assert float(out) == expected
 
 
-
 def test_threshold_refuses_a_huge_k_at_once(capsys):
     t0 = time.monotonic()
     assert run(capsys, "threshold", "--k", "1e10", "--c3", "1.0") == (
         1, "", "error: odd-prime index 10000000000 exceeds the cap of 1000000\n")
     assert time.monotonic() - t0 < 1.0
+
 
 def test_runtime_errors_exit_1(capsys):
     code, out, err = run(capsys, "lambda", "--prime", "2", "--mod", "5")
@@ -293,7 +293,6 @@ def test_threads_env_override(monkeypatch, capsys):
     ) == reference
 
 
-
 def test_back_to_back_calls_share_one_parser_and_no_state(monkeypatch, capsys):
     scan = ("scan", "--primes", "3", "--mods", "2", "--limit", "9")
     assert run(capsys, *scan, "--format", "csv") == (0, "a_1,count\n0,6\n1,3\n", "")
@@ -307,6 +306,7 @@ def test_back_to_back_calls_share_one_parser_and_no_state(monkeypatch, capsys):
     monkeypatch.delenv("FACTEXP_THREADS")
     assert run(capsys, *scan, "--format", "csv")[0] == 0
     assert build_parser() is build_parser()
+
 
 def test_out_dir_env(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("FACTEXP_OUT_DIR", str(tmp_path))

@@ -175,7 +175,6 @@ def test_build_function_invariants_recomputed():
     assert built.f.table[13] == 1
 
 
-
 def test_folded_table_equals_the_digit_pass_build_on_the_grid():
     # the acceptance grid, which holds every tabulable FROZEN_LAMBDAS pair
     built_count = 0
@@ -201,6 +200,7 @@ def test_build_at_the_table_cap_peaks_near_the_table_size():
         tracemalloc.stop()
     assert built.q == 3**15 <= TABLE_CAP
     assert peak < 1.5 * built.f.table.nbytes
+
 
 def test_build_function_rejects_oversized_base():
     with pytest.raises(ValueError, match="cap"):

@@ -177,7 +177,6 @@ def test_tile_span_sizes():
     assert {b: _tile_span(b) for b in spans} == spans
 
 
-
 @pytest.mark.parametrize("p", [2, 3, 5, 257, 263, 509, 521, 65521])
 def test_recurrence_tile_is_the_floor_sum(p):
     # tiles of p^J <= 2^16, of p^2 for 2^8 < p < 2^9, and of p itself above
@@ -189,6 +188,7 @@ def test_recurrence_tile_is_the_floor_sum(p):
         reduced = _exponent_tile(p, m)
         assert reduced.dtype == _residue_dtype(m) and not reduced.flags.writeable
         assert np.array_equal(reduced, want % m)
+
 
 @settings(max_examples=40)
 @given(tiled_primes_st, st.integers(0, 2**40), st.integers(-3, 3), st.integers(2, 3),
