@@ -2,7 +2,7 @@
 
 Exit status contract: 0 on success (including a verify run that finds a
 counterexample; the report is the product), 1 on runtime failures
-(invalid mathematical inputs, overflow, I/O), 2 on usage errors
+(invalid mathematical inputs, overflow, I/O, memory), 2 on usage errors
 (argparse's own convention).
 
 Environment knobs: FACTEXP_THREADS supplies a default for --threads,
@@ -249,8 +249,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OverflowError, RuntimeError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (ValueError, OverflowError, RuntimeError, OSError, MemoryError) as err:
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -3,10 +3,11 @@ pattern searches, and parity-pattern coverage.
 
 Everything here counts exactly, so results are independent of chunk
 size and thread count by construction: the kernels hand over residues in
-narrow unsigned dtypes, class indices fold in int32 (there are at most
-CLASS_CAP = 2**24 classes), and counts and first witnesses are int64.
-The floating-point summaries in DiscrepancyReport are derived from those
-exact counts at the very end.
+narrow unsigned dtypes, class indices fold in the narrowest of uint8,
+uint16 and int32 that holds them all (at most CLASS_CAP = 2**24
+classes), and counts and first witnesses are int64.  The floating-point
+summaries in DiscrepancyReport are derived from those exact counts at
+the very end.
 
 Histogram counts are a read-only int64 ndarray of shape `mods`, indexed
 by class tuple; its C order is the lexicographic order of exports.
@@ -24,6 +25,7 @@ from .exponents import exponent_range
 from .primes import _U63, is_prime
 
 CLASS_CAP = 1 << 24
+THREAD_CAP = 256
 # _chunk_hits and ResidueHistogram work in pieces this long, so that the
 # allocator reuses the temporaries of one piece for the next; scanned whole,
 # a 2^20 chunk's megabyte temporaries go back to the system and are
@@ -32,6 +34,7 @@ _PIECE = 1 << 16
 
 __all__ = [
     "CLASS_CAP",
+    "THREAD_CAP",
     "ScanConfig",
     "ResidueHistogram",
     "DiscrepancyReport",
@@ -103,11 +106,14 @@ def map_spans(fn, config: ScanConfig, threads: int = 1):
 
     With threads > 1 the calls run on a pool that keeps at most `threads`
     of them ahead of the consumer, so memory stays bounded by the chunks
-    in flight.  Closing the generator early cancels the calls not yet
+    in flight; more than THREAD_CAP threads are refused before any
+    starts.  Closing the generator early cancels the calls not yet
     started and waits for the running ones.
     """
     if threads < 1:
         raise ValueError(f"thread count must be positive, got {threads}")
+    if threads > THREAD_CAP:
+        raise ValueError(f"thread count must be at most {THREAD_CAP}, got {threads}")
     spans = config.spans()
     if threads == 1:
         yield from itertools.starmap(fn, spans)
@@ -164,29 +170,45 @@ class ResidueHistogram:
         return int(self.counts[residues])
 
 
+def _fold_dtype(class_count: int) -> np.dtype:
+    """The narrowest dtype that holds every class index below class_count."""
+    if class_count <= 1 << 8:
+        return np.dtype(np.uint8)
+    return np.dtype(np.uint16 if class_count <= 1 << 16 else np.int32)
+
+
 def _chunk_histogram(config: ScanConfig, start: int, stop: int) -> np.ndarray:
+    classes = config.class_count
     pairs = zip(config.primes, config.mods)
     p, m = next(pairs)
-    # the class index stays below CLASS_CAP = 2**24, so int32 holds it
-    idx = exponent_range(start, stop, p, mod=m).astype(np.int32)
+    # every partial class index is below the class count too
+    idx = exponent_range(start, stop, p, mod=m).astype(_fold_dtype(classes), copy=False)
     for p, m in pairs:
         idx *= m
         idx += exponent_range(start, stop, p, mod=m)
-    return np.bincount(idx)
+    # uint8 indices are counted in pairs, all but an odd last one: a uint16 view
+    # entry is one index plus 256 times the other, in either byte order, so the
+    # row sums count one index of each pair and the column sums the other
+    even = idx.size & ~1 if idx.dtype == np.uint8 else 0
+    out = np.bincount(idx[even:], minlength=classes)
+    if even:
+        table = np.bincount(idx[:even].view(np.uint16), minlength=256 * classes)
+        table = table.reshape(classes, 256)
+        out += table.sum(axis=1) + table[:, :classes].sum(axis=0)
+    return out
 
 
 def joint_histogram(config: ScanConfig, threads: int = 1) -> ResidueHistogram:
     """Count n in [0, limit) by the tuple (e_p(n) mod m) over the
     configured prime/modulus pairs.
 
-    Chunks may be computed on a thread pool; the merge is a plain sum of
-    exact integer arrays, so the outcome never depends on scheduling.
-    Each chunk counts only up to its largest class index, and the merge
-    adds that prefix.
+    Chunks may be computed on a thread pool; each counts every class, and
+    the merge is a plain sum of exact integer arrays, so the outcome never
+    depends on scheduling.
     """
     total = np.zeros(config.class_count, dtype=np.int64)
     for part in map_spans(partial(_chunk_histogram, config), config, threads):
-        total[: part.size] += part
+        total += part
     return ResidueHistogram(config=config, counts=total)
 
 

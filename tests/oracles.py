@@ -1,14 +1,14 @@
 """Slow, independent routes the tests compare the package against.
 
 Each follows its defining identity: one integer at a time in pure
-Python, or, for the two array routes at the bottom, one division pass
-per digit level.  None validates its arguments: the tests only pass
-valid ones.
+Python, or, for the array routes at the bottom, one division pass per
+digit level, or one int32 class index counted by a plain bincount.
+None validates its arguments: the tests only pass valid ones.
 """
 
 import numpy as np
 
-from factexp.exponents import legendre_exponent
+from factexp.exponents import exponent_range, legendre_exponent
 
 
 def base_digits(n: int, p: int) -> tuple[int, ...]:
@@ -93,3 +93,17 @@ def digit_pass_table(p: int, weights: tuple[int, ...]):
         acc += (a // pj) % p * w
         pj *= p
     return acc
+
+
+def int32_chunk_histogram(config, start: int, stop: int):
+    """The class counts of n in [start, stop), one per class of `config`
+    in flat C order: the residues of each prime folded into an int32
+    class index, first prime most significant, and counted by a plain
+    bincount."""
+    pairs = zip(config.primes, config.mods)
+    p, m = next(pairs)
+    idx = exponent_range(start, stop, p, mod=m).astype(np.int32)
+    for p, m in pairs:
+        idx *= m
+        idx += exponent_range(start, stop, p, mod=m)
+    return np.bincount(idx, minlength=config.class_count)

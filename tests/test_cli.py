@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import factexp
+import factexp.cli
 from factexp.cli import build_parser, int_list, integer, main
 from factexp.construction import coverage_log_threshold
 
@@ -211,6 +212,25 @@ def test_write_failure_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 9.09 TiB", ""])
+def test_memory_exhaustion_exits_1(monkeypatch, capsys, message):
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(factexp.cli, "joint_histogram", exhausted)
+    code, out, err = run(capsys, "scan", "--primes", "3", "--mods", "2", "--limit", "1e13",
+                         "--chunk-size", "1e13")
+    assert (code, out) == (1, "")
+    assert err == f"error: {message or 'out of memory'}\n"
+
+
+def test_scan_refuses_a_million_threads(capsys):
+    code, out, err = run(capsys, "scan", "--primes", "3", "--mods", "2", "--limit", "1e9",
+                         "--chunk-size", "1", "--threads", "1000000")
+    assert (code, out) == (1, "")
+    assert err == "error: thread count must be at most 256, got 1000000\n"
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,10 @@ from factexp.construction import verify_congruence
 from factexp.exponents import exponent_range, legendre_exponent
 from factexp.experiments import (
     CLASS_CAP,
+    THREAD_CAP,
     _chunk_first_codes,
+    _chunk_histogram,
+    _fold_dtype,
     ResidueHistogram,
     ScanConfig,
     discrepancy,
@@ -28,7 +31,7 @@ from factexp.experiments import (
     pattern_coverage,
     pattern_search,
 )
-from oracles import ExponentStream, floor_sum_range, parity_of_e2
+from oracles import ExponentStream, floor_sum_range, int32_chunk_histogram, parity_of_e2
 
 
 def stream_histogram(primes, mods, limit):
@@ -115,6 +118,40 @@ def test_histogram_matches_stream_oracle_random(data):
     chunk = data.draw(st.integers(1, 700))
     hist = joint_histogram(ScanConfig(primes=primes, mods=mods, limit=limit, chunk_size=chunk))
     assert nonzero_counts(hist) == stream_histogram(primes, mods, limit)
+
+
+# moduli whose class counts sit on both sides of each fold-dtype boundary,
+# with the dtype the fold must use for that count
+FOLD_SHAPES = {
+    255: (np.uint8, [(255,), (15, 17), (3, 5, 17)]),
+    256: (np.uint8, [(256,), (16, 16), (2, 2, 4, 16)]),
+    257: (np.uint16, [(257,)]),
+    2**16: (np.uint16, [(2**16,), (256, 256), (2, 4, 8192)]),
+    2**16 + 1: (np.int32, [(2**16 + 1,)]),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_chunk_histogram_matches_the_int32_oracle(data):
+    classes = data.draw(st.sampled_from(sorted(FOLD_SHAPES)))
+    dtype, shapes = FOLD_SHAPES[classes]
+    assert _fold_dtype(classes) == dtype
+    mods = data.draw(st.sampled_from(shapes))
+    primes = data.draw(st.permutations([2, 3, 5, 7]))[: len(mods)]
+    # one span anywhere, of odd or even length
+    start = data.draw(st.integers(0, 2**40))
+    width = data.draw(st.one_of(st.integers(1, 4), st.integers(1, 5000)))
+    cfg = ScanConfig(primes=primes, mods=mods, limit=start + width)
+    assert np.array_equal(_chunk_histogram(cfg, start, start + width),
+                          int32_chunk_histogram(cfg, start, start + width))
+    # a whole scan, merged from chunks on one or two threads
+    chunk, most = data.draw(st.sampled_from([(1, 40), (7, 600), (2**16 + 3, 2**17 + 9)]))
+    limit = data.draw(st.integers(1, most))
+    cfg = ScanConfig(primes=primes, mods=mods, limit=limit, chunk_size=chunk)
+    want = int32_chunk_histogram(cfg, 0, limit)
+    for threads in (1, 2):
+        assert np.array_equal(joint_histogram(cfg, threads=threads).counts.ravel(), want)
 
 
 def test_histogram_accessors():
@@ -213,6 +250,20 @@ def test_map_spans_runs_bounded_ahead_and_stops_on_close():
     assert len(started) <= 3
     time.sleep(0.05)
     assert len(started) <= 3
+
+
+@pytest.mark.parametrize("threads", [THREAD_CAP + 1, 10**6])
+def test_map_spans_refuses_too_many_threads_before_starting_any(threads):
+    cfg = ScanConfig(primes=(3,), mods=(2,), limit=10**9, chunk_size=1)
+
+    def fn(start, stop):
+        raise AssertionError("no span may run")
+
+    before = threading.active_count()
+    gen = map_spans(fn, cfg, threads=threads)
+    with pytest.raises(ValueError, match=f"thread count must be at most {THREAD_CAP}, "):
+        next(gen)
+    assert threading.active_count() == before
 
 
 def test_verify_congruence_checks_limit_before_any_chunk(monkeypatch):
