@@ -36,15 +36,26 @@ from .reports import (
     pattern_json,
 )
 
+# Integer arguments must stay below 10**(MAX_POWER + 1), at most 20,001
+# digits: int(Decimal("1e1000000")) alone takes about half a minute, and
+# no command has use for such a number.
+MAX_POWER = 20_000
+
 
 def integer(text: str) -> int:
-    """Exact integer argument, scientific shorthand welcome (1e6)."""
+    """Exact integer argument below 10**(MAX_POWER + 1) in magnitude,
+    scientific shorthand welcome (1e6)."""
     try:
         value = Decimal(text)
     except InvalidOperation:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
     if not value.is_finite():
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    # checked before int(), whose cost grows faster than linearly in the digits
+    if value and value.adjusted() > MAX_POWER:
+        raise argparse.ArgumentTypeError(
+            f"must stay below 1e{MAX_POWER + 1}, got a {value.adjusted() + 1}-digit number"
+        )
     if value != value.to_integral_value():
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     return int(value)

@@ -21,16 +21,11 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .exponents import exponent_range
+from .exponents import _PIECE, exponent_range
 from .primes import _U63, is_prime
 
 CLASS_CAP = 1 << 24
 THREAD_CAP = 256
-# _chunk_hits and ResidueHistogram work in pieces this long, so that the
-# allocator reuses the temporaries of one piece for the next; scanned whole,
-# a 2^20 chunk's megabyte temporaries go back to the system and are
-# page-faulted in again, a varying number of times per run.
-_PIECE = 1 << 16
 
 __all__ = [
     "CLASS_CAP",

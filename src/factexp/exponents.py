@@ -16,15 +16,19 @@ splits n = A*P + b with b < P = p^J and uses
 
     e_p(n) = e_p(b) + A*(P - 1)/(p - 1) + e_p(A),
 
-so a range is a short run of blocks, each one slice of a cached table
-of e_p on [0, P) plus one exact scalar offset, with no division per
-element.  Without a modulus the values come back unreduced in int64.
-With a modulus m the kernel works on residues only: the table is cached
+so a range is a run of blocks, each the same cached table of e_p on
+[0, P) plus one exact scalar offset, with no division per element.  A
+range is filled in at most three array calls: the leading partial
+block, every whole block at once as one (blocks, P) view broadcast
+against the column of block offsets, and the trailing partial block.
+Without a modulus the values come back unreduced in int64.  With a
+modulus m the kernel works on residues only: the table is cached
 reduced mod m in the narrowest unsigned dtype that holds 2(m - 1)
 (uint8 for m <= 2**7, uint16 for m <= 2**15, then uint32 or uint64),
-each block adds an offset below m and subtracts m where the sum reached
-it, and the result comes back in that dtype.  Its table is built by the
-recurrence e_p(a*p + b) = a + e_p(a) for b < p, with no division.
+the offsets are reduced below m, and m is subtracted where a sum
+reached it, in pieces of `_PIECE` elements; the result comes back in
+that dtype.  Its table is built by the recurrence e_p(a*p + b) = a +
+e_p(a) for b < p, with no division.
 """
 
 from functools import lru_cache
@@ -39,6 +43,11 @@ from .primes import _U63, is_prime
 # just above 2**8 does not split a range into one block per base.
 _TILE = 1 << 16
 _SQUARED = 1 << 9
+# The range kernels, pattern scans and histogram sums work in pieces of at
+# most this many elements, so that the allocator reuses the temporaries of
+# one piece for the next; at chunk size, megabyte temporaries go back to
+# the system and are page-faulted in again, a varying number of times per run.
+_PIECE = 1 << 16
 # (dtype, largest value) in the order _residue_dtype tries them
 _RESIDUE_DTYPES = tuple((np.dtype(t), np.iinfo(t).max) for t in (np.uint8, np.uint16, np.uint32))
 
@@ -104,28 +113,48 @@ def _tiled_range(start: int, stop: int, span: int, tile, offset, mod: int | None
     `tile` is an array of the span values, or None when they are all 0;
     offset(A) is an exact Python int.  Without `mod` the result is int64.
     With `mod` the tile must hold residues in `_residue_dtype(mod)`, and
-    the result comes back reduced in that dtype: each block adds its
-    offset reduced below mod, and where the sum reached mod, unsigned
-    wrap-around makes block - mod the larger one, so the minimum of the
-    two subtracts mod exactly there.  Mod 2 the sum is an XOR.
+    the result comes back reduced in that dtype.  The range is a leading
+    partial block, a run of whole blocks and a trailing partial block;
+    the whole blocks are one (blocks, span) view of the result, filled by
+    one broadcast call against the column of their offsets.
     """
     out = np.empty(stop - start, dtype=np.int64 if mod is None else _residue_dtype(mod))
-    n = start
-    while n < stop:
-        a, b = divmod(n, span)
-        end = min(stop, n - b + span)
-        off = offset(a) if mod is None else offset(a) % mod
-        block = out[n - start : end - start]
-        if tile is None:
-            block.fill(off)
-        elif mod == 2:
-            np.bitwise_xor(tile[b : b + end - n], off, out=block)
-        else:
-            np.add(tile[b : b + end - n], off, out=block)
-            if mod is not None and off:
-                np.minimum(block, block - mod, out=block)
-        n = end
+    block_offset = offset if mod is None else (lambda a: offset(a) % mod)
+    # the whole blocks are those of A in [first, last)
+    first, last = -(-start // span), stop // span
+    if first > last:
+        partial = ((start, stop),)
+    else:
+        partial = ((start, first * span), (last * span, stop))
+    if first < last:
+        whole = out[first * span - start : last * span - start].reshape(last - first, span)
+        offsets = np.fromiter(map(block_offset, range(first, last)), out.dtype, last - first)
+        _shift(whole, tile, offsets.reshape(-1, 1), mod)
+    for lo, hi in partial:
+        if lo < hi:
+            a, b = divmod(lo, span)
+            part = None if tile is None else tile[b : b + hi - lo]
+            _shift(out[lo - start : hi - start], part, block_offset(a), mod)
     return out
+
+
+def _shift(out: np.ndarray, tile, offset, mod: int | None) -> None:
+    """out = tile + offset, broadcast, for offsets already reduced below
+    `mod`: where a sum reached mod, unsigned wrap-around makes sum - mod
+    the larger one, so the minimum of the two subtracts mod exactly
+    there.  Mod 2 the sum is an XOR.  The minimum runs in pieces of
+    `_PIECE` elements, so no temporary grows with `out`."""
+    if tile is None:
+        out[...] = offset
+    elif mod == 2:
+        np.bitwise_xor(tile, offset, out=out)
+    else:
+        np.add(tile, offset, out=out)
+        if mod is not None:
+            flat = out.reshape(-1)
+            for i in range(0, flat.size, _PIECE):
+                piece = flat[i : i + _PIECE]
+                np.minimum(piece, piece - mod, out=piece)
 
 
 @lru_cache(maxsize=32)

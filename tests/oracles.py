@@ -2,13 +2,14 @@
 
 Each follows its defining identity: one integer at a time in pure
 Python, or, for the array routes at the bottom, one division pass per
-digit level, or one int32 class index counted by a plain bincount.
-None validates its arguments: the tests only pass valid ones.
+digit level, one tile block at a time, or one int32 class index counted
+by a plain bincount.  None validates its arguments: the tests only pass
+valid ones.
 """
 
 import numpy as np
 
-from factexp.exponents import exponent_range, legendre_exponent
+from factexp.exponents import _residue_dtype, exponent_range, legendre_exponent
 
 
 def base_digits(n: int, p: int) -> tuple[int, ...]:
@@ -93,6 +94,30 @@ def digit_pass_table(p: int, weights: tuple[int, ...]):
         acc += (a // pj) % p * w
         pj *= p
     return acc
+
+
+def blockwise_tiled_range(start: int, stop: int, span: int, tile, offset, mod):
+    """`exponents._tiled_range` one block at a time: each block of the
+    range is its slice of `tile` (all 0 when tile is None) plus the
+    block's offset reduced below mod, with mod subtracted where the sum
+    reached it (an XOR mod 2)."""
+    out = np.empty(stop - start, dtype=np.int64 if mod is None else _residue_dtype(mod))
+    n = start
+    while n < stop:
+        a, b = divmod(n, span)
+        end = min(stop, n - b + span)
+        off = offset(a) if mod is None else offset(a) % mod
+        block = out[n - start : end - start]
+        if tile is None:
+            block.fill(off)
+        elif mod == 2:
+            np.bitwise_xor(tile[b : b + end - n], off, out=block)
+        else:
+            np.add(tile[b : b + end - n], off, out=block)
+            if mod is not None and off:
+                np.minimum(block, block - mod, out=block)
+        n = end
+    return out
 
 
 def int32_chunk_histogram(config, start: int, stop: int):

@@ -259,6 +259,22 @@ def test_non_finite_integer_exits_2(capsys, n):
     assert "not a" in capsys.readouterr().err
 
 
+def test_integer_past_the_digit_cap_exits_2_at_once(capsys):
+    # converting 10^1000000 to an int alone would take about half a minute
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--primes", "3", "--mods", "2", "--limit", "1e1000000"])
+    elapsed = time.perf_counter() - t0
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and elapsed < 1.0
+    assert [line for line in err.splitlines() if "error" in line] == [
+        "factexp scan: error: argument --limit: must stay below 1e20001, got a 1000001-digit number"
+    ]
+    assert "Traceback" not in err
+    assert integer("1e20000") == 10**20000 and integer("-9e20000") == -9 * 10**20000
+    assert integer("0e1000000") == 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -13,14 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factexp.exponents import (
+    _PIECE,
+    _TILE,
     _exponent_tile,
     _residue_dtype,
     _tile_span,
+    _tiled_range,
     digit_sum,
     exponent_range,
     legendre_exponent,
 )
-from oracles import ExponentStream, base_digits, floor_sum_range
+from oracles import ExponentStream, base_digits, blockwise_tiled_range, floor_sum_range
 
 primes_st = st.sampled_from([2, 3, 5, 7, 11, 13, 47, 97])
 # tile sizes 2^16, 3^10, 47^2, 97^2, 257^2, 509^2, and the prime itself
@@ -38,7 +41,7 @@ RESIDUE_DTYPES = {2: np.uint8, 3: np.uint8, 127: np.uint8, 128: np.uint8,
 
 def boundary_points(start: int, stop: int, span: int):
     """Both ends of [start, stop) and every n within one of a multiple of span."""
-    points = {start, stop - 1}
+    points = {start, stop - 1} if start < stop else set()
     for a in range(start // span, (stop - 1) // span + 2):
         points.update(n for n in (a * span - 1, a * span, a * span + 1) if start <= n < stop)
     return sorted(points)
@@ -223,6 +226,53 @@ def test_exponent_range_huge_prime_allocates_only_the_output():
     assert exponent_range(start, start + 10, p).tolist() == [
         legendre_exponent(n, p) for n in range(start, start + 10)
     ]
+
+
+# every residue dtype: uint8 (2 by XOR, 3), uint16 (129), uint32 (2^15 + 1)
+# and uint64 (2^31 + 1, 2^63 - 1), and unreduced int64
+KERNEL_MODS = [None, 2, 3, 129, 2**15 + 1, 2**31 + 1, 2**63 - 1]
+
+
+@settings(max_examples=80)
+@given(tiled_primes_st, st.sampled_from(KERNEL_MODS), st.integers(0, 80), st.data())
+def test_tiled_range_equals_the_blockwise_loop(p, mod, blocks, data):
+    # a leading partial block, 0 to about 80 whole blocks and a trailing
+    # partial block, anywhere below 2^40; no tile above 2^16.  The shift
+    # moves the offsets up to mod - 1, so sums come near 2(mod - 1).
+    span = _tile_span(p)
+    blocks = min(blocks, (1 << 21) // span)
+    a, b = data.draw(st.integers(0, 2**40 // span)), data.draw(st.integers(0, span - 1))
+    start = a * span + b
+    stop = (a + blocks) * span + data.draw(st.integers(0 if blocks else b, span - 1))
+    tile = _exponent_tile(p, mod) if p <= _TILE else None
+    weight = (span - 1) // (p - 1)
+    shift = 0 if mod is None else data.draw(st.integers(0, mod - 1))
+
+    def offset(a):
+        return a * weight + legendre_exponent(a, p) + shift
+
+    got = _tiled_range(start, stop, span, tile, offset, mod)
+    want = blockwise_tiled_range(start, stop, span, tile, offset, mod)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    for n in boundary_points(start, stop, span):
+        e = legendre_exponent(n, p) + shift
+        assert got[n - start] == (e if mod is None else e % mod)
+
+
+@pytest.mark.parametrize("m", [3, 2**31 + 1])
+def test_exponent_range_allocates_the_output_and_one_piece(m):
+    # the whole blocks are filled in place, and the reduction's temporaries
+    # are one piece each; 4 KiB covers the block offsets and Python objects
+    start, stop = 5 << 20, 6 << 20
+    exponent_range(start, stop, 7, mod=m)  # the cached tile
+    tracemalloc.start()
+    try:
+        got = exponent_range(start, stop, 7, mod=m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < got.nbytes + _PIECE * got.itemsize + (1 << 12)
+    assert np.array_equal(got, floor_sum_range(start, stop, 7) % m)
 
 
 @settings(max_examples=80)

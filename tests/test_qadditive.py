@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factexp.construction import build_function
 from factexp.exponents import _tile_span, digit_sum, exponent_range
 from factexp.qadditive import (
     TABLE_CAP,
@@ -17,6 +18,7 @@ from factexp.qadditive import (
     evaluate_range,
     kim_error_exponent,
 )
+from oracles import folded_value
 
 
 def digit_sum_function(q: int) -> QAdditiveFunction:
@@ -169,6 +171,23 @@ def test_reduced_evaluate_range_at_every_dtype_boundary(q, c, scale, m, block, s
     assert got.dtype == exponent_range(0, 0, 3, mod=m).dtype
     assert np.array_equal(got, digit_levels_oracle(f, start, stop, m))
     assert np.array_equal(got, evaluate_range(f, start, stop) % m)
+
+
+@settings(max_examples=30)
+@given(st.sampled_from([(3, 7), (5, 13), (23, 24), (31, 32)]),
+       st.sampled_from([None, 2, 3, 129, 2**15 + 1, 2**31 + 1, 2**63 - 1]),
+       st.integers(0, 80), st.data())
+def test_evaluate_range_over_whole_blocks_is_the_folded_value(pair, mod, blocks, data):
+    # q = 729, 625, 529 and 961 tile by q itself; a leading partial block,
+    # 0 to about 80 whole blocks and a trailing partial block below 2^40
+    built = build_function(*pair)
+    span = _tile_span(built.q)
+    a, b = data.draw(st.integers(0, 2**40 // span)), data.draw(st.integers(0, span - 1))
+    start = a * span + b
+    stop = (a + blocks) * span + data.draw(st.integers(0 if blocks else b, span - 1))
+    got = evaluate_range(built.f, start, stop, mod=mod)
+    want = [folded_value(n, built.p, built.weights) for n in range(start, stop)]
+    assert got.tolist() == (want if mod is None else [v % mod for v in want])
 
 
 def test_value_tile_is_built_once_per_modulus():
