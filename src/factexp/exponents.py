@@ -143,7 +143,10 @@ def _shift(out: np.ndarray, tile, offset, mod: int | None) -> None:
     `mod`: where a sum reached mod, unsigned wrap-around makes sum - mod
     the larger one, so the minimum of the two subtracts mod exactly
     there.  Mod 2 the sum is an XOR.  The minimum runs in pieces of
-    `_PIECE` elements, so no temporary grows with `out`."""
+    `_PIECE` elements, so no temporary grows with `out`, and skips every
+    piece whose blocks all have offset 0: they hold tile residues.
+    `offset` is an int for a 1-D `out`, a column of offsets for the rows
+    of a 2-D one."""
     if tile is None:
         out[...] = offset
     elif mod == 2:
@@ -151,10 +154,14 @@ def _shift(out: np.ndarray, tile, offset, mod: int | None) -> None:
     else:
         np.add(tile, offset, out=out)
         if mod is not None:
+            live = (offset != 0).ravel().tolist() if out.ndim == 2 else [offset]
+            width = out.shape[-1]
             flat = out.reshape(-1)
             for i in range(0, flat.size, _PIECE):
-                piece = flat[i : i + _PIECE]
-                np.minimum(piece, piece - mod, out=piece)
+                j = min(i + _PIECE, flat.size)
+                if any(live[i // width : (j - 1) // width + 1]):
+                    piece = flat[i:j]
+                    np.minimum(piece, piece - mod, out=piece)
 
 
 @lru_cache(maxsize=32)

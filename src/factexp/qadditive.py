@@ -95,8 +95,13 @@ def _fold(rows, mod: int | None = None) -> np.ndarray:
 def _value_tile(f: QAdditiveFunction, span: int, mod: int | None) -> np.ndarray:
     """f on [0, span) for span = q^j, folded out of the value table:
     f(a*q^i + b) = f(a) + f(b) for b < q^i.  Without `mod` the tile is
-    int64; with it the table is reduced mod `mod` in `_residue_dtype(mod)`."""
-    values = f.table if mod is None else (f.table % mod).astype(_residue_dtype(mod))
+    int64; with it the table is reduced mod `mod` straight into
+    `_residue_dtype(mod)`, with no int64 copy of the table on the way."""
+    if mod is None:
+        values = f.table
+    else:
+        values = np.empty(f.q, dtype=_residue_dtype(mod))
+        np.remainder(f.table, mod, out=values, casting="unsafe")
     levels = 1
     while f.q**levels < span:
         levels += 1

@@ -259,6 +259,23 @@ def test_tiled_range_equals_the_blockwise_loop(p, mod, blocks, data):
         assert got[n - start] == (e if mod is None else e % mod)
 
 
+@pytest.mark.parametrize("mod", [3, 129, 2**31 + 1])
+def test_tiled_range_wraps_every_piece_that_holds_a_nonzero_offset(mod):
+    # runs of 200 blocks of 1000 with offset 0 alternate with runs of
+    # nonzero offsets, so some pieces lie inside a zero run, are skipped,
+    # and others straddle a run boundary; the tile's residues reach mod - 1
+    span = 1000
+    tile = (np.arange(span) * 7919 % mod).astype(_residue_dtype(mod))
+
+    def offset(a):
+        return 0 if a // 200 % 2 == 0 else mod - 1 - a % 5
+
+    start, stop = 3 * span + 17, 1200 * span - 5
+    got = _tiled_range(start, stop, span, tile, offset, mod)
+    want = blockwise_tiled_range(start, stop, span, tile, offset, mod)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("m", [3, 2**31 + 1])
 def test_exponent_range_allocates_the_output_and_one_piece(m):
     # the whole blocks are filled in place, and the reduction's temporaries

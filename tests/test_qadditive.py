@@ -1,5 +1,6 @@
 """Completely q-additive functions and the joint-system gcd checks."""
 
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -200,6 +201,25 @@ def test_value_tile_is_built_once_per_modulus():
     evaluate_range(f, 0, 10, mod=5)
     evaluate_range(f, 0, 10)
     assert set(f._tiles) == {None, 5, 19}
+
+
+@pytest.mark.parametrize("pair", [(5, 24), (5, 313)])
+def test_value_tile_allocates_no_int64_copy_of_the_table(pair):
+    # q = 5^8 tiles by q itself; the uint8 and uint16 residues are written
+    # straight from the int64 table, and 1 << 17 covers the ufunc buffers
+    built = build_function(*pair)
+    m = built.m
+    tracemalloc.start()
+    try:
+        got = evaluate_range(built.f, 0, 10, mod=m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tile = built.f._tiles[m]
+    assert tile.size == built.q
+    assert peak < tile.nbytes + (1 << 17)
+    assert np.array_equal(tile, built.f.table % m)
+    assert got.tolist() == [built.f(n) % m for n in range(10)]
 
 
 def test_evaluate_range_reduces_each_level():
