@@ -40,6 +40,13 @@ from .reports import (
 # digits: int(Decimal("1e1000000")) alone takes about half a minute, and
 # no command has use for such a number.
 MAX_POWER = 20_000
+# A usage error repeats at most this many characters of the argument.
+ECHO_CAP = 60
+
+
+def _echo(text: str) -> str:
+    """`text` quoted for an error message, cut to ECHO_CAP characters."""
+    return repr(text[:ECHO_CAP]) + ("..." if len(text) > ECHO_CAP else "")
 
 
 def integer(text: str) -> int:
@@ -48,25 +55,28 @@ def integer(text: str) -> int:
     try:
         value = Decimal(text)
     except InvalidOperation:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a number: {_echo(text)}")
     if not value.is_finite():
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a finite number: {_echo(text)}")
     # checked before int(), whose cost grows faster than linearly in the digits
     if value and value.adjusted() > MAX_POWER:
         raise argparse.ArgumentTypeError(
             f"must stay below 1e{MAX_POWER + 1}, got a {value.adjusted() + 1}-digit number"
         )
     if value != value.to_integral_value():
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        raise argparse.ArgumentTypeError(f"not an integer: {_echo(text)}")
     return int(value)
 
 
 def int_list(text: str) -> tuple[int, ...]:
     """Comma-separated integers."""
-    try:
-        return tuple(integer(part) for part in text.split(","))
-    except argparse.ArgumentTypeError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
+    out = []
+    for i, part in enumerate(text.split(","), 1):
+        try:
+            out.append(integer(part))
+        except argparse.ArgumentTypeError as err:
+            raise argparse.ArgumentTypeError(f"item {i} of {_echo(text)}: {err}") from None
+    return tuple(out)
 
 
 def _threads(args) -> int:

@@ -26,10 +26,13 @@ from .primes import _U63, is_prime
 
 CLASS_CAP = 1 << 24
 THREAD_CAP = 256
+# the first-witness entry of a parity code that has none: no n reaches it
+NO_WITNESS = np.iinfo(np.int64).max
 
 __all__ = [
     "CLASS_CAP",
     "THREAD_CAP",
+    "NO_WITNESS",
     "ScanConfig",
     "ResidueHistogram",
     "DiscrepancyReport",
@@ -304,39 +307,73 @@ class CoverageReport:
     """Which parity patterns over a prime tuple appear below the limit.
 
     minimal[c] is the first n whose parity code is c (bit i of c is the
-    parity of the exponent of primes[i]), or None if c never showed up.
-    covered_prefix is the longest k' such that every pattern over the
-    first k' primes has a witness.
+    parity of the exponent of primes[i]), or NO_WITNESS if c never showed
+    up.  It is a read-only int64 array of 2^k entries, a view when an
+    int64 array is passed in; any other sequence may stand None for
+    NO_WITNESS.  covered_prefix is the longest k' such that every pattern
+    over the first k' primes has a witness.
     """
 
     primes: tuple[int, ...]
     limit: int
-    minimal: tuple
+    minimal: np.ndarray = field(repr=False)
     covered_prefix: int
+
+    def __post_init__(self):
+        minimal = self.minimal
+        if not isinstance(minimal, np.ndarray):
+            minimal = [NO_WITNESS if n is None else n for n in minimal]
+        minimal = np.asarray(minimal, dtype=np.int64).view()
+        if minimal.shape != (1 << len(self.primes),):
+            raise ValueError(f"need 2^{len(self.primes)} first witnesses, got {minimal.size}")
+        minimal.flags.writeable = False
+        object.__setattr__(self, "minimal", minimal)
+
+    def __eq__(self, other):
+        if not isinstance(other, CoverageReport):
+            return NotImplemented
+        return ((self.primes, self.limit, self.covered_prefix)
+                == (other.primes, other.limit, other.covered_prefix)
+                and np.array_equal(self.minimal, other.minimal))
 
     @property
     def complete(self) -> bool:
-        return all(n is not None for n in self.minimal)
+        return NO_WITNESS not in self.minimal
 
-
-# first-witness entry of a code with no witness yet: no n reaches it
-_NEVER = np.iinfo(np.int64).max
+    def covered_limits(self) -> tuple[int, ...]:
+        """(N_1, ..., N_covered_prefix): N_j is the least N below which every
+        parity pattern over the first j primes has a witness.  A prefix with
+        a pattern left at NO_WITNESS ends the tuple early."""
+        limits = []
+        first = self.minimal
+        # halving folds away the top bit: first witnesses over one prime fewer
+        for _ in self.primes:
+            limits.append(int(first.max()) + 1)
+            first = np.minimum(first[: first.size // 2], first[first.size // 2 :])
+        return tuple(n for n in limits[::-1][: self.covered_prefix] if n <= NO_WITNESS)
 
 
 def _chunk_first_codes(primes, first: np.ndarray, start: int, stop: int) -> int:
     """Lower first[c] to the smallest n in [start, stop) with parity code
     c, and return how many codes had no witness before; bit i of the code
     is the parity of e_{primes[i]}(n). Spans must come in increasing order."""
-    codes = np.zeros(stop - start, dtype=np.uint32)
-    for p in reversed(primes):
+    codes = exponent_range(start, stop, primes[-1], mod=2)
+    codes = codes.astype(_fold_dtype(first.size), copy=False)
+    for p in reversed(primes[:-1]):
         codes <<= 1
         codes |= exponent_range(start, stop, p, mod=2)
-    ns = np.arange(start, stop, dtype=np.int64)
-    np.minimum.at(first, codes, ns)
-    # a new code's witness is the one n here with first[code] == n, an old one is below start
-    if first.size < ns.size:
+    found = 0
+    for lo in range(0, codes.size, _PIECE):
+        piece = codes[lo : lo + _PIECE]
+        ns = np.arange(start + lo, start + lo + piece.size, dtype=np.int64)
+        np.minimum.at(first, piece, ns)
+        if first.size >= codes.size:
+            # pieces come in increasing order too, so a new code's witness is
+            # the one n here with first[code] == n, and an old one lies below
+            found += int(np.count_nonzero(first[piece] == ns))
+    if first.size < codes.size:  # one pass over the fewer codes counts faster
         return int(np.count_nonzero((first >= start) & (first < stop)))
-    return int(np.count_nonzero(first[codes] == ns))
+    return found
 
 
 def pattern_coverage(primes, limit: int, chunk_size: int = 1 << 20) -> CoverageReport:
@@ -346,7 +383,7 @@ def pattern_coverage(primes, limit: int, chunk_size: int = 1 << 20) -> CoverageR
     config = ScanConfig(primes=primes, mods=(2,) * len(primes), limit=limit,
                         chunk_size=chunk_size)
     k = len(primes)
-    first = np.full(1 << k, _NEVER, dtype=np.int64)
+    first = np.full(1 << k, NO_WITNESS, dtype=np.int64)
     # map_spans runs one thread here, so the chunks lower `first` in place
     # one after another, in span order, and never race
     for found in itertools.accumulate(map_spans(partial(_chunk_first_codes, primes, first), config)):
@@ -354,14 +391,10 @@ def pattern_coverage(primes, limit: int, chunk_size: int = 1 << 20) -> CoverageR
             break
     # covered[c] for the codes over the first covered_prefix primes: fold
     # away the top bit until every code left has a witness
-    covered = first != _NEVER
+    covered = first != NO_WITNESS
     covered_prefix = k
     while covered_prefix and not covered.all():
         half = covered.size // 2
         covered = covered[:half] | covered[half:]
         covered_prefix -= 1
-    minimal = tuple(None if n == _NEVER else n for n in first.tolist())
-    return CoverageReport(
-        primes=primes, limit=limit, minimal=minimal, covered_prefix=covered_prefix
-    )
-
+    return CoverageReport(primes=primes, limit=limit, minimal=first, covered_prefix=covered_prefix)

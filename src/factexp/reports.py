@@ -5,21 +5,33 @@ are sorted with tight separators, and floats are rounded to 12
 significant digits before serialization so platform noise cannot leak
 into diffs.
 
-Rows are built as text in row groups: one template spells out the rows of
-the longest suffix of axes with at most _GROUP classes, field 0 holding the
-residues of a prefix class and the other fields the values, so a group is
-one `str.format` call. A JSON row spells out what `json.dumps` writes for
-it with sorted keys and tight separators, spliced into the empty list left
-for the rows in the `json.dumps` of the scalar fields, so the bytes equal a
-`json.dumps` of the whole payload without one dict per row.
+Rows are built as text in row groups.  A group spells out the rows of at
+most _GROUP classes: the longest suffix of axes with at most _GROUP classes,
+or a block of at most _GROUP residues of a last axis wider than that.  Its
+template is printf-style, with the labels of its classes written in after a
+placeholder for the prefix label and a `%s` slot per value; templates are
+built once per suffix and row string and kept in a small fixed-size cache.
+So a group is one `str.replace` of the prefix label and one `%` over a
+tuple slice of the values.  A JSON row spells out what `json.dumps` writes
+for it with sorted keys and tight separators, spliced into the empty list
+left for the rows in the `json.dumps` of the scalar fields, so the bytes
+equal a `json.dumps` of the whole payload without one dict per row.
 """
 
 import json
+import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
-from .experiments import CoverageReport, DiscrepancyReport, PatternReport, ResidueHistogram
+from .experiments import (
+    NO_WITNESS,
+    CoverageReport,
+    DiscrepancyReport,
+    PatternReport,
+    ResidueHistogram,
+)
 
 __all__ = [
     "histogram_csv",
@@ -32,6 +44,7 @@ __all__ = [
 ]
 
 _GROUP = 256  # the most classes one row group spells out in its template
+_PREFIX = "\0"  # stands for the prefix label in a group template; no row holds it
 
 
 def _sig12(x: float) -> float:
@@ -51,32 +64,49 @@ def _config_dict(config) -> dict:
     }
 
 
-def _labels(mods, sep: str, lead: str = "") -> list[str]:
-    """The residues of every class joined by `sep` and led by `lead`, in
-    lexicographic order; [""] when there are no moduli."""
+def _labels(axes, sep: str, lead: str = "") -> list[str]:
+    """The residues of every class of the product of the ranges `axes`,
+    joined by `sep` and led by `lead`, in lexicographic order; [""] when
+    there are no axes."""
     labels = [""]
-    for i, m in enumerate(mods):
+    for i, axis in enumerate(axes):
         glue = sep if i else lead
-        digits = [f"{glue}{d}" for d in range(m)]
+        digits = [f"{glue}{d}" for d in axis]
         labels = [p + d for p in labels for d in digits]
     return labels
 
 
+@lru_cache(maxsize=64)  # so at most 64 * _GROUP rows of template text
+def _group(axes: tuple, row: str, sep: str, lead: str, join: str) -> str:
+    """The template of one row group: `row` for each class of `axes`, its
+    label after _PREFIX and a %s slot for its value, joined by `join`."""
+    head, tail = row.replace("%(value)s", "%s").split("%(label)s")
+    head += _PREFIX
+    return head + (tail + join + head).join(_labels(axes, sep, lead)) + tail
+
+
 def _rows(mods, values, row: str, sep: str, join: str) -> str:
-    """The rows of all classes of `mods`, lexicographic, joined by `join`; `row`
-    formats one from the residues joined by `sep` ({0}) and its value ({1})."""
+    """The rows of all classes of `mods`, lexicographic, joined by `join`;
+    `row` is printf-style, with %(label)s for the residues joined by `sep`
+    and %(value)s for the value."""
     cut, size = len(mods), 1
     while cut and size * mods[cut - 1] <= _GROUP:
         cut -= 1
         size *= mods[cut]
-    prefixes = _labels(mods[:cut], sep)
-    if size == 1:  # no group: auto-numbered fields format a little faster
-        args = (prefixes, values) if row.index("{0}") < row.index("{1}") else (values, prefixes)
-        return join.join(map(row.replace("{0}", "{}").replace("{1}", "{}").format, *args))
-    group = join.join(row.replace("{0}", "{0}" + label).replace("{1}", f"{{{i}}}")
-                      for i, label in enumerate(_labels(mods[cut:], sep, sep if cut else ""), 1))
-    # map draws the `size` values of each group from the one iterator in turn
-    return join.join(map(group.format, prefixes, *[iter(values)] * size))
+    if size == 1 and mods:  # the last axis alone outgrows a group: split it in blocks
+        cut, size = cut - 1, mods[-1]
+        blocks = [((range(lo, min(lo + _GROUP, size)),), lo) for lo in range(0, size, _GROUP)]
+    else:
+        blocks = [(tuple(map(range, mods[cut:])), 0)]
+    prefixes = _labels(map(range, mods[:cut]), sep)
+    values = tuple(values)
+    out = [""] * (len(prefixes) * len(blocks))
+    for b, (axes, lo) in enumerate(blocks):
+        group = _group(axes, row, sep, sep if cut else "", join)
+        width = math.prod(map(len, axes))
+        out[b :: len(blocks)] = [group.replace(_PREFIX, prefix) % values[i : i + width]
+                                 for prefix, i in zip(prefixes, range(lo, len(values), size))]
+    return join.join(out)
 
 
 def _dumps_with_rows(payload: dict, key: str, rows: str) -> str:
@@ -93,12 +123,13 @@ def histogram_csv(hist: ResidueHistogram) -> str:
     the tuple coordinates."""
     k = hist.config.k
     header = ",".join(f"a_{i}" for i in range(1, k + 1)) + ",count\n"
-    return header + _rows(hist.config.mods, hist.counts.ravel().tolist(), "{0},{1}\n", ",", "")
+    return header + _rows(hist.config.mods, hist.counts.ravel().tolist(),
+                          "%(label)s,%(value)s\n", ",", "")
 
 
 def histogram_json(hist: ResidueHistogram, report: DiscrepancyReport | None = None) -> str:
     rows = _rows(hist.config.mods, hist.counts.ravel().tolist(),
-                 '{{"count":{1},"residues":[{0}]}}', ",", ",")
+                 '{"count":%(value)s,"residues":[%(label)s]}', ",", ",")
     payload = _config_dict(hist.config)
     if report is not None:
         payload["discrepancy"] = {
@@ -132,20 +163,23 @@ def pattern_json(report: PatternReport) -> str:
     return _dumps(payload)
 
 
-def _coverage_rows(report: CoverageReport, row: str, missing, join: str) -> str:
-    """_rows over the patterns, `missing` standing for a None witness. Digit i
+def _coverage_rows(report: CoverageReport, row: str, missing: str, join: str) -> str:
+    """_rows over the patterns, `missing` standing in for NO_WITNESS. Digit i
     of a pattern is bit i of its code: pattern order reverses the k bit axes."""
     mods = (2,) * len(report.primes)
-    codes = np.array(report.minimal, dtype=object).reshape(mods).transpose()
-    return _rows(mods, [missing if n is None else n for n in codes.ravel().tolist()], row, "", join)
+    witnesses = report.minimal.reshape(mods).transpose().ravel()
+    values = witnesses.tolist()
+    for i in np.flatnonzero(witnesses == NO_WITNESS).tolist():
+        values[i] = missing
+    return _rows(mods, values, row, "", join)
 
 
 def coverage_csv(report: CoverageReport) -> str:
-    return "pattern,minimal_n\n" + _coverage_rows(report, "{0},{1}\n", "", "")
+    return "pattern,minimal_n\n" + _coverage_rows(report, "%(label)s,%(value)s\n", "", "")
 
 
 def coverage_json(report: CoverageReport) -> str:
-    rows = _coverage_rows(report, '{{"minimal_n":{1},"pattern":"{0}"}}', "null", ",")
+    rows = _coverage_rows(report, '{"minimal_n":%(value)s,"pattern":"%(label)s"}', "null", ",")
     payload = {
         "primes": list(report.primes),
         "limit": report.limit,

@@ -2,13 +2,14 @@
 
 Each follows its defining identity: one integer at a time in pure
 Python, or, for the array routes at the bottom, one division pass per
-digit level, one tile block at a time, or one int32 class index counted
-by a plain bincount.  None validates its arguments: the tests only pass
-valid ones.
+digit level, one tile block at a time, one int32 class index counted by
+a plain bincount, or one coverage scan per bound of a doubling ladder.
+None validates its arguments: the tests only pass valid ones.
 """
 
 import numpy as np
 
+from factexp.experiments import pattern_coverage
 from factexp.exponents import _residue_dtype, exponent_range, legendre_exponent
 
 
@@ -132,3 +133,15 @@ def int32_chunk_histogram(config, start: int, stop: int):
         idx *= m
         idx += exponent_range(start, stop, p, mod=m)
     return np.bincount(idx, minlength=config.class_count)
+
+
+def smallest_covering_limit(primes) -> int:
+    """N_k over `primes`, the least N below which every parity pattern has
+    a witness: coverage scans at doubling bounds until one is complete,
+    then one more than its latest first witness."""
+    limit = 64
+    while True:
+        report = pattern_coverage(primes, limit)
+        if report.complete:
+            return int(report.minimal.max()) + 1
+        limit *= 2

@@ -234,7 +234,7 @@ def test_criterion_7_parity_pattern_coverage():
     problems = []
     if not report.complete:
         problems.append("not all patterns covered at N32")
-    if report.minimal != FROZEN_WITNESSES:
+    if report.minimal.tolist() != list(FROZEN_WITNESSES):
         problems.append("witness table drifted from frozen fixture")
     if report.covered_prefix != 5:
         problems.append(f"covered prefix {report.covered_prefix} != 5")

@@ -275,6 +275,32 @@ def test_integer_past_the_digit_cap_exits_2_at_once(capsys):
     assert integer("0e1000000") == 0
 
 
+def test_integer_list_item_errors_keep_their_message_and_name_the_item(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--primes", "3,1e30000", "--mods", "2,2", "--limit", "10"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert [line for line in err.splitlines() if "error" in line] == [
+        "factexp scan: error: argument --primes: item 2 of '3,1e30000': "
+        "must stay below 1e20001, got a 30001-digit number"
+    ]
+    with pytest.raises(argparse.ArgumentTypeError, match=r"^item 3 of '3,5,x': not a number: 'x'$"):
+        int_list("3,5,x")
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--primes", "3", "--mods", "2", "--limit", "x" * 10**6],
+    ["scan", "--primes", "3," + "7" * 10**6 + ".5", "--mods", "2,2", "--limit", "10"],
+])
+def test_usage_errors_do_not_echo_a_huge_argument_whole(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert len(err) < 2000 and "Traceback" not in err
+    assert "..." in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -17,12 +17,15 @@ from hypothesis import strategies as st
 import factexp.construction
 from factexp.construction import verify_congruence
 from factexp.exponents import exponent_range, legendre_exponent
+from factexp.primes import nth_odd_prime
 from factexp.experiments import (
     CLASS_CAP,
+    NO_WITNESS,
     THREAD_CAP,
     _chunk_first_codes,
     _chunk_histogram,
     _fold_dtype,
+    CoverageReport,
     ResidueHistogram,
     ScanConfig,
     discrepancy,
@@ -31,7 +34,13 @@ from factexp.experiments import (
     pattern_coverage,
     pattern_search,
 )
-from oracles import ExponentStream, floor_sum_range, int32_chunk_histogram, parity_of_e2
+from oracles import (
+    ExponentStream,
+    floor_sum_range,
+    int32_chunk_histogram,
+    parity_of_e2,
+    smallest_covering_limit,
+)
 
 
 def stream_histogram(primes, mods, limit):
@@ -393,22 +402,70 @@ def test_pattern_validation():
 
 def test_coverage_hand_case():
     rep = pattern_coverage((3, 5), 1000)
-    assert rep.minimal == (0, 3, 6, 5)
+    assert rep.minimal.tolist() == [0, 3, 6, 5]
     assert rep.covered_prefix == 2
     assert rep.complete
 
 
 def test_coverage_partial():
     rep = pattern_coverage((3, 5), 6)
-    assert rep.minimal == (0, 3, None, 5)
+    assert rep.minimal.tolist() == [0, 3, NO_WITNESS, 5]
     assert rep.covered_prefix == 1
     assert not rep.complete
 
 
 def test_coverage_single_value():
     rep = pattern_coverage((3, 5), 1)
-    assert rep.minimal == (0, None, None, None)
+    assert rep.minimal.tolist() == [0, NO_WITNESS, NO_WITNESS, NO_WITNESS]
     assert rep.covered_prefix == 0
+
+
+def test_coverage_report_keeps_witnesses_in_a_read_only_int64_array():
+    first = np.array([0, 3, NO_WITNESS, 5], dtype=np.int64)
+    rep = CoverageReport(primes=(3, 5), limit=6, minimal=first, covered_prefix=1)
+    assert rep.minimal.dtype == np.int64 and not rep.minimal.flags.writeable
+    # a view of the array passed in, which stays writeable
+    assert np.shares_memory(rep.minimal, first) and first.flags.writeable
+    with pytest.raises(ValueError):
+        rep.minimal[0] = 1
+    assert not rep.complete
+    # any other sequence may stand None for NO_WITNESS
+    assert CoverageReport(primes=(3, 5), limit=6, minimal=[0, 3, None, 5],
+                          covered_prefix=1) == rep == pattern_coverage((3, 5), 6)
+    assert rep != CoverageReport(primes=(3, 5), limit=6, minimal=(0, 3, 4, 5), covered_prefix=1)
+    assert rep != CoverageReport(primes=(3, 5), limit=7, minimal=first, covered_prefix=1)
+    assert rep != CoverageReport(primes=(3, 5), limit=6, minimal=first, covered_prefix=0)
+    assert rep != (3, 5)
+    with pytest.raises(TypeError):
+        hash(rep)
+    for wrong in ((0, 3, 5), first.reshape(2, 2), ()):
+        with pytest.raises(ValueError, match="need 2\\^2 first witnesses"):
+            CoverageReport(primes=(3, 5), limit=6, minimal=wrong, covered_prefix=1)
+
+
+TEN_ODD_PRIMES = tuple(nth_odd_prime(i) for i in range(1, 11))
+
+
+def test_covered_limits_match_the_doubling_ladder():
+    ladder = tuple(smallest_covering_limit(TEN_ODD_PRIMES[:k]) for k in range(1, 11))
+    whole = pattern_coverage(TEN_ODD_PRIMES, 1 << 14)
+    assert whole.covered_prefix == 10 and whole.covered_limits() == ladder
+    # a shorter scan covers only the prefixes whose N_k it reached
+    for limit in (1, 188, 189, 4075, 5000):
+        part = pattern_coverage(TEN_ODD_PRIMES, limit)
+        assert part.covered_limits() == tuple(n for n in ladder if n <= limit)
+        assert len(part.covered_limits()) == part.covered_prefix
+    # a report built by hand that claims more than its witnesses cover
+    claim = CoverageReport(primes=(3, 5), limit=6, minimal=(0, 3, None, 5), covered_prefix=2)
+    assert claim.covered_limits() == (4,)
+
+
+def test_covered_limits_to_fourteen_primes_are_frozen():
+    primes = tuple(nth_odd_prime(i) for i in range(1, 15))
+    limits = pattern_coverage(primes, 1 << 19).covered_limits()
+    assert len(limits) == 14
+    assert (limits[4], limits[7]) == (188, 4075)
+    assert limits[9:] == (13228, 29126, 51517, 135217, 295504)
 
 
 def test_coverage_witnesses_are_real_and_minimal():
@@ -491,7 +548,7 @@ def test_chunk_first_codes_match_a_sorting_oracle(k, start, width):
 def test_covered_prefix_matches_a_set_oracle(k, limit):
     primes = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)[:k]
     rep = pattern_coverage(primes, limit)
-    seen = {c for c, n in enumerate(rep.minimal) if n is not None}
+    seen = {c for c, n in enumerate(rep.minimal.tolist()) if n != NO_WITNESS}
     full = [kp for kp in range(1, k + 1) if len({c % (1 << kp) for c in seen}) == 1 << kp]
     assert rep.covered_prefix == max(full, default=0)
 

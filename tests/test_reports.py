@@ -4,11 +4,13 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from factexp.experiments import (
+    NO_WITNESS,
     CoverageReport,
     ResidueHistogram,
     ScanConfig,
@@ -117,11 +119,13 @@ def test_coverage_csv_missing_pattern_empty_field():
 
 def bit_by_bit_patterns(report):
     """(pattern, witness) pairs straight from the definition: patterns in
-    lexicographic order, bit i of the code is the i-th pattern digit."""
+    lexicographic order, bit i of the code is the i-th pattern digit, and
+    None stands for NO_WITNESS."""
     k = len(report.primes)
     for bits in itertools.product((0, 1), repeat=k):
         code = sum(b << i for i, b in enumerate(bits))
-        yield "".join(str(b) for b in bits), report.minimal[code]
+        n = int(report.minimal[code])
+        yield "".join(str(b) for b in bits), None if n == NO_WITNESS else n
 
 
 
@@ -244,9 +248,11 @@ def test_histogram_serializers_match_oracle(hist, with_report):
 
 # Shapes around the row groups of at most 256 classes: one axis just
 # inside and just outside a group, a group under a prefix axis, a suffix
-# that stops growing at the group size, no group at all, and nine axes.
+# that stops growing at the group size, last axes split into blocks of
+# 256 residues with a short last block (alone and under a prefix axis),
+# and nine axes.
 @pytest.mark.parametrize("mods", [(256,), (257,), (2, 128), (2, 129), (16, 16), (16, 17),
-                                  (3, 1009), (2,) * 9])
+                                  (3, 1009), (1031,), (2, 600), (2,) * 9])
 def test_histogram_serializers_match_oracle_at_group_boundaries(mods):
     counts = [(7919 * i) % 1000 for i in range(math.prod(mods))]
     config = ScanConfig(primes=primes_up_to(40)[1 : len(mods) + 1], mods=mods, limit=sum(counts))
@@ -256,10 +262,12 @@ def test_histogram_serializers_match_oracle_at_group_boundaries(mods):
     assert histogram_json(hist, report) == oracle_histogram_json(hist, report)
 
 
-@pytest.mark.parametrize("k", range(13))
+@pytest.mark.parametrize("k", range(15))
 def test_coverage_patterns_match_bit_by_bit_oracle(k):
-    minimal = tuple(None if c % 5 == 4 else 3 * c for c in range(1 << k))
-    report = CoverageReport(primes=tuple(primes_up_to(40)[:k]), limit=1 << 20,
+    minimal = 3 * np.arange(1 << k, dtype=np.int64)
+    rng = np.random.default_rng(k)
+    minimal[rng.random(minimal.size) < 0.2] = NO_WITNESS
+    report = CoverageReport(primes=tuple(primes_up_to(50)[:k]), limit=1 << 20,
                             minimal=minimal, covered_prefix=0)
     assert coverage_csv(report) == oracle_coverage_csv(report)
     assert coverage_json(report) == oracle_coverage_json(report)
@@ -267,7 +275,7 @@ def test_coverage_patterns_match_bit_by_bit_oracle(k):
 
 @given(st.integers(0, 7).flatmap(lambda k: st.tuples(
     st.just(k),
-    st.lists(st.none() | st.integers(0, 2**63), min_size=1 << k, max_size=1 << k),
+    st.lists(st.none() | st.integers(0, NO_WITNESS - 1), min_size=1 << k, max_size=1 << k),
     st.integers(0, k),
 )), st.integers(1, 2**63))
 def test_coverage_serializers_match_oracle(drawn, limit):
@@ -276,3 +284,21 @@ def test_coverage_serializers_match_oracle(drawn, limit):
                             minimal=tuple(minimal), covered_prefix=covered_prefix)
     assert coverage_csv(report) == oracle_coverage_csv(report)
     assert coverage_json(report) == oracle_coverage_json(report)
+
+
+def test_row_templates_survive_alternating_shapes_and_rows():
+    # the cached group templates are keyed by suffix and row string, so back
+    # to back calls of other shapes and rows must not hand one a stale template
+    hists = []
+    for mods in [(16, 17), (4, 4, 3), (2, 600)]:
+        counts = [(7919 * i) % 1000 for i in range(math.prod(mods))]
+        config = ScanConfig(primes=primes_up_to(40)[1 : len(mods) + 1], mods=mods,
+                            limit=sum(counts))
+        hists.append(ResidueHistogram(config=config, counts=counts))
+    for hist in hists + hists[::-1]:
+        assert histogram_csv(hist) == oracle_histogram_csv(hist)
+        assert histogram_json(hist) == oracle_histogram_json(hist)
+    for k in (3, 4, 3):
+        report = pattern_coverage(primes_up_to(40)[1 : k + 1], 40)
+        assert coverage_csv(report) == oracle_coverage_csv(report)
+        assert coverage_json(report) == oracle_coverage_json(report)
