@@ -341,17 +341,19 @@ class CoverageReport:
         return NO_WITNESS not in self.minimal
 
     def covered_limits(self) -> tuple[int, ...]:
-        """(N_1, ..., N_covered_prefix): N_j is the least N below which every
-        parity pattern over the first j primes has a witness.  A prefix with
-        a pattern left at NO_WITNESS ends the tuple early."""
-        limits = []
+        """(N_1, ..., N_j): N_i is the least N below which every parity
+        pattern over the first i primes has a witness, and j is the longest
+        prefix of primes so covered (covered_prefix, for a report of
+        pattern_coverage)."""
+        tops = []
         first = self.minimal
         # halving folds away the top bit: first witnesses over one prime fewer
         for _ in self.primes:
-            limits.append(int(first.max()) + 1)
+            tops.append(int(first.max()))
             first = np.minimum(first[: first.size // 2], first[first.size // 2 :])
-        return tuple(n for n in limits[::-1][: self.covered_prefix] if n <= NO_WITNESS)
-
+        # N_i grows with i, so the first prefix with a pattern unseen ends it
+        covered = itertools.takewhile(lambda top: top != NO_WITNESS, reversed(tops))
+        return tuple(top + 1 for top in covered)
 
 def _chunk_first_codes(primes, first: np.ndarray, start: int, stop: int) -> int:
     """Lower first[c] to the smallest n in [start, stop) with parity code

@@ -9,20 +9,18 @@ Rows are built as text in row groups.  A group spells out the rows of at
 most _GROUP classes: the longest suffix of axes with at most _GROUP classes,
 or a block of at most _GROUP residues of a last axis wider than that.  Its
 template is printf-style, with the labels of its classes written in after a
-placeholder for the prefix label and a `%s` slot per value; templates are
-built once per suffix and row string and kept in a small fixed-size cache.
-So a group is one `str.replace` of the prefix label and one `%` over a
-tuple slice of the values.  A JSON row spells out what `json.dumps` writes
-for it with sorted keys and tight separators, spliced into the empty list
-left for the rows in the `json.dumps` of the scalar fields, so the bytes
-equal a `json.dumps` of the whole payload without one dict per row.
+placeholder for the prefix label and a `%s` slot per value; each call builds
+one template per block.  So a group is one `str.replace` of the prefix label
+and one `%` over a tuple of its slice of the values.  A JSON row spells out
+what `json.dumps` writes for it with sorted keys and tight separators,
+spliced into the empty list left for the rows in the `json.dumps` of the
+scalar fields, so the bytes equal a `json.dumps` of the whole payload
+without one dict per row.
 """
 
 import json
 import math
 import sys
-from functools import lru_cache
-
 import numpy as np
 
 from .experiments import (
@@ -76,7 +74,6 @@ def _labels(axes, sep: str, lead: str = "") -> list[str]:
     return labels
 
 
-@lru_cache(maxsize=64)  # so at most 64 * _GROUP rows of template text
 def _group(axes: tuple, row: str, sep: str, lead: str, join: str) -> str:
     """The template of one row group: `row` for each class of `axes`, its
     label after _PREFIX and a %s slot for its value, joined by `join`."""
@@ -86,9 +83,9 @@ def _group(axes: tuple, row: str, sep: str, lead: str, join: str) -> str:
 
 
 def _rows(mods, values, row: str, sep: str, join: str) -> str:
-    """The rows of all classes of `mods`, lexicographic, joined by `join`;
-    `row` is printf-style, with %(label)s for the residues joined by `sep`
-    and %(value)s for the value."""
+    """The rows of all classes of `mods`, lexicographic, joined by `join`,
+    from the list `values` in class order; `row` is printf-style, with
+    %(label)s for the residues joined by `sep` and %(value)s for the value."""
     cut, size = len(mods), 1
     while cut and size * mods[cut - 1] <= _GROUP:
         cut -= 1
@@ -99,12 +96,11 @@ def _rows(mods, values, row: str, sep: str, join: str) -> str:
     else:
         blocks = [(tuple(map(range, mods[cut:])), 0)]
     prefixes = _labels(map(range, mods[:cut]), sep)
-    values = tuple(values)
     out = [""] * (len(prefixes) * len(blocks))
     for b, (axes, lo) in enumerate(blocks):
         group = _group(axes, row, sep, sep if cut else "", join)
         width = math.prod(map(len, axes))
-        out[b :: len(blocks)] = [group.replace(_PREFIX, prefix) % values[i : i + width]
+        out[b :: len(blocks)] = [group.replace(_PREFIX, prefix) % tuple(values[i : i + width])
                                  for prefix, i in zip(prefixes, range(lo, len(values), size))]
     return join.join(out)
 

@@ -455,9 +455,6 @@ def test_covered_limits_match_the_doubling_ladder():
         part = pattern_coverage(TEN_ODD_PRIMES, limit)
         assert part.covered_limits() == tuple(n for n in ladder if n <= limit)
         assert len(part.covered_limits()) == part.covered_prefix
-    # a report built by hand that claims more than its witnesses cover
-    claim = CoverageReport(primes=(3, 5), limit=6, minimal=(0, 3, None, 5), covered_prefix=2)
-    assert claim.covered_limits() == (4,)
 
 
 def test_covered_limits_to_fourteen_primes_are_frozen():

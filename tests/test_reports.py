@@ -284,21 +284,3 @@ def test_coverage_serializers_match_oracle(drawn, limit):
                             minimal=tuple(minimal), covered_prefix=covered_prefix)
     assert coverage_csv(report) == oracle_coverage_csv(report)
     assert coverage_json(report) == oracle_coverage_json(report)
-
-
-def test_row_templates_survive_alternating_shapes_and_rows():
-    # the cached group templates are keyed by suffix and row string, so back
-    # to back calls of other shapes and rows must not hand one a stale template
-    hists = []
-    for mods in [(16, 17), (4, 4, 3), (2, 600)]:
-        counts = [(7919 * i) % 1000 for i in range(math.prod(mods))]
-        config = ScanConfig(primes=primes_up_to(40)[1 : len(mods) + 1], mods=mods,
-                            limit=sum(counts))
-        hists.append(ResidueHistogram(config=config, counts=counts))
-    for hist in hists + hists[::-1]:
-        assert histogram_csv(hist) == oracle_histogram_csv(hist)
-        assert histogram_json(hist) == oracle_histogram_json(hist)
-    for k in (3, 4, 3):
-        report = pattern_coverage(primes_up_to(40)[1 : k + 1], 40)
-        assert coverage_csv(report) == oracle_coverage_csv(report)
-        assert coverage_json(report) == oracle_coverage_json(report)
