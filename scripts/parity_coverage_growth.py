@@ -5,7 +5,7 @@ For k = 1..max_k, over the first k odd primes, prints N_k: the smallest
 N such that every one of the 2^k parity patterns of
 (e_3(n), e_5(n), ..., e_{p_k}(n)) has a witness below N.  One coverage
 pass over the first max_k odd primes, scanning at most --limit integers,
-gives every N_k at once (`CoverageReport.covered_limits`); the k whose
+gives every N_k at once (`CoverageReport.covering_limits`); the k whose
 N_k lies past the limit are named as not covered.  The growth of these
 N_k is what the (astronomically larger) theoretical thresholds bound
 from above.
@@ -44,7 +44,7 @@ def main() -> int:
     except (ValueError, MemoryError) as err:
         print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 1
-    limits = report.covered_limits()
+    limits = report.covering_limits()
     elapsed = time.monotonic() - t0
 
     print(f"{'k':>2}  {'p_k':>4}  {'patterns':>8}  {'N_k':>11}")

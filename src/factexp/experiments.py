@@ -340,7 +340,7 @@ class CoverageReport:
     def complete(self) -> bool:
         return NO_WITNESS not in self.minimal
 
-    def covered_limits(self) -> tuple[int, ...]:
+    def covering_limits(self) -> tuple[int, ...]:
         """(N_1, ..., N_j): N_i is the least N below which every parity
         pattern over the first i primes has a witness, and j is the longest
         prefix of primes so covered (covered_prefix, for a report of

@@ -446,20 +446,20 @@ def test_coverage_report_keeps_witnesses_in_a_read_only_int64_array():
 TEN_ODD_PRIMES = tuple(nth_odd_prime(i) for i in range(1, 11))
 
 
-def test_covered_limits_match_the_doubling_ladder():
+def test_covering_limits_match_the_doubling_ladder():
     ladder = tuple(smallest_covering_limit(TEN_ODD_PRIMES[:k]) for k in range(1, 11))
     whole = pattern_coverage(TEN_ODD_PRIMES, 1 << 14)
-    assert whole.covered_prefix == 10 and whole.covered_limits() == ladder
+    assert whole.covered_prefix == 10 and whole.covering_limits() == ladder
     # a shorter scan covers only the prefixes whose N_k it reached
     for limit in (1, 188, 189, 4075, 5000):
         part = pattern_coverage(TEN_ODD_PRIMES, limit)
-        assert part.covered_limits() == tuple(n for n in ladder if n <= limit)
-        assert len(part.covered_limits()) == part.covered_prefix
+        assert part.covering_limits() == tuple(n for n in ladder if n <= limit)
+        assert len(part.covering_limits()) == part.covered_prefix
 
 
-def test_covered_limits_to_fourteen_primes_are_frozen():
+def test_covering_limits_to_fourteen_primes_are_frozen():
     primes = tuple(nth_odd_prime(i) for i in range(1, 15))
-    limits = pattern_coverage(primes, 1 << 19).covered_limits()
+    limits = pattern_coverage(primes, 1 << 19).covering_limits()
     assert len(limits) == 14
     assert (limits[4], limits[7]) == (188, 4075)
     assert limits[9:] == (13228, 29126, 51517, 135217, 295504)
