@@ -34,10 +34,14 @@ def main() -> int:
           f"{'worst class':>12}  {'secs':>6}")
     for limit in args.limits:
         t0 = time.monotonic()
-        hist = joint_histogram(
-            ScanConfig(primes=args.primes, mods=args.mods, limit=limit),
-            threads=args.threads,
-        )
+        try:
+            hist = joint_histogram(
+                ScanConfig(primes=args.primes, mods=args.mods, limit=limit),
+                threads=args.threads,
+            )
+        except (ValueError, MemoryError) as err:
+            print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
+            return 1
         elapsed = time.monotonic() - t0
         rep = discrepancy(hist)
         cls = ",".join(str(a) for a in rep.worst_class)

@@ -5,9 +5,10 @@ Everything here counts exactly, so results are independent of chunk
 size and thread count by construction: the kernels hand over residues in
 narrow unsigned dtypes, class indices fold in the narrowest of uint8,
 uint16 and int32 that holds them all (at most CLASS_CAP = 2**24
-classes), and counts and first witnesses are int64.  The floating-point
-summaries in DiscrepancyReport are derived from those exact counts at
-the very end.
+classes), pattern masks are ANDed from cached bool hit tables (at most
+4 MiB, see `exponents.and_exponent_hits`), and counts and first
+witnesses are int64.  The floating-point summaries in DiscrepancyReport
+are derived from those exact counts at the very end.
 
 Histogram counts are a read-only int64 ndarray of shape `mods`, indexed
 by class tuple; its C order is the lexicographic order of exports.
@@ -16,12 +17,12 @@ by class tuple; its C order is the lexicographic order of exports.
 import itertools
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial, reduce
 
 import numpy as np
 
-from .exponents import _PIECE, exponent_range
+from .exponents import _PIECE, and_exponent_hits, exponent_range
 from .primes import _U63, is_prime
 
 CLASS_CAP = 1 << 24
@@ -266,10 +267,7 @@ def _join_hits(a, b):
     return a[0] + b[0], a[1], b[2], gap
 
 
-def _piece_hits(config: ScanConfig, pattern, start: int, stop: int):
-    mask = np.ones(stop - start, dtype=bool)
-    for p, m, want in zip(config.primes, config.mods, pattern):
-        mask &= exponent_range(start, stop, p, mod=m) == want
+def _piece_hits(mask: np.ndarray, start: int):
     where = np.flatnonzero(mask)
     if where.size == 0:
         return _NO_HITS
@@ -278,13 +276,19 @@ def _piece_hits(config: ScanConfig, pattern, start: int, stop: int):
 
 
 def _chunk_hits(config: ScanConfig, pattern, start: int, stop: int):
-    pieces = (_piece_hits(config, pattern, lo, min(lo + _PIECE, stop))
-              for lo in range(start, stop, _PIECE))
+    mask = np.ones(stop - start, dtype=bool)
+    for p, m, want in zip(config.primes, config.mods, pattern):
+        and_exponent_hits(mask, start, p, m, want)
+    # slices of about 2**15 hits, if the classes even out: fewer calls than
+    # _PIECE elements, and no hit array large enough to be mapped afresh
+    width = _PIECE * min(4, max(1, config.class_count // 2))
+    pieces = (_piece_hits(mask[lo : lo + width], start + lo) for lo in range(0, mask.size, width))
     return reduce(_join_hits, pieces, _NO_HITS)
 
 
 def pattern_search(config: ScanConfig, pattern, threads: int = 1) -> PatternReport:
-    """Scan [0, limit) for n whose residue tuple equals `pattern`.
+    """Scan [0, limit) for n whose residue tuple equals `pattern`: one bool mask per
+    chunk, ANDed from cached hit tiles (4 MiB in all), read in slices of 2**16 to 2**18.
 
     max_gap is None when there are fewer than two hits; leading and
     trailing runs without hits do not count as gaps.
@@ -384,19 +388,11 @@ def pattern_coverage(primes, limit: int, chunk_size: int = 1 << 20) -> CoverageR
     primes = tuple(int(p) for p in primes)
     config = ScanConfig(primes=primes, mods=(2,) * len(primes), limit=limit,
                         chunk_size=chunk_size)
-    k = len(primes)
-    first = np.full(1 << k, NO_WITNESS, dtype=np.int64)
+    first = np.full(1 << len(primes), NO_WITNESS, dtype=np.int64)
     # map_spans runs one thread here, so the chunks lower `first` in place
     # one after another, in span order, and never race
     for found in itertools.accumulate(map_spans(partial(_chunk_first_codes, primes, first), config)):
         if found == first.size:
             break
-    # covered[c] for the codes over the first covered_prefix primes: fold
-    # away the top bit until every code left has a witness
-    covered = first != NO_WITNESS
-    covered_prefix = k
-    while covered_prefix and not covered.all():
-        half = covered.size // 2
-        covered = covered[:half] | covered[half:]
-        covered_prefix -= 1
-    return CoverageReport(primes=primes, limit=limit, minimal=first, covered_prefix=covered_prefix)
+    report = CoverageReport(primes=primes, limit=limit, minimal=first, covered_prefix=0)
+    return replace(report, covered_prefix=len(report.covering_limits()))

@@ -17,18 +17,16 @@ splits n = A*P + b with b < P = p^J and uses
     e_p(n) = e_p(b) + A*(P - 1)/(p - 1) + e_p(A),
 
 so a range is a run of blocks, each the same cached table of e_p on
-[0, P) plus one exact scalar offset, with no division per element.  A
-range is filled in at most three array calls: the leading partial
-block, every whole block at once as one (blocks, P) view broadcast
-against the column of block offsets, and the trailing partial block.
-Without a modulus the values come back unreduced in int64.  With a
-modulus m the kernel works on residues only: the table is cached
-reduced mod m in the narrowest unsigned dtype that holds 2(m - 1)
-(uint8 for m <= 2**7, uint16 for m <= 2**15, then uint32 or uint64),
-the offsets are reduced below m, and m is subtracted where a sum
-reached it, in pieces of `_PIECE` elements; the result comes back in
-that dtype.  Its table is built by the recurrence e_p(a*p + b) = a +
-e_p(a) for b < p, with no division.
+[0, P) plus one exact scalar offset, with no division per element; the
+whole blocks are filled by one broadcast call (`_tiled_range`).  With a
+modulus m the kernel works on residues only, in the narrowest unsigned
+dtype that holds 2(m - 1): the table is cached reduced mod m, the
+offsets are reduced below m, and m is subtracted where a sum reached it.
+The table is built by the recurrence e_p(a*p + b) = a + e_p(a) for
+b < p, with no division.
+
+`and_exponent_hits` masks e_p(n) = want (mod m) on the same blocks: on
+block A it holds where table[b] = want - offset(A) (mod m), a bool tile.
 """
 
 from functools import lru_cache
@@ -43,18 +41,14 @@ from .primes import _U63, is_prime
 # just above 2**8 does not split a range into one block per base.
 _TILE = 1 << 16
 _SQUARED = 1 << 9
-# The range kernels, pattern scans and histogram sums work in pieces of at
-# most this many elements, so that the allocator reuses the temporaries of
-# one piece for the next; at chunk size, megabyte temporaries go back to
-# the system and are page-faulted in again, a varying number of times per run.
+_HIT_TILE = 1 << 18  # the same for bool hit tables, one byte per entry
+# Wrap-around passes, histogram sums and coverage codes go in pieces of at
+# most this many elements, so the allocator reuses one piece's temporaries for
+# the next; at chunk size, megabyte temporaries go back to the system and are
+# page-faulted in again, a varying number of times per run.
 _PIECE = 1 << 16
 # (dtype, largest value) in the order _residue_dtype tries them
 _RESIDUE_DTYPES = tuple((np.dtype(t), np.iinfo(t).max) for t in (np.uint8, np.uint16, np.uint32))
-
-
-def _require_base(p: int) -> None:
-    if p < 2:
-        raise ValueError(f"base must be >= 2, got {p}")
 
 
 def _require_prime(p: int) -> None:
@@ -64,7 +58,8 @@ def _require_prime(p: int) -> None:
 
 def digit_sum(n: int, p: int) -> int:
     """Sum of the base-p digits of n."""
-    _require_base(p)
+    if p < 2:
+        raise ValueError(f"base must be >= 2, got {p}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     s = 0
@@ -86,11 +81,11 @@ def legendre_exponent(n: int, p: int) -> int:
     return e
 
 
-def _tile_span(base: int) -> int:
-    """The largest power of base that is at most max(base, 2**16), or
+def _tile_span(base: int, top: int = _TILE) -> int:
+    """The largest power of base that is at most max(base, top), or
     base**2 when that is larger and base < 2**9."""
     span = base * base if base < _SQUARED else base
-    while span * base <= _TILE:
+    while span * base <= top:
         span *= base
     return span
 
@@ -205,3 +200,27 @@ def exponent_range(start: int, stop: int, p: int, mod: int | None = None) -> np.
     return _tiled_range(
         start, stop, span, tile, lambda a: a * weight + legendre_exponent(a, p), mod
     )
+
+
+@lru_cache(maxsize=16)
+def _hit_tile(p: int, mod: int, r: int) -> np.ndarray:
+    """[e_p(b) = r (mod `mod`)] for b in [0, _tile_span(p, _HIT_TILE)), read-only."""
+    hits = exponent_range(0, _tile_span(p, _HIT_TILE), p, mod) == r
+    hits.flags.writeable = False
+    return hits
+
+
+def and_exponent_hits(out: np.ndarray, start: int, p: int, mod: int, want: int) -> None:
+    """AND [e_p(n) = want (mod `mod`)] for n in [start, start + out.size) into the
+    bool array `out`: per block a slice of a cached hit tile (16 of at most 2**18 B),
+    or for p >= 2**9 one constant.  Unchecked: p prime, 0 <= want < mod, n < 2**63."""
+    span, stop = _tile_span(p, _HIT_TILE), start + out.size
+    bounds = [start, *range(start - start % span + span, stop, span), stop]
+    blocks = range(start // span, start // span + len(bounds) - 1)
+    rs = [(want - a * (span - 1) // (p - 1) - legendre_exponent(a, p)) % mod for a in blocks]
+    if span == p:
+        np.logical_and(out, np.repeat(np.equal(rs, 0), np.diff(bounds)), out=out)
+        return
+    for a, r, lo, hi in zip(blocks, rs, bounds, bounds[1:]):
+        block = out[lo - start : hi - start]
+        np.logical_and(block, _hit_tile(p, mod, r)[lo - a * span : hi - a * span], out=block)

@@ -3,7 +3,8 @@
 Each follows its defining identity: one integer at a time in pure
 Python, or, for the array routes at the bottom, one division pass per
 digit level, one tile block at a time, one int32 class index counted by
-a plain bincount, or one coverage scan per bound of a doubling ladder.
+a plain bincount, one residue comparison per prime for a pattern, or
+one coverage scan per bound of a doubling ladder.
 None validates its arguments: the tests only pass valid ones.
 """
 
@@ -133,6 +134,21 @@ def int32_chunk_histogram(config, start: int, stop: int):
         idx *= m
         idx += exponent_range(start, stop, p, mod=m)
     return np.bincount(idx, minlength=config.class_count)
+
+
+def residue_chunk_hits(config, pattern, start: int, stop: int):
+    """(hits, first hit, last hit, largest gap between consecutive hits) of
+    `pattern` on [start, stop), or (0, None, None, None): the residues of
+    each prime from `exponent_range` compared with its pattern entry, the
+    comparisons ANDed, and the hits read off one flatnonzero."""
+    mask = np.ones(stop - start, dtype=bool)
+    for p, m, want in zip(config.primes, config.mods, pattern):
+        mask &= exponent_range(start, stop, p, mod=m) == want
+    where = np.flatnonzero(mask)
+    if where.size == 0:
+        return 0, None, None, None
+    inner = int(np.diff(where).max()) if where.size >= 2 else None
+    return int(where.size), start + int(where[0]), start + int(where[-1]), inner
 
 
 def smallest_covering_limit(primes) -> int:

@@ -438,3 +438,16 @@ def test_module_invocation(tmp_path):
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout == "4\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--primes", "4", "--mods", "2", "--limits", "100"],
+    ["--threads", "0", "--limits", "100"],
+])
+def test_equidistribution_script_exits_1_without_a_traceback(tmp_path, argv):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "equidistribution_scan.py"
+    res = subprocess.run([sys.executable, str(script), *argv],
+                         capture_output=True, text=True, env=child_env(), cwd=tmp_path)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: ")
+    assert "Traceback" not in res.stderr

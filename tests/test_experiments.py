@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import factexp.construction
 from factexp.construction import verify_congruence
-from factexp.exponents import exponent_range, legendre_exponent
+from factexp.exponents import _hit_tile, exponent_range, legendre_exponent
 from factexp.primes import nth_odd_prime
 from factexp.experiments import (
     CLASS_CAP,
@@ -24,6 +24,7 @@ from factexp.experiments import (
     THREAD_CAP,
     _chunk_first_codes,
     _chunk_histogram,
+    _chunk_hits,
     _fold_dtype,
     CoverageReport,
     ResidueHistogram,
@@ -39,6 +40,7 @@ from oracles import (
     floor_sum_range,
     int32_chunk_histogram,
     parity_of_e2,
+    residue_chunk_hits,
     smallest_covering_limit,
 )
 
@@ -388,6 +390,67 @@ def test_pattern_pieces_match_int64_oracle(chunk):
             assert rep.hits == hits.size
             assert rep.minimal_n == int(hits[0])
             assert rep.max_gap == int(np.diff(hits).max())
+
+
+# hit tables over p^J (2, 3, 5) and over p^2 (257 ... 509), and blocks of p
+# on which e_p is constant (521, 65537, 65539)
+HIT_TILE_PRIMES = (2, 3, 5, 257, 263, 509, 521, 65537, 65539)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_chunk_hits_match_the_residue_oracle(data):
+    primes = data.draw(st.lists(st.sampled_from(HIT_TILE_PRIMES), min_size=1, max_size=3,
+                                unique=True))
+    mods = data.draw(st.lists(st.integers(2, 250), min_size=len(primes), max_size=len(primes)))
+    start = data.draw(st.integers(0, 2**40))
+    stop = start + data.draw(st.integers(1, 300_000))
+    if data.draw(st.booleans()):
+        # the residues of one n in the span, so the pattern has a hit
+        n = data.draw(st.integers(start, stop - 1))
+        pattern = tuple(legendre_exponent(n, p) % m for p, m in zip(primes, mods))
+    else:
+        pattern = tuple(data.draw(st.integers(0, m - 1)) for m in mods)
+    config = ScanConfig(primes=primes, mods=mods, limit=stop)
+    assert config.class_count <= CLASS_CAP
+    got = _chunk_hits(config, pattern, start, stop)
+    assert got == residue_chunk_hits(config, pattern, start, stop)
+
+
+@pytest.mark.parametrize("primes,mods", [((3, 5, 7), (2, 2, 2)), ((2, 521, 65537), (3, 2, 5)),
+                                         ((257, 65539), (4, 7))])
+@pytest.mark.parametrize("chunk,limit", [(1, 300), (7, 70_000), (2**16 + 3, 2**18 + 5)])
+def test_pattern_search_matches_the_residue_oracle(primes, mods, chunk, limit):
+    cfg = ScanConfig(primes=primes, mods=mods, limit=limit, chunk_size=chunk)
+    for n in (limit // 3, limit - 1):
+        pattern = tuple(legendre_exponent(n, p) % m for p, m in zip(primes, mods))
+        hits, first, _, gap = residue_chunk_hits(cfg, pattern, 0, limit)
+        for threads in (1, 2):
+            rep = pattern_search(cfg, pattern, threads=threads)
+            assert (rep.hits, rep.minimal_n, rep.max_gap) == (hits, first, gap)
+
+
+def test_hit_tile_cache_stays_bounded_while_it_churns(monkeypatch):
+    # e_3(n) mod 2^20 has another offset on every hit-table block below
+    # 2^21, so each block of each pattern asks for a hit table of its own
+    cfg = ScanConfig(primes=(3,), mods=(1 << 20,), limit=1 << 21, chunk_size=1 << 18)
+    sizes = []
+    real = factexp.experiments.and_exponent_hits
+
+    def spy(*args):
+        real(*args)
+        sizes.append(_hit_tile.cache_info().currsize)
+
+    monkeypatch.setattr(factexp.experiments, "and_exponent_hits", spy)
+    _hit_tile.cache_clear()
+    for want in (0, 1, 12345, 1 << 19, (1 << 20) - 1):
+        hits, first, _, gap = residue_chunk_hits(cfg, (want,), 0, cfg.limit)
+        for threads in (1, 2):
+            rep = pattern_search(cfg, (want,), threads=threads)
+            assert (rep.hits, rep.minimal_n, rep.max_gap) == (hits, first, gap)
+    info = _hit_tile.cache_info()
+    assert info.misses > 2 * info.maxsize
+    assert max(sizes) <= info.maxsize == 16
 
 
 def test_pattern_validation():
