@@ -24,7 +24,8 @@ from .construction import (
     verify_congruence,
 )
 from .exponents import legendre_exponent
-from .experiments import ScanConfig, discrepancy, joint_histogram, pattern_coverage, pattern_search
+from .experiments import (CHUNK_SIZE, ScanConfig, discrepancy, joint_histogram,
+                          pattern_coverage, pattern_search)
 from .reports import (
     _dumps,
     coverage_csv,
@@ -221,14 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime", type=integer, required=True)
     p.add_argument("--mod", type=integer, required=True)
     p.add_argument("--limit", type=integer, required=True)
-    p.add_argument("--chunk-size", type=integer, default=1 << 20)
+    p.add_argument("--chunk-size", type=integer, default=CHUNK_SIZE)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scan", help="joint residue histogram with discrepancy summary")
     p.add_argument("--primes", type=int_list, required=True)
     p.add_argument("--mods", type=int_list, required=True)
     p.add_argument("--limit", type=integer, required=True)
-    p.add_argument("--chunk-size", type=integer, default=1 << 20)
+    p.add_argument("--chunk-size", type=integer, default=CHUNK_SIZE)
     p.add_argument("--threads", type=integer, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--out", default=None, help="output path, - for stdout")
@@ -239,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mods", type=int_list, required=True)
     p.add_argument("--limit", type=integer, required=True)
     p.add_argument("--pattern", type=int_list, required=True)
-    p.add_argument("--chunk-size", type=integer, default=1 << 20)
+    p.add_argument("--chunk-size", type=integer, default=CHUNK_SIZE)
     p.add_argument("--threads", type=integer, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--out", default=None)
@@ -248,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coverage", help="first witnesses of all parity patterns")
     p.add_argument("--primes", type=int_list, required=True)
     p.add_argument("--limit", type=integer, required=True)
-    p.add_argument("--chunk-size", type=integer, default=1 << 20)
+    p.add_argument("--chunk-size", type=integer, default=CHUNK_SIZE)
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_coverage)

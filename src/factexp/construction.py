@@ -31,7 +31,7 @@ from math import e as _E, floor, gcd, inf, log, prod
 
 import numpy as np
 
-from .experiments import ScanConfig, map_spans
+from .experiments import CHUNK_SIZE, ScanConfig, map_spans
 from .exponents import _require_prime, exponent_range
 from .primes import factorize, nth_odd_prime
 from .qadditive import (
@@ -232,7 +232,7 @@ class CongruenceReport:
         return self.counterexample is None
 
 
-def verify_congruence(p: int, m: int, limit: int, chunk_size: int = 1 << 20) -> CongruenceReport:
+def verify_congruence(p: int, m: int, limit: int, chunk_size: int = CHUNK_SIZE) -> CongruenceReport:
     """Check f(n) = e_p(n) (mod m) for all 0 <= n < limit.
 
     The two sides are computed chunk by chunk by independent routes that

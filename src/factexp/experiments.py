@@ -17,7 +17,7 @@ by class tuple; its C order is the lexicographic order of exports.
 import itertools
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial, reduce
 
 import numpy as np
@@ -26,12 +26,14 @@ from .exponents import _PIECE, and_exponent_hits, exponent_range
 from .primes import _U63, is_prime
 
 CLASS_CAP = 1 << 24
+CHUNK_SIZE = 1 << 20
 THREAD_CAP = 256
 # the first-witness entry of a parity code that has none: no n reaches it
 NO_WITNESS = np.iinfo(np.int64).max
 
 __all__ = [
     "CLASS_CAP",
+    "CHUNK_SIZE",
     "THREAD_CAP",
     "NO_WITNESS",
     "ScanConfig",
@@ -55,7 +57,7 @@ class ScanConfig:
     primes: tuple[int, ...]
     mods: tuple[int, ...]
     limit: int
-    chunk_size: int = 1 << 20
+    chunk_size: int = CHUNK_SIZE
 
     def __post_init__(self):
         object.__setattr__(self, "primes", tuple(int(p) for p in self.primes))
@@ -313,21 +315,16 @@ class CoverageReport:
     minimal[c] is the first n whose parity code is c (bit i of c is the
     parity of the exponent of primes[i]), or NO_WITNESS if c never showed
     up.  It is a read-only int64 array of 2^k entries, a view when an
-    int64 array is passed in; any other sequence may stand None for
-    NO_WITNESS.  covered_prefix is the longest k' such that every pattern
-    over the first k' primes has a witness.
+    int64 array is passed in.  covered_prefix, read off it, is the longest
+    k' such that every pattern over the first k' primes has a witness.
     """
 
     primes: tuple[int, ...]
     limit: int
     minimal: np.ndarray = field(repr=False)
-    covered_prefix: int
 
     def __post_init__(self):
-        minimal = self.minimal
-        if not isinstance(minimal, np.ndarray):
-            minimal = [NO_WITNESS if n is None else n for n in minimal]
-        minimal = np.asarray(minimal, dtype=np.int64).view()
+        minimal = np.asarray(self.minimal, dtype=np.int64).view()
         if minimal.shape != (1 << len(self.primes),):
             raise ValueError(f"need 2^{len(self.primes)} first witnesses, got {minimal.size}")
         minimal.flags.writeable = False
@@ -336,19 +333,21 @@ class CoverageReport:
     def __eq__(self, other):
         if not isinstance(other, CoverageReport):
             return NotImplemented
-        return ((self.primes, self.limit, self.covered_prefix)
-                == (other.primes, other.limit, other.covered_prefix)
+        return ((self.primes, self.limit) == (other.primes, other.limit)
                 and np.array_equal(self.minimal, other.minimal))
 
     @property
     def complete(self) -> bool:
-        return NO_WITNESS not in self.minimal
+        return bool(self.minimal.max() != NO_WITNESS)
+
+    @property
+    def covered_prefix(self) -> int:
+        return len(self.covering_limits())
 
     def covering_limits(self) -> tuple[int, ...]:
         """(N_1, ..., N_j): N_i is the least N below which every parity
         pattern over the first i primes has a witness, and j is the longest
-        prefix of primes so covered (covered_prefix, for a report of
-        pattern_coverage)."""
+        prefix of primes so covered, covered_prefix."""
         tops = []
         first = self.minimal
         # halving folds away the top bit: first witnesses over one prime fewer
@@ -359,40 +358,30 @@ class CoverageReport:
         covered = itertools.takewhile(lambda top: top != NO_WITNESS, reversed(tops))
         return tuple(top + 1 for top in covered)
 
-def _chunk_first_codes(primes, first: np.ndarray, start: int, stop: int) -> int:
+def _chunk_first_codes(primes, first: np.ndarray, start: int, stop: int) -> None:
     """Lower first[c] to the smallest n in [start, stop) with parity code
-    c, and return how many codes had no witness before; bit i of the code
-    is the parity of e_{primes[i]}(n). Spans must come in increasing order."""
+    c; bit i of the code is the parity of e_{primes[i]}(n).  A minimum,
+    so spans may come in any order."""
     codes = exponent_range(start, stop, primes[-1], mod=2)
     codes = codes.astype(_fold_dtype(first.size), copy=False)
     for p in reversed(primes[:-1]):
         codes <<= 1
         codes |= exponent_range(start, stop, p, mod=2)
-    found = 0
     for lo in range(0, codes.size, _PIECE):
         piece = codes[lo : lo + _PIECE]
-        ns = np.arange(start + lo, start + lo + piece.size, dtype=np.int64)
-        np.minimum.at(first, piece, ns)
-        if first.size >= codes.size:
-            # pieces come in increasing order too, so a new code's witness is
-            # the one n here with first[code] == n, and an old one lies below
-            found += int(np.count_nonzero(first[piece] == ns))
-    if first.size < codes.size:  # one pass over the fewer codes counts faster
-        return int(np.count_nonzero((first >= start) & (first < stop)))
-    return found
+        np.minimum.at(first, piece, np.arange(start + lo, start + lo + piece.size, dtype=np.int64))
 
 
-def pattern_coverage(primes, limit: int, chunk_size: int = 1 << 20) -> CoverageReport:
+def pattern_coverage(primes, limit: int, chunk_size: int = CHUNK_SIZE) -> CoverageReport:
     """First witnesses for all 2^k parity patterns of (e_p(n))_p below
     `limit`, stopping the scan early once every pattern has one."""
     primes = tuple(int(p) for p in primes)
     config = ScanConfig(primes=primes, mods=(2,) * len(primes), limit=limit,
                         chunk_size=chunk_size)
     first = np.full(1 << len(primes), NO_WITNESS, dtype=np.int64)
-    # map_spans runs one thread here, so the chunks lower `first` in place
-    # one after another, in span order, and never race
-    for found in itertools.accumulate(map_spans(partial(_chunk_first_codes, primes, first), config)):
-        if found == first.size:
+    # map_spans runs one thread here, so no two chunks lower `first` at once
+    # (np.minimum.at takes no lock); the order they come in does not matter
+    for _ in map_spans(partial(_chunk_first_codes, primes, first), config):
+        if first.max() != NO_WITNESS:
             break
-    report = CoverageReport(primes=primes, limit=limit, minimal=first, covered_prefix=0)
-    return replace(report, covered_prefix=len(report.covering_limits()))
+    return CoverageReport(primes=primes, limit=limit, minimal=first)

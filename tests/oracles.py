@@ -3,14 +3,15 @@
 Each follows its defining identity: one integer at a time in pure
 Python, or, for the array routes at the bottom, one division pass per
 digit level, one tile block at a time, one int32 class index counted by
-a plain bincount, one residue comparison per prime for a pattern, or
-one coverage scan per bound of a doubling ladder.
+a plain bincount, one residue comparison per prime for a pattern, one
+coverage scan per bound of a doubling ladder, or one set of seen codes
+per prime prefix.
 None validates its arguments: the tests only pass valid ones.
 """
 
 import numpy as np
 
-from factexp.experiments import pattern_coverage
+from factexp.experiments import NO_WITNESS, pattern_coverage
 from factexp.exponents import _residue_dtype, exponent_range, legendre_exponent
 
 
@@ -161,3 +162,13 @@ def smallest_covering_limit(primes) -> int:
         if report.complete:
             return int(report.minimal.max()) + 1
         limit *= 2
+
+
+def set_covered_prefix(report) -> int:
+    """The longest k' such that every parity pattern over the first k'
+    primes has a witness: the codes seen, reduced mod 2^k', fill a set of
+    2^k'."""
+    seen = {c for c, n in enumerate(report.minimal.tolist()) if n != NO_WITNESS}
+    full = [kp for kp in range(1, len(report.primes) + 1)
+            if len({c % (1 << kp) for c in seen}) == 1 << kp]
+    return max(full, default=0)

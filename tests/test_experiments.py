@@ -41,6 +41,7 @@ from oracles import (
     int32_chunk_histogram,
     parity_of_e2,
     residue_chunk_hits,
+    set_covered_prefix,
     smallest_covering_limit,
 )
 
@@ -485,25 +486,24 @@ def test_coverage_single_value():
 
 def test_coverage_report_keeps_witnesses_in_a_read_only_int64_array():
     first = np.array([0, 3, NO_WITNESS, 5], dtype=np.int64)
-    rep = CoverageReport(primes=(3, 5), limit=6, minimal=first, covered_prefix=1)
+    rep = CoverageReport(primes=(3, 5), limit=6, minimal=first)
     assert rep.minimal.dtype == np.int64 and not rep.minimal.flags.writeable
     # a view of the array passed in, which stays writeable
     assert np.shares_memory(rep.minimal, first) and first.flags.writeable
     with pytest.raises(ValueError):
         rep.minimal[0] = 1
     assert not rep.complete
-    # any other sequence may stand None for NO_WITNESS
-    assert CoverageReport(primes=(3, 5), limit=6, minimal=[0, 3, None, 5],
-                          covered_prefix=1) == rep == pattern_coverage((3, 5), 6)
-    assert rep != CoverageReport(primes=(3, 5), limit=6, minimal=(0, 3, 4, 5), covered_prefix=1)
-    assert rep != CoverageReport(primes=(3, 5), limit=7, minimal=first, covered_prefix=1)
-    assert rep != CoverageReport(primes=(3, 5), limit=6, minimal=first, covered_prefix=0)
+    # any other sequence of integers is copied into one
+    assert (CoverageReport(primes=(3, 5), limit=6, minimal=[0, 3, NO_WITNESS, 5])
+            == rep == pattern_coverage((3, 5), 6))
+    assert rep != CoverageReport(primes=(3, 5), limit=6, minimal=(0, 3, 4, 5))
+    assert rep != CoverageReport(primes=(3, 5), limit=7, minimal=first)
     assert rep != (3, 5)
     with pytest.raises(TypeError):
         hash(rep)
     for wrong in ((0, 3, 5), first.reshape(2, 2), ()):
         with pytest.raises(ValueError, match="need 2\\^2 first witnesses"):
-            CoverageReport(primes=(3, 5), limit=6, minimal=wrong, covered_prefix=1)
+            CoverageReport(primes=(3, 5), limit=6, minimal=wrong)
 
 
 TEN_ODD_PRIMES = tuple(nth_odd_prime(i) for i in range(1, 11))
@@ -586,21 +586,24 @@ def test_histogram_at_the_class_cap_is_invariant_under_chunk_size_and_threads(ch
 @given(st.integers(1, 14), st.integers(0, 2**40), st.integers(1, 3000))
 def test_chunk_first_codes_match_a_sorting_oracle(k, start, width):
     primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)[:k]
-    codes = np.zeros(width, dtype=np.int64)
+    codes = np.zeros(2 * width, dtype=np.int64)
     for i, p in enumerate(primes):
-        codes |= (exponent_range(start, start + width, p) % 2) << i
-    values, first_at = np.unique(codes, return_index=True)
-    want = np.full(1 << k, np.iinfo(np.int64).max)
+        codes |= (exponent_range(start, start + 2 * width, p) % 2) << i
+    values, first_at = np.unique(codes[:width], return_index=True)
+    want = np.full(1 << k, NO_WITNESS)
     want[values] = start + first_at
-    first = np.full(1 << k, np.iinfo(np.int64).max)
-    assert _chunk_first_codes(primes, first, start, start + width) == values.size
+    first = np.full(1 << k, NO_WITNESS)
+    _chunk_first_codes(primes, first, start, start + width)
     assert np.array_equal(first, want)
-    # the next span reports only the codes it adds
-    codes = np.zeros(width, dtype=np.int64)
-    for i, p in enumerate(primes):
-        codes |= (exponent_range(start + width, start + 2 * width, p) % 2) << i
-    fresh = np.setdiff1d(codes, values).size
-    assert _chunk_first_codes(primes, first, start + width, start + 2 * width) == fresh
+    # a minimum: the next span lowers the witnesses alike before or after it
+    values, first_at = np.unique(codes, return_index=True)
+    want[values] = start + first_at
+    _chunk_first_codes(primes, first, start + width, start + 2 * width)
+    assert np.array_equal(first, want)
+    backward = np.full(1 << k, NO_WITNESS)
+    _chunk_first_codes(primes, backward, start + width, start + 2 * width)
+    _chunk_first_codes(primes, backward, start, start + width)
+    assert np.array_equal(backward, first)
 
 
 @settings(max_examples=30)
@@ -608,9 +611,7 @@ def test_chunk_first_codes_match_a_sorting_oracle(k, start, width):
 def test_covered_prefix_matches_a_set_oracle(k, limit):
     primes = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)[:k]
     rep = pattern_coverage(primes, limit)
-    seen = {c for c, n in enumerate(rep.minimal.tolist()) if n != NO_WITNESS}
-    full = [kp for kp in range(1, k + 1) if len({c % (1 << kp) for c in seen}) == 1 << kp]
-    assert rep.covered_prefix == max(full, default=0)
+    assert rep.covered_prefix == set_covered_prefix(rep)
 
 
 def test_coverage_chunking_irrelevant():

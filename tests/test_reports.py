@@ -29,6 +29,7 @@ from factexp.reports import (
     pattern_csv,
     pattern_json,
 )
+from oracles import set_covered_prefix
 
 
 @pytest.fixture(scope="module")
@@ -267,20 +268,20 @@ def test_coverage_patterns_match_bit_by_bit_oracle(k):
     minimal = 3 * np.arange(1 << k, dtype=np.int64)
     rng = np.random.default_rng(k)
     minimal[rng.random(minimal.size) < 0.2] = NO_WITNESS
-    report = CoverageReport(primes=tuple(primes_up_to(50)[:k]), limit=1 << 20,
-                            minimal=minimal, covered_prefix=0)
+    report = CoverageReport(primes=tuple(primes_up_to(50)[:k]), limit=1 << 20, minimal=minimal)
     assert coverage_csv(report) == oracle_coverage_csv(report)
     assert coverage_json(report) == oracle_coverage_json(report)
 
 
 @given(st.integers(0, 7).flatmap(lambda k: st.tuples(
     st.just(k),
-    st.lists(st.none() | st.integers(0, NO_WITNESS - 1), min_size=1 << k, max_size=1 << k),
-    st.integers(0, k),
+    st.lists(st.just(NO_WITNESS) | st.integers(0, NO_WITNESS - 1),
+             min_size=1 << k, max_size=1 << k),
 )), st.integers(1, 2**63))
 def test_coverage_serializers_match_oracle(drawn, limit):
-    k, minimal, covered_prefix = drawn
+    k, minimal = drawn
     report = CoverageReport(primes=tuple(primes_up_to(40)[1 : k + 1]), limit=limit,
-                            minimal=tuple(minimal), covered_prefix=covered_prefix)
+                            minimal=tuple(minimal))
+    assert report.covered_prefix == set_covered_prefix(report)
     assert coverage_csv(report) == oracle_coverage_csv(report)
     assert coverage_json(report) == oracle_coverage_json(report)
