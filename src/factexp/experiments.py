@@ -379,9 +379,28 @@ def pattern_coverage(primes, limit: int, chunk_size: int = CHUNK_SIZE) -> Covera
     config = ScanConfig(primes=primes, mods=(2,) * len(primes), limit=limit,
                         chunk_size=chunk_size)
     first = np.full(1 << len(primes), NO_WITNESS, dtype=np.int64)
+    # An integer is the witness of one pattern at most, so a test that finds
+    # m patterns missing shows the pass incomplete for m more integers: testing
+    # only from `due` on still stops with the chunk that completes it.  A test
+    # counts all 2^k entries while more than 1/16 of them are missing, and then
+    # checks the list of the missing ones alone, so it reads at most 16 entries
+    # per integer scanned since the last test.
+    due, missing = first.size, None
     # map_spans runs one thread here, so no two chunks lower `first` at once
     # (np.minimum.at takes no lock); the order they come in does not matter
-    for _ in map_spans(partial(_chunk_first_codes, primes, first), config):
-        if first.max() != NO_WITNESS:
+    chunks = map_spans(partial(_chunk_first_codes, primes, first), config)
+    for (_, stop), _ in zip(config.spans(), chunks):
+        if stop < due:
+            continue
+        if missing is None:
+            absent = first == NO_WITNESS
+            left = int(np.count_nonzero(absent))
+            if left <= first.size // 16:
+                missing = np.flatnonzero(absent)
+        else:
+            missing = missing[first[missing] == NO_WITNESS]
+            left = missing.size
+        if not left:
             break
+        due = stop + left
     return CoverageReport(primes=primes, limit=limit, minimal=first)

@@ -17,7 +17,8 @@ splits n = A*P + b with b < P = p^J and uses
     e_p(n) = e_p(b) + A*(P - 1)/(p - 1) + e_p(A),
 
 so a range is a run of blocks, each the same cached table of e_p on
-[0, P) plus one exact scalar offset, with no division per element; the
+[0, P) plus one exact scalar offset e_p(A*P) (`_block_exponent`, shared
+with `and_exponent_hits`), with no division per element; the
 whole blocks are filled by one broadcast call (`_tiled_range`).  With a
 modulus m the kernel works on residues only, in the narrowest unsigned
 dtype that holds 2(m - 1): the table is cached reduced mod m, the
@@ -29,7 +30,7 @@ b < p, with no division.
 block A it holds where table[b] = want - offset(A) (mod m), a bool tile.
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -79,6 +80,12 @@ def legendre_exponent(n: int, p: int) -> int:
         n //= p
         e += n
     return e
+
+
+def _block_exponent(p: int, span: int, a: int) -> int:
+    """e_p(a * span) for a power `span` of p: a*(span - 1)/(p - 1) + e_p(a),
+    exact; the offset of block a of a range tiled by `span`."""
+    return a * ((span - 1) // (p - 1)) + legendre_exponent(a, p)
 
 
 def _tile_span(base: int, top: int = _TILE) -> int:
@@ -182,8 +189,8 @@ def exponent_range(start: int, stop: int, p: int, mod: int | None = None) -> np.
     max(p, 2**16) (p**2 for 2**8 < p < 2**9): for n = A*P + b with b < P,
     e_p(n) = e_p(b) + A*(P - 1)/(p - 1) + e_p(A).
     e_p(b) comes from a cached table built by the Legendre recurrence (for
-    p > 2**16 it is 0, and no table exists), and the block offset is computed
-    exactly by `legendre_exponent`.  With `mod` the table is cached
+    p > 2**16 it is 0, and no table exists), and the block offset
+    e_p(A*P) exactly from `_block_exponent`.  With `mod` the table is cached
     reduced mod `mod` and every block stays below it.  The range must sit
     below 2**63, so every value fits int64, and so must the modulus.
     """
@@ -196,10 +203,7 @@ def exponent_range(start: int, stop: int, p: int, mod: int | None = None) -> np.
         raise ValueError(f"range end must stay below 2**63, got {stop}")
     span = _tile_span(p)
     tile = _exponent_tile(p, mod) if p <= _TILE else None
-    weight = (span - 1) // (p - 1)
-    return _tiled_range(
-        start, stop, span, tile, lambda a: a * weight + legendre_exponent(a, p), mod
-    )
+    return _tiled_range(start, stop, span, tile, partial(_block_exponent, p, span), mod)
 
 
 @lru_cache(maxsize=16)
@@ -217,7 +221,7 @@ def and_exponent_hits(out: np.ndarray, start: int, p: int, mod: int, want: int) 
     span, stop = _tile_span(p, _HIT_TILE), start + out.size
     bounds = [start, *range(start - start % span + span, stop, span), stop]
     blocks = range(start // span, start // span + len(bounds) - 1)
-    rs = [(want - a * (span - 1) // (p - 1) - legendre_exponent(a, p)) % mod for a in blocks]
+    rs = [(want - _block_exponent(p, span, a)) % mod for a in blocks]
     if span == p:
         np.logical_and(out, np.repeat(np.equal(rs, 0), np.diff(bounds)), out=out)
         return

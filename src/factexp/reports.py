@@ -5,21 +5,23 @@ are sorted with tight separators, and floats are rounded to 12
 significant digits before serialization so platform noise cannot leak
 into diffs.
 
-Rows are built as text in row groups.  A group spells out the rows of at
-most _GROUP classes: the longest suffix of axes with at most _GROUP classes,
-or a block of at most _GROUP residues of a last axis wider than that.  Its
-template is printf-style, with the labels of its classes written in after a
-placeholder for the prefix label and a `%s` slot per value; each call builds
-one template per block.  So a group is one `str.replace` of the prefix label
-and one `%` over a tuple of its slice of the values.  A JSON row spells out
-what `json.dumps` writes for it with sorted keys and tight separators,
-spliced into the empty list left for the rows in the `json.dumps` of the
-scalar fields, so the bytes equal a `json.dumps` of the whole payload
-without one dict per row.
+A report is one `"".join` of its head, its rows in batches and its tail.
+A class label is split in a prefix part (the leading axes) and a suffix
+part (the longest suffix of axes with at most _SUFFIX classes, or the
+last axis alone when it is wider), and each call builds the pieces of
+both once, with the fixed text of a row already glued onto them.  A row
+is then three items, its value string, its prefix piece and its suffix
+piece, filled into an object array by broadcasting, _BATCH rows at a
+time, and one `"".join` turns a batch into text.  Value strings come
+from a table of str(0..top), built per call, when the largest value
+`top` is below the number of values, and otherwise from one `format`
+call (str of an int) per value.  A JSON report's head and tail are the
+`json.dumps` of its scalar fields around the empty list left for the
+rows, so the bytes equal a `json.dumps` of the whole payload without one
+dict per row.
 """
 
 import json
-import math
 import sys
 import numpy as np
 
@@ -41,8 +43,8 @@ __all__ = [
     "emit",
 ]
 
-_GROUP = 256  # the most classes one row group spells out in its template
-_PREFIX = "\0"  # stands for the prefix label in a group template; no row holds it
+_SUFFIX = 256  # the most classes a suffix label piece spans, unless the last axis is wider
+_BATCH = 1 << 14  # rows per "".join
 
 
 def _sig12(x: float) -> float:
@@ -62,56 +64,86 @@ def _config_dict(config) -> dict:
     }
 
 
-def _labels(axes, sep: str, lead: str = "") -> list[str]:
+def _labels(axes: tuple, sep: str, lead: str = "", end: str = "") -> list[str]:
     """The residues of every class of the product of the ranges `axes`,
-    joined by `sep` and led by `lead`, in lexicographic order; [""] when
-    there are no axes."""
-    labels = [""]
-    for i, axis in enumerate(axes):
-        glue = sep if i else lead
-        digits = [f"{glue}{d}" for d in axis]
-        labels = [p + d for p in labels for d in digits]
-    return labels
+    joined by `sep`, led by `lead` and ended by `end`, in lexicographic
+    order; [lead + end] when there are no axes.  Built from the labels of
+    the two halves of the axes, so most concatenations make whole labels."""
+    if len(axes) < 2:
+        return [f"{lead}{d}{end}" for d in (axes[0] if axes else ("",))]
+    half = len(axes) // 2
+    right = _labels(axes[half:], sep, sep, end)
+    return [a + b for a in _labels(axes[:half], sep, lead) for b in right]
 
 
-def _group(axes: tuple, row: str, sep: str, lead: str, join: str) -> str:
-    """The template of one row group: `row` for each class of `axes`, its
-    label after _PREFIX and a %s slot for its value, joined by `join`."""
-    head, tail = row.replace("%(value)s", "%s").split("%(label)s")
-    head += _PREFIX
-    return head + (tail + join + head).join(_labels(axes, sep, lead)) + tail
-
-
-def _rows(mods, values, row: str, sep: str, join: str) -> str:
-    """The rows of all classes of `mods`, lexicographic, joined by `join`,
-    from the list `values` in class order; `row` is printf-style, with
-    %(label)s for the residues joined by `sep` and %(value)s for the value."""
+def _report(head: str, row: str, join: str, tail: str, mods, values: np.ndarray,
+            sep: str, missing: str | None = None) -> str:
+    """`head`, the rows of all classes of `mods` in lexicographic order joined
+    by `join`, and `tail`, as one string.  `row` spells one row, with {label}
+    for the residues of its class joined by `sep` and {value} for its entry
+    of the int array `values`, in class order; `missing`, when given,
+    stands in for NO_WITNESS."""
+    value_first = row.index("{value}") < row.index("{label}")
+    before, between, after = row.replace("{value}", "{label}").split("{label}")
     cut, size = len(mods), 1
-    while cut and size * mods[cut - 1] <= _GROUP:
+    while cut and size * mods[cut - 1] <= _SUFFIX:
         cut -= 1
         size *= mods[cut]
-    if size == 1 and mods:  # the last axis alone outgrows a group: split it in blocks
-        cut, size = cut - 1, mods[-1]
-        blocks = [((range(lo, min(lo + _GROUP, size)),), lo) for lo in range(0, size, _GROUP)]
+    if size == 1 and mods:  # the last axis alone is wider than _SUFFIX classes
+        cut -= 1
+    prefix_axes, suffix_axes = tuple(map(range, mods[:cut])), tuple(map(range, mods[cut:]))
+    # `glue` runs from the end of one row to the start of the next; it goes
+    # on the label piece next to that gap, and is cut off the outer row
+    glue = after + join + before
+    lead = sep if cut else ""
+    if value_first:  # value, prefix piece, suffix piece
+        prefixes = _labels(prefix_axes, sep, between)
+        suffixes = _labels(suffix_axes, sep, lead, glue)
+        value, prefix = 0, 1
+    else:  # prefix piece, suffix piece, value
+        prefixes = _labels(prefix_axes, sep, glue)
+        suffixes = _labels(suffix_axes, sep, lead, between)
+        value, prefix = 2, 0
+    prefixes = np.array(prefixes, dtype=object)
+    suffixes = np.array(suffixes, dtype=object)
+    grid = values.reshape(prefixes.size, suffixes.size)
+    known = grid != NO_WITNESS if missing is not None else np.full(grid.shape, True)
+    top = int(grid.max(initial=-1, where=known))
+    # NO_WITNESS clips to the last entry of the table, `missing`
+    table = np.array([*map(str, range(top + 1)), missing], dtype=object) if top < grid.size else None
+    rows, cols = max(1, _BATCH // suffixes.size), min(suffixes.size, _BATCH)
+    batches = [head + before]
+    for i in range(0, prefixes.size, rows):
+        for j in range(0, suffixes.size, cols):
+            block = grid[i : i + rows, j : j + cols]
+            items = np.empty((*block.shape, 3), dtype=object)
+            items[..., prefix] = prefixes[i : i + rows, None]
+            items[..., prefix + 1] = suffixes[j : j + cols]
+            strings = items[..., value]
+            if table is not None:
+                np.take(table, block, out=strings, mode="clip")
+            else:
+                present = known[i : i + rows, j : j + cols]
+                strings[~present] = missing
+                # format(n) is str(n) for an int, and the faster call
+                strings[present] = np.fromiter(map(format, block[present].tolist()), object,
+                                               np.count_nonzero(present))
+            batches.append("".join(items.ravel().tolist()))
+    if value_first:
+        batches[-1] = batches[-1][: len(batches[-1]) - len(glue)]
     else:
-        blocks = [(tuple(map(range, mods[cut:])), 0)]
-    prefixes = _labels(map(range, mods[:cut]), sep)
-    out = [""] * (len(prefixes) * len(blocks))
-    for b, (axes, lo) in enumerate(blocks):
-        group = _group(axes, row, sep, sep if cut else "", join)
-        width = math.prod(map(len, axes))
-        out[b :: len(blocks)] = [group.replace(_PREFIX, prefix) % tuple(values[i : i + width])
-                                 for prefix, i in zip(prefixes, range(lo, len(values), size))]
-    return join.join(out)
+        batches[1] = batches[1][len(glue) :]
+    batches.append(after + tail)
+    return "".join(batches)
 
 
-def _dumps_with_rows(payload: dict, key: str, rows: str) -> str:
-    """_dumps(payload) with payload[key] holding the JSON array whose
-    elements are the preformatted `rows`."""
+def _json_ends(payload: dict, key: str) -> tuple[str, str]:
+    """The text of _dumps(payload) before and after the elements of the
+    JSON array payload[key]."""
     payload[key] = []
     # the scalar fields before `key` in sorted order hold no such text
     head, tail = _dumps(payload).split(f'"{key}":[]', 1)
-    return f'{head}"{key}":[{rows}]{tail}'
+    return f'{head}"{key}":[', f"]{tail}"
 
 
 def histogram_csv(hist: ResidueHistogram) -> str:
@@ -119,13 +151,10 @@ def histogram_csv(hist: ResidueHistogram) -> str:
     the tuple coordinates."""
     k = hist.config.k
     header = ",".join(f"a_{i}" for i in range(1, k + 1)) + ",count\n"
-    return header + _rows(hist.config.mods, hist.counts.ravel().tolist(),
-                          "%(label)s,%(value)s\n", ",", "")
+    return _report(header, "{label},{value}\n", "", "", hist.config.mods, hist.counts, ",")
 
 
 def histogram_json(hist: ResidueHistogram, report: DiscrepancyReport | None = None) -> str:
-    rows = _rows(hist.config.mods, hist.counts.ravel().tolist(),
-                 '{"count":%(value)s,"residues":[%(label)s]}', ",", ",")
     payload = _config_dict(hist.config)
     if report is not None:
         payload["discrepancy"] = {
@@ -134,7 +163,9 @@ def histogram_json(hist: ResidueHistogram, report: DiscrepancyReport | None = No
             "max_rel_dev": _sig12(report.max_rel_dev),
             "worst_class": list(report.worst_class),
         }
-    return _dumps_with_rows(payload, "counts", rows)
+    head, tail = _json_ends(payload, "counts")
+    return _report(head, '{"count":{value},"residues":[{label}]}', ",", tail,
+                   hist.config.mods, hist.counts, ",")
 
 
 def _pattern_str(pattern, mods) -> str:
@@ -159,29 +190,26 @@ def pattern_json(report: PatternReport) -> str:
     return _dumps(payload)
 
 
-def _coverage_rows(report: CoverageReport, row: str, missing: str, join: str) -> str:
-    """_rows over the patterns, `missing` standing in for NO_WITNESS. Digit i
-    of a pattern is bit i of its code: pattern order reverses the k bit axes."""
+def _coverage(report: CoverageReport, head: str, row: str, join: str, tail: str,
+              missing: str) -> str:
+    """_report over the patterns.  Digit i of a pattern is bit i of its code:
+    pattern order reverses the k bit axes."""
     mods = (2,) * len(report.primes)
-    witnesses = report.minimal.reshape(mods).transpose().ravel()
-    values = witnesses.tolist()
-    for i in np.flatnonzero(witnesses == NO_WITNESS).tolist():
-        values[i] = missing
-    return _rows(mods, values, row, "", join)
+    witnesses = report.minimal.reshape(mods).transpose()
+    return _report(head, row, join, tail, mods, witnesses, "", missing)
 
 
 def coverage_csv(report: CoverageReport) -> str:
-    return "pattern,minimal_n\n" + _coverage_rows(report, "%(label)s,%(value)s\n", "", "")
+    return _coverage(report, "pattern,minimal_n\n", "{label},{value}\n", "", "", "")
 
 
 def coverage_json(report: CoverageReport) -> str:
-    rows = _coverage_rows(report, '{"minimal_n":%(value)s,"pattern":"%(label)s"}', "null", ",")
-    payload = {
+    head, tail = _json_ends({
         "primes": list(report.primes),
         "limit": report.limit,
         "covered_prefix": report.covered_prefix,
-    }
-    return _dumps_with_rows(payload, "patterns", rows)
+    }, "patterns")
+    return _coverage(report, head, '{"minimal_n":{value},"pattern":"{label}"}', ",", tail, "null")
 
 
 def emit(text: str, destination=None) -> None:

@@ -247,27 +247,34 @@ def test_histogram_serializers_match_oracle(hist, with_report):
     assert histogram_json(hist, report) == oracle_histogram_json(hist, report)
 
 
-# Shapes around the row groups of at most 256 classes: one axis just
-# inside and just outside a group, a group under a prefix axis, a suffix
-# that stops growing at the group size, last axes split into blocks of
-# 256 residues with a short last block (alone and under a prefix axis),
-# and nine axes.
+# Shapes around the suffix label pieces of at most 256 classes and the
+# batches of 2^14 rows: one axis just inside and just outside a suffix, a
+# suffix under a prefix axis, a suffix that stops growing at 256 classes,
+# a last axis wider than that (alone and under a prefix axis), nine axes,
+# two whole batches, batches of whole 257-row blocks with a partial last
+# batch, and a last axis wider than a batch, cut in two (alone and under a
+# prefix axis).
 @pytest.mark.parametrize("mods", [(256,), (257,), (2, 128), (2, 129), (16, 16), (16, 17),
-                                  (3, 1009), (1031,), (2, 600), (2,) * 9])
+                                  (3, 1009), (1031,), (2, 600), (2,) * 9, (2,) * 15,
+                                  (128, 257), (20000,), (3, 16500)])
 def test_histogram_serializers_match_oracle_at_group_boundaries(mods):
     counts = [(7919 * i) % 1000 for i in range(math.prod(mods))]
-    config = ScanConfig(primes=primes_up_to(40)[1 : len(mods) + 1], mods=mods, limit=sum(counts))
+    config = ScanConfig(primes=primes_up_to(60)[1 : len(mods) + 1], mods=mods, limit=sum(counts))
     hist = ResidueHistogram(config=config, counts=counts)
     assert histogram_csv(hist) == oracle_histogram_csv(hist)
     report = discrepancy(hist)
     assert histogram_json(hist, report) == oracle_histogram_json(hist, report)
 
 
-@pytest.mark.parametrize("k", range(15))
-def test_coverage_patterns_match_bit_by_bit_oracle(k):
+# A fifth of the patterns missing at k = 0..14, and at k = 15 (two batches
+# of rows) none or all of them.
+@pytest.mark.parametrize("k, share", [*(pytest.param(k, 0.2, id=str(k)) for k in range(15)),
+                                      pytest.param(15, 0.0, id="15-none-missing"),
+                                      pytest.param(15, 1.0, id="15-all-missing")])
+def test_coverage_patterns_match_bit_by_bit_oracle(k, share):
     minimal = 3 * np.arange(1 << k, dtype=np.int64)
     rng = np.random.default_rng(k)
-    minimal[rng.random(minimal.size) < 0.2] = NO_WITNESS
+    minimal[rng.random(minimal.size) < share] = NO_WITNESS
     report = CoverageReport(primes=tuple(primes_up_to(50)[:k]), limit=1 << 20, minimal=minimal)
     assert coverage_csv(report) == oracle_coverage_csv(report)
     assert coverage_json(report) == oracle_coverage_json(report)
@@ -283,5 +290,38 @@ def test_coverage_serializers_match_oracle(drawn, limit):
     report = CoverageReport(primes=tuple(primes_up_to(40)[1 : k + 1]), limit=limit,
                             minimal=tuple(minimal))
     assert report.covered_prefix == set_covered_prefix(report)
+    assert coverage_csv(report) == oracle_coverage_csv(report)
+    assert coverage_json(report) == oracle_coverage_json(report)
+
+
+# Values at the edge of the two routes to value strings: a largest value one
+# below the number of values (a table of str(0..top)) and equal to it (one
+# str per value), and values near 2^63 - 1.  20 classes.
+@pytest.mark.parametrize("counts", [
+    list(range(10, 20)) + list(range(10)),
+    [20] + list(range(19)),
+    [0] * 19 + [1],
+    [2**63 - 20] + [1] * 19,
+], ids=["top=count-1", "top=count", "one-nonzero", "near-2^63"])
+def test_histogram_value_routes_match_oracle(counts):
+    config = ScanConfig(primes=(3, 5), mods=(4, 5), limit=sum(counts))
+    hist = ResidueHistogram(config=config, counts=counts)
+    assert histogram_csv(hist) == oracle_histogram_csv(hist)
+    assert histogram_json(hist) == oracle_histogram_json(hist)
+
+
+# The same for coverage, 16 patterns, with and without missing ones, and
+# with all witnesses zero.
+@pytest.mark.parametrize("minimal", [
+    list(range(15, -1, -1)),
+    list(range(14)) + [NO_WITNESS, 13],
+    [16] + list(range(15)),
+    [16] + list(range(14)) + [NO_WITNESS],
+    [0] * 16,
+    [NO_WITNESS - 1, NO_WITNESS] + list(range(14)),
+], ids=["top=count-1", "top<count-missing", "top=count", "top=count-missing", "all-zero",
+        "near-2^63"])
+def test_coverage_value_routes_match_oracle(minimal):
+    report = CoverageReport(primes=(3, 5, 7, 11), limit=2**63 - 1, minimal=minimal)
     assert coverage_csv(report) == oracle_coverage_csv(report)
     assert coverage_json(report) == oracle_coverage_json(report)
