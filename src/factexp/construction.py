@@ -235,12 +235,15 @@ class CongruenceReport:
 def verify_congruence(p: int, m: int, limit: int, chunk_size: int = CHUNK_SIZE) -> CongruenceReport:
     """Check f(n) = e_p(n) (mod m) for all 0 <= n < limit.
 
-    The two sides are computed chunk by chunk by independent routes that
-    share only the block loop of the tiled kernels: e_p from a table on
-    base p^J built by the Legendre recurrence, with scalar Legendre
-    offsets, and f from a table folded out of the lambda-digit value
-    table on base q^j, with scalar `f.evaluate` offsets.  The report
-    carries the smallest counterexample if there is one.
+    The two sides are computed chunk by chunk by independent routes: e_p
+    is read off a table of the Legendre-recurrence tile on base p^J
+    shifted by every residue, one row gathered per block by its offset,
+    and f is a table folded out of the lambda-digit value table on base
+    q^j plus scalar `f.evaluate` offsets, added and wrapped block by
+    block.  (A modulus too large for a row table sends e_p through that
+    add-and-wrap block loop too, with its own tile and scalar Legendre
+    offsets.)  The report carries the smallest counterexample if there
+    is one.
     """
     config = ScanConfig(primes=(p,), mods=(m,), limit=limit, chunk_size=chunk_size)
     built = build_function(p, m)

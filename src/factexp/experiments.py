@@ -350,10 +350,12 @@ class CoverageReport:
         prefix of primes so covered, covered_prefix."""
         tops = []
         first = self.minimal
-        # halving folds away the top bit: first witnesses over one prime fewer
-        for _ in self.primes:
+        # halving folds away the top bit: first witnesses over one prime fewer;
+        # the first fold makes one half-size buffer, and the rest fold within it
+        for i in range(len(self.primes)):
             tops.append(int(first.max()))
-            first = np.minimum(first[: first.size // 2], first[first.size // 2 :])
+            half = first.size // 2
+            first = np.minimum(first[:half], first[half:], out=first[:half] if i else None)
         # N_i grows with i, so the first prefix with a pattern unseen ends it
         covered = itertools.takewhile(lambda top: top != NO_WITNESS, reversed(tops))
         return tuple(top + 1 for top in covered)

@@ -16,15 +16,24 @@ splits n = A*P + b with b < P = p^J and uses
 
     e_p(n) = e_p(b) + A*(P - 1)/(p - 1) + e_p(A),
 
-so a range is a run of blocks, each the same cached table of e_p on
-[0, P) plus one exact scalar offset e_p(A*P) (`_block_exponent`, shared
-with `and_exponent_hits`), with no division per element; the
-whole blocks are filled by one broadcast call (`_tiled_range`).  With a
-modulus m the kernel works on residues only, in the narrowest unsigned
-dtype that holds 2(m - 1): the table is cached reduced mod m, the
-offsets are reduced below m, and m is subtracted where a sum reached it.
-The table is built by the recurrence e_p(a*p + b) = a + e_p(a) for
-b < p, with no division.
+so a range is a run of blocks, each the same table of e_p on [0, P) plus
+one block offset e_p(A*P), with no division per element.  Unreduced, the
+table is cached as int64, each offset is an exact scalar
+(`_block_exponent`, shared with `and_exponent_hits`) and the whole
+blocks are filled by one broadcast add (`_tiled_range`).  With a modulus
+m the kernel works on residues only, in the narrowest unsigned dtype
+that holds 2(m - 1), and reads every block off a cached (m, P) table
+whose row c is the tile shifted by c mod m (`_shifted_tiles`): past a
+few blocks, the blocks a range touches are one row gather, by their
+offsets mod m, which come as one array from the same kernel on the
+P-times-shorter range of block indices, and the range is a view of
+them.  So a reduced range costs a fixed number of numpy calls whatever
+its length.  A modulus whose table would have rows shorter
+than `_SHORT_ROW` within the `_ROW_TABLE` entry budget adds the offsets
+to a reduced tile instead and subtracts m where a sum reached it.  The
+tiles are built by the recurrence e_p(a*p + b) = a + e_p(a) for b < p,
+the row tables by e_p(a*s + b) = a*(s - 1)/(p - 1) + e_p(b) for a < p,
+b < s = p^j, with no division per element.
 
 `and_exponent_hits` masks e_p(n) = want (mod m) on the same blocks: on
 block A it holds where table[b] = want - offset(A) (mod m), a bool tile.
@@ -43,10 +52,21 @@ from .primes import _U63, is_prime
 _TILE = 1 << 16
 _SQUARED = 1 << 9
 _HIT_TILE = 1 << 18  # the same for bool hit tables, one byte per entry
-# Wrap-around passes, histogram sums and coverage codes go in pieces of at
-# most this many elements, so the allocator reuses one piece's temporaries for
-# the next; at chunk size, megabyte temporaries go back to the system and are
-# page-faulted in again, a varying number of times per run.
+# A reduced range gathers its blocks from a table of m rows of the largest
+# power of p that keeps it within this many entries (16 cached, 4 MiB at
+# most in uint8, 8 MiB in uint16); past that, or with rows shorter than
+# _SHORT_ROW, where a row gather is slower per element than an add and a
+# wrap, it takes the add-and-wrap route.
+_ROW_TABLE = 1 << 18
+_SHORT_ROW = 1 << 6
+# A reduced range that touches at most this many blocks takes their offsets
+# as scalars: cheaper than the gather's offset array.
+_SCALAR_BLOCKS = 4
+# Wrap-around passes of the add-and-wrap route, histogram sums and coverage
+# codes go in pieces of at most this many elements, so the allocator reuses
+# one piece's temporaries for the next; at chunk size, megabyte temporaries
+# go back to the system and are page-faulted in again, a varying number of
+# times per run.
 _PIECE = 1 << 16
 # (dtype, largest value) in the order _residue_dtype tries them
 _RESIDUE_DTYPES = tuple((np.dtype(t), np.iinfo(t).max) for t in (np.uint8, np.uint16, np.uint32))
@@ -144,15 +164,12 @@ def _shift(out: np.ndarray, tile, offset, mod: int | None) -> None:
     """out = tile + offset, broadcast, for offsets already reduced below
     `mod`: where a sum reached mod, unsigned wrap-around makes sum - mod
     the larger one, so the minimum of the two subtracts mod exactly
-    there.  Mod 2 the sum is an XOR.  The minimum runs in pieces of
-    `_PIECE` elements, so no temporary grows with `out`, and skips every
-    piece whose blocks all have offset 0: they hold tile residues.
-    `offset` is an int for a 1-D `out`, a column of offsets for the rows
-    of a 2-D one."""
+    there.  The minimum runs in pieces of `_PIECE` elements, so no
+    temporary grows with `out`, and skips every piece whose blocks all
+    have offset 0: they hold tile residues.  `offset` is an int for a 1-D
+    `out`, a column of offsets for the rows of a 2-D one."""
     if tile is None:
         out[...] = offset
-    elif mod == 2:
-        np.bitwise_xor(tile, offset, out=out)
     else:
         np.add(tile, offset, out=out)
         if mod is not None:
@@ -181,18 +198,78 @@ def _exponent_tile(p: int, mod: int | None) -> np.ndarray:
     return tile
 
 
+@lru_cache(maxsize=16)
+def _shifted_tiles(p: int, mod: int) -> np.ndarray | None:
+    """The read-only (mod, span) table, in `_residue_dtype(mod)`, whose row
+    c is (e_p(b) + c) mod `mod` for b in [0, span), span the largest power
+    of p with mod*span <= _ROW_TABLE; None when that span is below
+    _SHORT_ROW.  Built in the residue dtype, one base-p level per step:
+    e_p(a*s + b) = a*(s - 1)/(p - 1) + e_p(b) for a < p and b < s = p^j,
+    each level one broadcast add and one wrap, and the rows the same."""
+    span = p
+    while mod * span * p <= _ROW_TABLE:
+        span *= p
+    if mod * span > _ROW_TABLE or span < _SHORT_ROW:
+        return None
+    dtype = _residue_dtype(mod)
+    tile = np.zeros(1, dtype=dtype)
+    while tile.size < span:
+        weight = (tile.size - 1) // (p - 1) % mod
+        tile = np.add.outer((np.arange(p) * weight % mod).astype(dtype), tile).ravel()
+        np.minimum(tile, tile - mod, out=tile)
+    rows = np.add.outer(np.arange(mod, dtype=dtype), tile)
+    np.minimum(rows, rows - mod, out=rows)
+    rows.flags.writeable = False
+    return rows
+
+
+def _gathered_range(start: int, stop: int, p: int, mod: int, rows: np.ndarray) -> np.ndarray:
+    """e_p mod `mod` on [start, stop) read off `_shifted_tiles(p, mod)`:
+    block A of span = rows.shape[1] elements is row e_p(A*span) mod `mod`.
+    A range that touches at most _SCALAR_BLOCKS blocks copies a slice of
+    each block's row at a scalar `_block_exponent` offset.  Past that the
+    offsets of all blocks it touches are one array, A*(span - 1)/(p - 1)
+    + e_p(A) mod `mod` with e_p(A) from this kernel on the block indices,
+    and the blocks one `np.take` of rows: the range is a view of them, at
+    most two partial blocks shorter, so that one call (one release of the
+    GIL) writes it all."""
+    span = rows.shape[1]
+    a0, a1 = start // span, -(-stop // span)
+    if a1 - a0 <= _SCALAR_BLOCKS:
+        out = np.empty(stop - start, dtype=rows.dtype)
+        for a in range(a0, a1):
+            lo, hi = max(start, a * span), min(stop, a * span + span)
+            out[lo - start : hi - start] = rows[_block_exponent(p, span, a) % mod, lo - a * span : hi - a * span]
+        return out
+    # a count times a weight below mod stays far inside int64
+    weight = (span - 1) // (p - 1)
+    offsets = np.arange(a1 - a0, dtype=np.intp)
+    offsets *= weight % mod
+    offsets += a0 * weight % mod
+    offsets += _gathered_range(a0, a1, p, mod, rows)
+    offsets %= mod
+    blocks = np.take(rows, offsets, axis=0)
+    return blocks.reshape(-1)[start - a0 * span : stop - a0 * span]
+
+
 def exponent_range(start: int, stop: int, p: int, mod: int | None = None) -> np.ndarray:
     """e_p(n) for every n in [start, stop): an int64 array, or with `mod`
     the residues in the narrowest unsigned dtype that holds 2*(mod - 1).
 
-    Tiled by P = `_tile_span(p)`, the largest power of p that is at most
-    max(p, 2**16) (p**2 for 2**8 < p < 2**9): for n = A*P + b with b < P,
-    e_p(n) = e_p(b) + A*(P - 1)/(p - 1) + e_p(A).
-    e_p(b) comes from a cached table built by the Legendre recurrence (for
-    p > 2**16 it is 0, and no table exists), and the block offset
-    e_p(A*P) exactly from `_block_exponent`.  With `mod` the table is cached
-    reduced mod `mod` and every block stays below it.  The range must sit
-    below 2**63, so every value fits int64, and so must the modulus.
+    For n = A*P + b with b < P, e_p(n) = e_p(b) + A*(P - 1)/(p - 1) + e_p(A).
+    With `mod`, P is the largest power of p whose `mod` rows fit the
+    _ROW_TABLE budget of `_shifted_tiles`, and the blocks of the range are
+    one row gather from that cached table by their offsets mod `mod`
+    (`_gathered_range`); past a few blocks the result is then a view of
+    the gathered blocks, at most two partial blocks longer than the range.
+    Without `mod`, or when those rows would be
+    shorter than _SHORT_ROW, P = `_tile_span(p)`, the largest power of p
+    that is at most max(p, 2**16) (p**2 for 2**8 < p < 2**9): e_p(b) comes
+    from a cached table (for p > 2**16 it is 0, and no table exists), the
+    offset e_p(A*P) exactly from `_block_exponent`, and with `mod` the
+    table is reduced and m subtracted where a sum reaches it
+    (`_tiled_range`).  The range must sit below 2**63, so every value fits
+    int64, and so must the modulus.
     """
     _require_prime(p)
     if mod is not None and mod < 2:
@@ -201,6 +278,9 @@ def exponent_range(start: int, stop: int, p: int, mod: int | None = None) -> np.
         raise ValueError(f"bad range [{start}, {stop})")
     if stop >= _U63:
         raise ValueError(f"range end must stay below 2**63, got {stop}")
+    rows = None if mod is None else _shifted_tiles(p, mod)
+    if rows is not None:
+        return _gathered_range(start, stop, p, mod, rows)
     span = _tile_span(p)
     tile = _exponent_tile(p, mod) if p <= _TILE else None
     return _tiled_range(start, stop, span, tile, partial(_block_exponent, p, span), mod)

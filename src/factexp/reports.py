@@ -109,8 +109,10 @@ def _report(head: str, row: str, join: str, tail: str, mods, values: np.ndarray,
     grid = values.reshape(prefixes.size, suffixes.size)
     known = grid != NO_WITNESS if missing is not None else np.full(grid.shape, True)
     top = int(grid.max(initial=-1, where=known))
-    # NO_WITNESS clips to the last entry of the table, `missing`
-    table = np.array([*map(str, range(top + 1)), missing], dtype=object) if top < grid.size else None
+    # str(0..top) costs no more than one str per present value; NO_WITNESS
+    # clips to the last entry of the table, `missing`
+    table = (np.array([*map(str, range(top + 1)), missing], dtype=object)
+             if top < np.count_nonzero(known) else None)
     rows, cols = max(1, _BATCH // suffixes.size), min(suffixes.size, _BATCH)
     batches = [head + before]
     for i in range(0, prefixes.size, rows):

@@ -528,6 +528,28 @@ def test_covering_limits_to_fourteen_primes_are_frozen():
     assert limits[9:] == (13228, 29126, 51517, 135217, 295504)
 
 
+def test_covering_limits_fold_within_one_half_size_buffer():
+    # 2^20 first witnesses (8 MiB): the folds need one 4 MiB buffer, where
+    # a fresh array per fold would keep 6 MiB alive at once.  The witnesses
+    # are a permutation of [0, 2^20), so every prefix is covered, and each
+    # N_i is one more than the largest minimum of a fold, computed here by
+    # reshaping instead of halving.
+    k = 20
+    minimal = np.random.default_rng(5).permutation(1 << k)
+    report = CoverageReport(primes=tuple(nth_odd_prime(i) for i in range(1, k + 1)),
+                            limit=1 << k, minimal=minimal)
+    want = tuple(int(minimal.reshape(1 << (k - i), 1 << i).min(axis=0).max()) + 1
+                 for i in range(1, k + 1))
+    tracemalloc.start()
+    try:
+        got = report.covering_limits()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < report.minimal.nbytes // 2 + (1 << 16)
+
+
 def test_coverage_witnesses_are_real_and_minimal():
     rep = pattern_coverage((3, 5, 7), 5000)
     assert rep.complete
@@ -579,6 +601,20 @@ def test_histogram_at_the_class_cap_is_invariant_under_chunk_size_and_threads(ch
     for threads in (1, 2):
         cfg = ScanConfig(primes=primes, mods=mods, limit=limit, chunk_size=chunk)
         assert cfg.class_count == CLASS_CAP
+        assert np.array_equal(joint_histogram(cfg, threads=threads).counts.ravel(), want)
+
+
+@pytest.mark.parametrize("chunk,limit", [(1, 600), (7, 20_000), (2**16 + 3, 5 * 2**16 + 11)])
+def test_histogram_from_row_tables_is_invariant_under_chunk_size_and_threads(chunk, limit):
+    # 3 mod 1078 reads blocks of 3^5 off a 1078-row table (1078 * 3^5 is
+    # just inside the 2^18-entry budget), 2 mod 5 blocks of 2^15; a chunk of
+    # 2^16 + 3 gathers hundreds of blocks at a time, 1 and 7 read each
+    # block off its row.  Against an int64 class index from the floor sum.
+    primes, mods = (3, 2), (1078, 5)
+    want = np.bincount((floor_sum_range(0, limit, 3) % 1078) * 5 + floor_sum_range(0, limit, 2) % 5,
+                       minlength=1078 * 5)
+    for threads in (1, 2):
+        cfg = ScanConfig(primes=primes, mods=mods, limit=limit, chunk_size=chunk)
         assert np.array_equal(joint_histogram(cfg, threads=threads).counts.ravel(), want)
 
 
@@ -640,7 +676,7 @@ def test_coverage_stops_at_full_cover_for_any_chunk_size(chunk, monkeypatch):
 
 
 def test_parity_of_e2_identity():
-    # the bit-count oracle against the scalar floor sum and the mod-2 XOR kernel
+    # the bit-count oracle against the scalar floor sum and the mod-2 row gather
     direct = exponent_range(0, 3000, 2, mod=2)
     for n in range(3000):
         assert parity_of_e2(n) == legendre_exponent(n, 2) % 2 == direct[n]

@@ -14,9 +14,12 @@ from hypothesis import strategies as st
 
 from factexp.exponents import (
     _PIECE,
+    _ROW_TABLE,
+    _SHORT_ROW,
     _TILE,
     _exponent_tile,
     _residue_dtype,
+    _shifted_tiles,
     _tile_span,
     _tiled_range,
     digit_sum,
@@ -228,7 +231,7 @@ def test_exponent_range_huge_prime_allocates_only_the_output():
     ]
 
 
-# every residue dtype: uint8 (2 by XOR, 3), uint16 (129), uint32 (2^15 + 1)
+# every residue dtype: uint8 (2, 3), uint16 (129), uint32 (2^15 + 1)
 # and uint64 (2^31 + 1, 2^63 - 1), and unreduced int64
 KERNEL_MODS = [None, 2, 3, 129, 2**15 + 1, 2**31 + 1, 2**63 - 1]
 
@@ -278,18 +281,82 @@ def test_tiled_range_wraps_every_piece_that_holds_a_nonzero_offset(mod):
 
 @pytest.mark.parametrize("m", [3, 2**31 + 1])
 def test_exponent_range_allocates_the_output_and_one_piece(m):
-    # the whole blocks are filled in place, and the reduction's temporaries
-    # are one piece each; 4 KiB covers the block offsets and Python objects
+    # Mod 3 the blocks the range touches are gathered from the row table into
+    # the buffer the output views, at most two partial blocks longer, and the
+    # only other array is the offset array, one intp per block (plus the
+    # block range's own residues); 4 KiB covers Python objects, so a buffer
+    # of the chunk's size fails it.  Mod 2^31 + 1 has no row table, and the
+    # wrap pass's temporaries are one piece each.
     start, stop = 5 << 20, 6 << 20
-    exponent_range(start, stop, 7, mod=m)  # the cached tile
+    exponent_range(start, stop, 7, mod=m)  # the cached table or tile
     tracemalloc.start()
     try:
         got = exponent_range(start, stop, 7, mod=m)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < got.nbytes + _PIECE * got.itemsize + (1 << 12)
+    rows = _shifted_tiles(7, m)
+    if rows is None:
+        assert got.base is None
+        extra = _PIECE * got.itemsize
+    else:
+        span = rows.shape[1]
+        buffer = got.base.nbytes
+        assert got.nbytes <= buffer <= got.nbytes + 2 * span * got.itemsize
+        extra = buffer - got.nbytes + ((stop - start) // span + 2) * (np.dtype(np.intp).itemsize + got.itemsize)
+    assert peak < got.nbytes + extra + (1 << 12)
     assert np.array_equal(got, floor_sum_range(start, stop, 7) % m)
+
+
+def row_table_moduli(p: int) -> list[int]:
+    """For every power s of p that some modulus m >= 2 makes the row span
+    (the largest s with m*s <= _ROW_TABLE), the least and the largest
+    such m; then the least m with no span, just past the budget."""
+    moduli, s = set(), p
+    while 2 * s <= _ROW_TABLE:
+        moduli.update(m for m in (max(2, _ROW_TABLE // (s * p) + 1), _ROW_TABLE // s) if m >= 2)
+        s *= p
+    return sorted(moduli | {_ROW_TABLE // p + 1})
+
+
+ROW_MODULI = [(p, m) for p in (2, 3, 257, 65537) for m in row_table_moduli(p)]
+
+
+def test_row_table_moduli_reach_every_span_and_both_routes():
+    spans = {}
+    for p, m in ROW_MODULI:
+        rows = _shifted_tiles(p, m)
+        spans.setdefault(p, set()).add(None if rows is None else rows.shape[1])
+    assert spans[2] == {None} | {2**j for j in range(6, 18)}
+    assert spans[3] == {None} | {3**j for j in range(4, 11)}
+    assert spans[257] == {None, 257, 257**2}
+    assert spans[65537] == {None, 65537}
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 4096), (3, 3), (7, 16), (11, 64), (257, 3), (65537, 3)])
+def test_shifted_tiles_are_the_reduced_tile_shifted_by_every_residue(p, m):
+    rows = _shifted_tiles(p, m)
+    span = rows.shape[1]
+    assert rows.shape[0] == m and span >= _SHORT_ROW and m * span <= _ROW_TABLE < m * span * p
+    assert rows.dtype == _residue_dtype(m) and not rows.flags.writeable
+    want = (floor_sum_range(0, span, p) + np.arange(m)[:, None]) % m
+    assert np.array_equal(rows, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ROW_MODULI), st.integers(0, 2**62), st.integers(0, 6), st.data())
+def test_gathered_exponent_range_is_the_floor_sum_mod_m(pm, start, blocks, data):
+    # every row span the budget allows for p = 2, 3, 257 and 65537, and the
+    # modulus just past it; widths from one element to a few blocks, so the
+    # gather past _SCALAR_BLOCKS whole blocks, the scalar blocks and the
+    # block-range recursion all run
+    p, m = pm
+    rows = _shifted_tiles(p, m)
+    span = _tile_span(p) if rows is None else rows.shape[1]
+    stop = start + blocks * span + data.draw(st.integers(1, span))
+    got = exponent_range(start, stop, p, mod=m)
+    assert got.dtype == _residue_dtype(m)
+    assert np.array_equal(got, floor_sum_range(start, stop, p) % m)
 
 
 @settings(max_examples=80)

@@ -311,7 +311,9 @@ def test_histogram_value_routes_match_oracle(counts):
 
 
 # The same for coverage, 16 patterns, with and without missing ones, and
-# with all witnesses zero.
+# with all witnesses zero.  The count is that of the present values: an
+# early rung of the coverage ladder, most patterns missing, has its largest
+# witness between that count and the number of patterns.
 @pytest.mark.parametrize("minimal", [
     list(range(15, -1, -1)),
     list(range(14)) + [NO_WITNESS, 13],
@@ -319,8 +321,10 @@ def test_histogram_value_routes_match_oracle(counts):
     [16] + list(range(14)) + [NO_WITNESS],
     [0] * 16,
     [NO_WITNESS - 1, NO_WITNESS] + list(range(14)),
+    [NO_WITNESS] * 5 + [0, NO_WITNESS, 9, NO_WITNESS, 3, NO_WITNESS, 14, NO_WITNESS, 6, NO_WITNESS, 1],
+    [NO_WITNESS] * 10 + [5, 0, 4, 1, 3, 2],
 ], ids=["top=count-1", "top<count-missing", "top=count", "top=count-missing", "all-zero",
-        "near-2^63"])
+        "near-2^63", "early-rung", "early-rung-top=count-1"])
 def test_coverage_value_routes_match_oracle(minimal):
     report = CoverageReport(primes=(3, 5, 7, 11), limit=2**63 - 1, minimal=minimal)
     assert coverage_csv(report) == oracle_coverage_csv(report)
