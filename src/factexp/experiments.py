@@ -6,9 +6,10 @@ size and thread count by construction: the kernels hand over residues in
 narrow unsigned dtypes, class indices fold in the narrowest of uint8,
 uint16 and int32 that holds them all (at most CLASS_CAP = 2**24
 classes), pattern masks are ANDed from cached bool hit tables (at most
-4 MiB, see `exponents.and_exponent_hits`), and counts and first
-witnesses are int64.  The floating-point summaries in DiscrepancyReport
-are derived from those exact counts at the very end.
+4 MiB, see `exponents.and_exponent_hits`) and read as 64-bit words,
+whose first and last set bits come from exact float64 exponents, and
+counts and first witnesses are int64.  The floating-point summaries in
+DiscrepancyReport are derived from those exact counts at the very end.
 
 Histogram counts are a read-only int64 ndarray of shape `mods`, indexed
 by class tuple; its C order is the lexicographic order of exports.
@@ -257,6 +258,10 @@ class PatternReport:
 
 # (hits, first hit, last hit, largest gap between consecutive hits) of a span
 _NO_HITS = (0, None, None, None)
+# A chunk mask is summarized in pieces of this many bits, 8192 words: then no
+# array of the summary reaches 128 KiB, which glibc maps and page-faults in
+# afresh on every call.
+_SUMMARY_BITS = 1 << 19
 
 
 def _join_hits(a, b):
@@ -269,28 +274,107 @@ def _join_hits(a, b):
     return a[0] + b[0], a[1], b[2], gap
 
 
-def _piece_hits(mask: np.ndarray, start: int):
-    where = np.flatnonzero(mask)
-    if where.size == 0:
+def _gap_in_words(words: np.ndarray, first: int, last: int, floor: int) -> int:
+    """The widest gap between consecutive hits inside one of the nonzero
+    `words`, or `floor` if none is wider; `first` is the lowest set bit of
+    the first word, `last` the highest of the last, and 0 < floor < 63 is
+    the widest gap across words (1 if one word holds every hit).  A run of
+    misses that reaches the edge of a word is part of a gap across words,
+    so shorter than `floor`, unless it lies before the first hit or after
+    the last; those are cleared.  The misses are reduced by y &= y >> s,
+    doubling s, to the starts of runs of `floor` misses, which are then
+    lengthened one miss at a time while any is left."""
+    y = ~words
+    y[0] = int(y[0]) >> (first + 1) << (first + 1)
+    y[-1] = int(y[-1]) & ((1 << last) - 1)
+    have, gap = 1, floor
+    while have < gap:
+        step = min(have, gap - have)
+        y &= y >> np.uint64(step)
+        have += step
+    if not y.any():
+        return floor
+    y = y[y != 0]
+    while y.size:
+        gap += 1
+        y &= y >> np.uint64(1)
+        y = y[y != 0]
+    return gap
+
+
+def _mask_hits(mask: np.ndarray, start: int):
+    """The hit summary of a bool mask over n = start, start + 1, ..., whose
+    length is a multiple of 64, read as 64-bit words: bit i of word j is
+    n = start + 64j + i.  The first and last hit of a word are its lowest
+    and highest set bit, read off float64 exponents; the widest gap is the
+    widest of the gaps between the last hit of a nonzero word and the
+    first of the next, or one inside a word (`_gap_in_words`)."""
+    hits = int(np.count_nonzero(mask))
+    if not hits:
         return _NO_HITS
-    inner = int(np.diff(where).max()) if where.size >= 2 else None
-    return int(where.size), start + int(where[0]), start + int(where[-1]), inner
+    words = np.packbits(mask, bitorder="little").view("<u8")
+    # the indices of the nonzero words, or None when every word is one
+    at = None
+    if np.count_nonzero(words) < words.size:
+        at = np.flatnonzero(words != 0)
+        words = words[at]
+    # w & -w is the lowest set bit alone, a power of two whose float64
+    # exponent is exact (as int64, which converts faster than uint64)
+    low = -words
+    low &= words
+    low = np.frexp(low.view(np.int64))[1] - 1
+    # w >> 1 rounded to 53 bits has the exponent of the highest set bit of
+    # w, or one more (up to 64) where the rounding carried; then w >> high
+    # is 0, as numpy defines shifts past the width
+    high = np.frexp((words >> np.uint64(1)).view(np.int64))[1].astype(np.uint8)
+    high -= (words >> high) == 0
+    # the gap from the last hit of a word to the first of the next nonzero
+    # one is 64 more than their difference, and 64 more per zero word between
+    gap = int(hits > 1)
+    if words.size > 1:
+        steps = low[1:] - high[:-1]
+        if at is not None:
+            steps = steps + ((at[1:] - at[:-1] - 1) << 6)
+        gap = int(steps.max()) + 64
+    if 0 < gap < 63:
+        gap = _gap_in_words(words, int(low[0]), int(high[-1]), gap)
+    ends = (0, words.size - 1) if at is None else (int(at[0]), int(at[-1]))
+    first, last = 64 * ends[0] + int(low[0]), 64 * ends[1] + int(high[-1])
+    return hits, start + first, start + last, gap or None
 
 
-def _chunk_hits(config: ScanConfig, pattern, start: int, stop: int):
-    mask = np.ones(stop - start, dtype=bool)
+def _chunk_hits(config: ScanConfig, pattern, start: int, stop: int, *, spare=None):
+    """The hit summary of `pattern` on [start, stop): one bool mask ANDed from
+    hit tiles, padded with misses to whole 64-bit words and summarized in
+    pieces of _SUMMARY_BITS.  The mask is written into a buffer popped off
+    the list `spare` and pushed back after, so the calls of one scan hold
+    as many buffers as run at once."""
+    size = stop - start
+    width = -(-size // 64) * 64
+    spare = [] if spare is None else spare
+    try:
+        buffer = spare.pop()
+    except IndexError:
+        buffer = np.empty(width, dtype=bool)
+    if buffer.size < width:
+        buffer = np.empty(width, dtype=bool)
+    mask = buffer[:width]
+    mask[:size] = True
+    mask[size:] = False
     for p, m, want in zip(config.primes, config.mods, pattern):
-        and_exponent_hits(mask, start, p, m, want)
-    # slices of about 2**15 hits, if the classes even out: fewer calls than
-    # _PIECE elements, and no hit array large enough to be mapped afresh
-    width = _PIECE * min(4, max(1, config.class_count // 2))
-    pieces = (_piece_hits(mask[lo : lo + width], start + lo) for lo in range(0, mask.size, width))
-    return reduce(_join_hits, pieces, _NO_HITS)
+        and_exponent_hits(mask[:size], start, p, m, want)
+    pieces = (_mask_hits(mask[lo : lo + _SUMMARY_BITS], start + lo)
+              for lo in range(0, width, _SUMMARY_BITS))
+    summary = reduce(_join_hits, pieces, _NO_HITS)
+    spare.append(buffer)
+    return summary
 
 
 def pattern_search(config: ScanConfig, pattern, threads: int = 1) -> PatternReport:
     """Scan [0, limit) for n whose residue tuple equals `pattern`: one bool mask per
-    chunk, ANDed from cached hit tiles (4 MiB in all), read in slices of 2**16 to 2**18.
+    chunk, ANDed from cached hit tiles (4 MiB in all) into a buffer reused across
+    chunks, packed into 64-bit words and summarized from those, 2**19 bits at a
+    time, without writing out a hit position (`_mask_hits`).
 
     max_gap is None when there are fewer than two hits; leading and
     trailing runs without hits do not count as gaps.
@@ -301,7 +385,7 @@ def pattern_search(config: ScanConfig, pattern, threads: int = 1) -> PatternRepo
     for a, m in zip(pattern, config.mods):
         if not 0 <= a < m:
             raise ValueError(f"pattern entry {a} out of range for modulus {m}")
-    parts = map_spans(partial(_chunk_hits, config, pattern), config, threads)
+    parts = map_spans(partial(_chunk_hits, config, pattern, spare=[]), config, threads)
     hits, minimal, _, max_gap = reduce(_join_hits, parts, _NO_HITS)
     return PatternReport(
         config=config, pattern=pattern, minimal_n=minimal, hits=hits, max_gap=max_gap

@@ -19,24 +19,25 @@ splits n = A*P + b with b < P = p^J and uses
 so a range is a run of blocks, each the same table of e_p on [0, P) plus
 one block offset e_p(A*P), with no division per element.  Unreduced, the
 table is cached as int64, each offset is an exact scalar
-(`_block_exponent`, shared with `and_exponent_hits`) and the whole
-blocks are filled by one broadcast add (`_tiled_range`).  With a modulus
-m the kernel works on residues only, in the narrowest unsigned dtype
-that holds 2(m - 1), and reads every block off a cached (m, P) table
-whose row c is the tile shifted by c mod m (`_shifted_tiles`): past a
-few blocks, the blocks a range touches are one row gather, by their
-offsets mod m, which come as one array from the same kernel on the
-P-times-shorter range of block indices, and the range is a view of
-them.  So a reduced range costs a fixed number of numpy calls whatever
-its length.  A modulus whose table would have rows shorter
-than `_SHORT_ROW` within the `_ROW_TABLE` entry budget adds the offsets
-to a reduced tile instead and subtracts m where a sum reached it.  The
-tiles are built by the recurrence e_p(a*p + b) = a + e_p(a) for b < p,
-the row tables by e_p(a*s + b) = a*(s - 1)/(p - 1) + e_p(b) for a < p,
-b < s = p^j, with no division per element.
+(`_block_exponent`) and the whole blocks are filled by one broadcast
+add (`_tiled_range`).  With a modulus m the kernel works on residues
+only, in the narrowest unsigned dtype that holds 2(m - 1), and reads
+every block off a cached (m, P) table whose row c is the tile shifted
+by c mod m (`_shifted_tiles`): past a few blocks, the blocks a range
+touches are one row gather, by their offsets mod m, which come as one
+array from the same kernel on the P-times-shorter range of block
+indices (`_block_residues`, shared with `and_exponent_hits`), and the
+range is a view of them.  So a reduced range costs a fixed number of
+numpy calls whatever its length.  A modulus whose table would have
+rows shorter than `_SHORT_ROW` within the `_ROW_TABLE` entry budget
+adds the offsets to a reduced tile instead and subtracts m where a sum
+reached it.  The tiles are built by the recurrence e_p(a*p + b) = a +
+e_p(a) for b < p, the row tables by e_p(a*s + b) = a*(s - 1)/(p - 1) +
+e_p(b) for a < p, b < s = p^j, with no division per element.
 
 `and_exponent_hits` masks e_p(n) = want (mod m) on the same blocks: on
-block A it holds where table[b] = want - offset(A) (mod m), a bool tile.
+block A it holds where table[b] = want - offset(A) (mod m), a bool tile,
+and the offsets of all blocks are one array.
 """
 
 from functools import lru_cache, partial
@@ -228,8 +229,7 @@ def _gathered_range(start: int, stop: int, p: int, mod: int, rows: np.ndarray) -
     block A of span = rows.shape[1] elements is row e_p(A*span) mod `mod`.
     A range that touches at most _SCALAR_BLOCKS blocks copies a slice of
     each block's row at a scalar `_block_exponent` offset.  Past that the
-    offsets of all blocks it touches are one array, A*(span - 1)/(p - 1)
-    + e_p(A) mod `mod` with e_p(A) from this kernel on the block indices,
+    offsets of all blocks it touches are one array (`_block_residues`),
     and the blocks one `np.take` of rows: the range is a view of them, at
     most two partial blocks shorter, so that one call (one release of the
     GIL) writes it all."""
@@ -241,15 +241,22 @@ def _gathered_range(start: int, stop: int, p: int, mod: int, rows: np.ndarray) -
             lo, hi = max(start, a * span), min(stop, a * span + span)
             out[lo - start : hi - start] = rows[_block_exponent(p, span, a) % mod, lo - a * span : hi - a * span]
         return out
+    blocks = np.take(rows, _block_residues(a0, a1, p, span, mod), axis=0)
+    return blocks.reshape(-1)[start - a0 * span : stop - a0 * span]
+
+
+def _block_residues(a0: int, a1: int, p: int, span: int, mod: int) -> np.ndarray:
+    """e_p(A*span) mod `mod` for the blocks A in [a0, a1) of a range tiled
+    by a power `span` of p, as one intp array: A*(span - 1)/(p - 1) + e_p(A),
+    with e_p(A) mod `mod` from `exponent_range` on the block indices."""
     # a count times a weight below mod stays far inside int64
     weight = (span - 1) // (p - 1)
     offsets = np.arange(a1 - a0, dtype=np.intp)
     offsets *= weight % mod
     offsets += a0 * weight % mod
-    offsets += _gathered_range(a0, a1, p, mod, rows)
+    offsets += exponent_range(a0, a1, p, mod)
     offsets %= mod
-    blocks = np.take(rows, offsets, axis=0)
-    return blocks.reshape(-1)[start - a0 * span : stop - a0 * span]
+    return offsets
 
 
 def exponent_range(start: int, stop: int, p: int, mod: int | None = None) -> np.ndarray:
@@ -296,15 +303,31 @@ def _hit_tile(p: int, mod: int, r: int) -> np.ndarray:
 
 def and_exponent_hits(out: np.ndarray, start: int, p: int, mod: int, want: int) -> None:
     """AND [e_p(n) = want (mod `mod`)] for n in [start, start + out.size) into the
-    bool array `out`: per block a slice of a cached hit tile (16 of at most 2**18 B),
-    or for p >= 2**9 one constant.  Unchecked: p prime, 0 <= want < mod, n < 2**63."""
-    span, stop = _tile_span(p, _HIT_TILE), start + out.size
-    bounds = [start, *range(start - start % span + span, stop, span), stop]
-    blocks = range(start // span, start // span + len(bounds) - 1)
-    rs = [(want - _block_exponent(p, span, a)) % mod for a in blocks]
+    bool array `out`, split in blocks of span = `_tile_span(p, 2**18)`: block A
+    holds a hit where e_p(b) = r(A) = want - e_p(A*span) (mod `mod`), the r(A)
+    one array from `_block_residues`.  For p >= 2**9, where span = p and e_p is
+    constant on a block, the whole blocks with r(A) != 0 are cleared by one
+    row assignment; below, each block ANDs in a cached hit tile (16 of at most
+    2**18 B).  Unchecked: p prime, 0 <= want < mod <= 2**31, n < 2**63."""
+    span, size = _tile_span(p, _HIT_TILE), out.size
+    a0 = start // span
+    rs = _block_residues(a0, -(-(start + size) // span), p, span, mod)
+    np.subtract(want, rs, out=rs)
+    rs %= mod
+    # out is a partial block, the whole blocks, and another partial block
+    head = min(-start % span, size)
+    count = (size - head) // span
+    whole = out[head : head + count * span].reshape(count, span)
+    wanted = rs[int(head > 0) : int(head > 0) + count]
     if span == p:
-        np.logical_and(out, np.repeat(np.equal(rs, 0), np.diff(bounds)), out=out)
-        return
-    for a, r, lo, hi in zip(blocks, rs, bounds, bounds[1:]):
-        block = out[lo - start : hi - start]
-        np.logical_and(block, _hit_tile(p, mod, r)[lo - a * span : hi - a * span], out=block)
+        whole[wanted != 0] = False
+    else:
+        for block, r in zip(whole, wanted.tolist()):
+            np.logical_and(block, _hit_tile(p, mod, r), out=block)
+    for lo, hi, r in ((0, head, rs[0]), (head + count * span, size, rs[-1])):
+        if lo < hi:
+            part, b = out[lo:hi], (start + lo) % span
+            if span == p:
+                part &= r == 0
+            else:
+                np.logical_and(part, _hit_tile(p, mod, int(r))[b : b + hi - lo], out=part)

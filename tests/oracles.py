@@ -3,9 +3,9 @@
 Each follows its defining identity: one integer at a time in pure
 Python, or, for the array routes at the bottom, one division pass per
 digit level, one tile block at a time, one int32 class index counted by
-a plain bincount, one residue comparison per prime for a pattern, one
-coverage scan per bound of a doubling ladder, or one set of seen codes
-per prime prefix.
+a plain bincount, one residue comparison per prime for a pattern, every
+hit position of a mask written out, one coverage scan per bound of a
+doubling ladder, or one set of seen codes per prime prefix.
 None validates its arguments: the tests only pass valid ones.
 """
 
@@ -141,10 +141,17 @@ def residue_chunk_hits(config, pattern, start: int, stop: int):
     """(hits, first hit, last hit, largest gap between consecutive hits) of
     `pattern` on [start, stop), or (0, None, None, None): the residues of
     each prime from `exponent_range` compared with its pattern entry, the
-    comparisons ANDed, and the hits read off one flatnonzero."""
+    comparisons ANDed, and the hits read off by `flatnonzero_hits`."""
     mask = np.ones(stop - start, dtype=bool)
     for p, m, want in zip(config.primes, config.mods, pattern):
         mask &= exponent_range(start, stop, p, mod=m) == want
+    return flatnonzero_hits(mask, start)
+
+
+def flatnonzero_hits(mask, start: int):
+    """(hits, first hit, last hit, largest gap between consecutive hits) of
+    a bool mask over n = start, start + 1, ..., or (0, None, None, None):
+    every hit position written out by one flatnonzero, the gaps by diff."""
     where = np.flatnonzero(mask)
     if where.size == 0:
         return 0, None, None, None

@@ -5,6 +5,7 @@ pure Python, which keeps the vectorized chunk kernels honest.
 """
 
 import itertools
+import sys
 import threading
 import time
 import tracemalloc
@@ -26,6 +27,7 @@ from factexp.experiments import (
     _chunk_histogram,
     _chunk_hits,
     _fold_dtype,
+    _mask_hits,
     CoverageReport,
     ResidueHistogram,
     ScanConfig,
@@ -37,6 +39,7 @@ from factexp.experiments import (
 )
 from oracles import (
     ExponentStream,
+    flatnonzero_hits,
     floor_sum_range,
     int32_chunk_histogram,
     parity_of_e2,
@@ -416,6 +419,72 @@ def test_chunk_hits_match_the_residue_oracle(data):
     assert config.class_count <= CLASS_CAP
     got = _chunk_hits(config, pattern, start, stop)
     assert got == residue_chunk_hits(config, pattern, start, stop)
+
+
+# words whose float64 value rounds up, into the next power of two (2^64 - 1,
+# 2^54 - 1) or within it (0xE0000000000007FF, 2^63 + 2^11 - 1)
+ROUNDING_WORDS = (2**64 - 1, 2**54 - 1, 0xE0000000000007FF, 2**63 + 2**11 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mask_summary_matches_the_flatnonzero_oracle(data):
+    # lengths mostly not whole words, densities from no hit or one to all
+    # True, hits on the first and last bit of words, and rounding words
+    size = data.draw(st.integers(1, 400))
+    density = data.draw(st.sampled_from([0.0, 0.01, 0.1, 0.5, 0.9, 1.0]))
+    mask = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random(size) < density
+    for n in data.draw(st.lists(st.integers(0, size - 1), max_size=2)):
+        mask[n] = True
+    for j in data.draw(st.lists(st.integers(0, (size - 1) // 64), max_size=3)):
+        n = 64 * j + data.draw(st.sampled_from([0, 63]))
+        if n < size:
+            mask[n] = True
+    if size >= 64 and data.draw(st.booleans()):
+        j = data.draw(st.integers(0, size // 64 - 1))
+        word = np.array([data.draw(st.sampled_from(ROUNDING_WORDS))], dtype="<u8")
+        mask[64 * j : 64 * j + 64] = np.unpackbits(word.view(np.uint8), bitorder="little")
+    start = data.draw(st.integers(0, 2**62))
+    # misses pad the mask to whole words, as in a chunk
+    padded = np.zeros(-(-size // 64) * 64, dtype=bool)
+    padded[:size] = mask
+    assert _mask_hits(padded, start) == flatnonzero_hits(mask, start)
+
+
+def test_pattern_search_threads_never_share_a_mask_buffer():
+    # eight threads pop and push the mask buffers of one scan while the
+    # interpreter switches threads every microsecond: a buffer two chunks
+    # wrote at once would change the hits of both
+    cfg = ScanConfig(primes=(3, 5), mods=(2, 3), limit=300_000, chunk_size=4099)
+    want = residue_chunk_hits(cfg, (1, 2), 0, cfg.limit)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        started = time.monotonic()
+        for _ in range(3):
+            rep = pattern_search(cfg, (1, 2), threads=8)
+            assert (rep.hits, rep.minimal_n, rep.max_gap) == (want[0], want[1], want[3])
+    finally:
+        sys.setswitchinterval(interval)
+    assert time.monotonic() - started < 60
+
+
+@pytest.mark.parametrize("primes,pattern", [((3, 5, 7), (1, 0, 1)), ((3,), (1,))])
+def test_chunk_hits_peak_at_most_the_mask_and_half_a_mebibyte(primes, pattern):
+    # a 2^20 chunk of a sparse and a dense mask: the 1 MiB mask and the
+    # summary of its words stay within the 1.5 MiB that writing out the hit
+    # positions of slices took; the first call fills the tile caches
+    cfg = ScanConfig(primes=primes, mods=(2,) * len(primes), limit=6 << 20)
+    start, stop = 5 << 20, 6 << 20
+    want = _chunk_hits(cfg, pattern, start, stop)
+    tracemalloc.start()
+    try:
+        got = _chunk_hits(cfg, pattern, start, stop)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want == residue_chunk_hits(cfg, pattern, start, stop)
+    assert peak <= 1.5 * 2**20
 
 
 @pytest.mark.parametrize("primes,mods", [((3, 5, 7), (2, 2, 2)), ((2, 521, 65537), (3, 2, 5)),

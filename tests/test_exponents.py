@@ -22,6 +22,7 @@ from factexp.exponents import (
     _shifted_tiles,
     _tile_span,
     _tiled_range,
+    and_exponent_hits,
     digit_sum,
     exponent_range,
     legendre_exponent,
@@ -383,3 +384,20 @@ def test_residue_dtype_reaches_uint64_and_stops_below_2_63():
         assert got.tolist() == [legendre_exponent(n, 3) % m for n in range(start, start + 10)]
     with pytest.raises(OverflowError):
         exponent_range(0, 10, 3, mod=2**63)
+
+
+# hit tables over p^J (2, 3, 13, 23) and p^2 (67, 127, 131, 257, 509), and
+# blocks of p on which e_p is constant (521, 65537); moduli small enough to
+# repeat a residue across blocks, and large enough to give most blocks a
+# residue of their own
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 13, 23, 67, 127, 131, 257, 509, 521, 65537]),
+       st.one_of(st.integers(2, 40), st.integers(2**16, 2**24)),
+       st.integers(0, 2**40), st.integers(1, 300_000), st.data())
+def test_and_exponent_hits_is_the_floor_sum_mask_anded_in(p, m, start, size, data):
+    want = data.draw(st.integers(0, m - 1))
+    before = np.random.default_rng(start).random(size) < 0.9
+    out = before.copy()
+    and_exponent_hits(out, start, p, m, want)
+    expected = before & (floor_sum_range(start, start + size, p) % m == want)
+    np.testing.assert_array_equal(out, expected)
