@@ -24,8 +24,8 @@ from .construction import (
     verify_congruence,
 )
 from .exponents import legendre_exponent
-from .experiments import (CHUNK_SIZE, ScanConfig, discrepancy, joint_histogram,
-                          pattern_coverage, pattern_search)
+from .experiments import (CHUNK_SIZE, THREAD_CAP, ScanConfig, discrepancy,
+                          joint_histogram, pattern_coverage, pattern_search)
 from .reports import (
     _dumps,
     coverage_csv,
@@ -84,7 +84,15 @@ def _threads(args) -> int:
     if args.threads is not None:
         return args.threads
     env = os.environ.get("FACTEXP_THREADS")
-    return int(env) if env else 1
+    if not env:
+        return 1
+    try:
+        threads = integer(env)
+    except argparse.ArgumentTypeError as err:
+        raise ValueError(f"FACTEXP_THREADS: {err}") from None
+    if not 1 <= threads <= THREAD_CAP:
+        raise ValueError(f"FACTEXP_THREADS must be in [1, {THREAD_CAP}], got {_echo(env)}")
+    return threads
 
 
 def _out_path(path):

@@ -11,6 +11,18 @@ whose first and last set bits come from exact float64 exponents, and
 counts and first witnesses are int64.  The floating-point summaries in
 DiscrepancyReport are derived from those exact counts at the very end.
 
+A histogram scan of C classes keeps one int64 accumulator of C counts
+per running chunk, reused by the chunks that run after it, so it holds
+at most `threads` of them, summed once at the end.  A chunk of at least
+C indices is counted by np.bincount, added into the accumulator: uint8
+indices as uint16 pair keys of 256 * C bins, the others with C bins.  A
+shorter chunk is counted by np.add.at on the accumulator, so no chunk
+allocates C counts of its own.  Either route takes its keys in counting
+pieces of max(2**17, 8 * bins) (bins = 0 for np.add.at), or the whole
+chunk when shorter, so the intp copy of the keys never outgrows a piece.
+The counts of a scan take threads * C int64 plus one piece per running
+chunk.
+
 Histogram counts are a read-only int64 ndarray of shape `mods`, indexed
 by class tuple; its C order is the lexicographic order of exports.
 """
@@ -179,7 +191,24 @@ def _fold_dtype(class_count: int) -> np.dtype:
     return np.dtype(np.uint16 if class_count <= 1 << 16 else np.int32)
 
 
-def _chunk_histogram(config: ScanConfig, start: int, stop: int) -> np.ndarray:
+# The shortest counting piece: its intp copy (1 MiB) stays in the L2 cache.
+_COUNT_PIECE = 1 << 17
+
+
+def _pieces(keys: np.ndarray, bins: int):
+    """`keys` in counting pieces of max(_COUNT_PIECE, 8 * bins), or whole
+    when shorter: np.bincount copies a piece to intp, and its bins-entry
+    result is added into the counts once per piece, so that addition stays
+    an eighth of the work or less."""
+    step = max(_COUNT_PIECE, 8 * bins)
+    return (keys[lo : lo + step] for lo in range(0, keys.size, step))
+
+
+def _chunk_histogram(config: ScanConfig, start: int, stop: int, *, spare=None) -> np.ndarray:
+    """Add the class counts of [start, stop) into an int64 accumulator of
+    config.class_count entries, in flat C order, and return it.  The
+    accumulator is popped off the list `spare` and pushed back after, so
+    the calls of one scan hold as many accumulators as run at once."""
     classes = config.class_count
     pairs = zip(config.primes, config.mods)
     p, m = next(pairs)
@@ -188,28 +217,47 @@ def _chunk_histogram(config: ScanConfig, start: int, stop: int) -> np.ndarray:
     for p, m in pairs:
         idx *= m
         idx += exponent_range(start, stop, p, mod=m)
-    # uint8 indices are counted in pairs, all but an odd last one: a uint16 view
-    # entry is one index plus 256 times the other, in either byte order, so the
-    # row sums count one index of each pair and the column sums the other
-    even = idx.size & ~1 if idx.dtype == np.uint8 else 0
-    out = np.bincount(idx[even:], minlength=classes)
-    if even:
-        table = np.bincount(idx[:even].view(np.uint16), minlength=256 * classes)
-        table = table.reshape(classes, 256)
-        out += table.sum(axis=1) + table[:, :classes].sum(axis=0)
-    return out
+    spare = [] if spare is None else spare
+    try:
+        counts = spare.pop()
+    except IndexError:
+        counts = np.zeros(classes, dtype=np.int64)
+    if classes > idx.size:
+        # a bincount would write more classes than the chunk has indices
+        for piece in _pieces(idx, 0):
+            np.add.at(counts, piece, 1)
+    elif idx.dtype == np.uint8:
+        # counted in pairs, all but an odd last one: a uint16 view entry is one
+        # index plus 256 times the other, in either byte order, so the row sums
+        # count one index of each pair and the column sums the other
+        if idx.size & 1:
+            counts[idx[-1]] += 1
+        for piece in _pieces(idx[: idx.size & ~1].view(np.uint16), 256 * classes):
+            table = np.bincount(piece, minlength=256 * classes).reshape(classes, 256)
+            counts += table.sum(axis=1)
+            counts += table[:, :classes].sum(axis=0)
+    else:
+        for piece in _pieces(idx, classes):
+            counts += np.bincount(piece, minlength=classes)
+    spare.append(counts)
+    return counts
 
 
 def joint_histogram(config: ScanConfig, threads: int = 1) -> ResidueHistogram:
     """Count n in [0, limit) by the tuple (e_p(n) mod m) over the
     configured prime/modulus pairs.
 
-    Chunks may be computed on a thread pool; each counts every class, and
-    the merge is a plain sum of exact integer arrays, so the outcome never
-    depends on scheduling.
+    Chunks may be computed on a thread pool.  Each adds its counts into an
+    int64 accumulator that no other running chunk holds, so a scan holds
+    at most `threads` of them, and they are summed once at the end (see
+    the module docstring for the two counting routes and the memory
+    bound).  The counts are exact integers, so the outcome never depends
+    on scheduling.
     """
-    total = np.zeros(config.class_count, dtype=np.int64)
-    for part in map_spans(partial(_chunk_histogram, config), config, threads):
+    spare = []
+    deque(map_spans(partial(_chunk_histogram, config, spare=spare), config, threads), maxlen=0)
+    total = spare.pop()
+    for part in spare:
         total += part
     return ResidueHistogram(config=config, counts=total)
 

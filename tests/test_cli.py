@@ -355,6 +355,22 @@ def test_threads_env_override(monkeypatch, capsys):
     ) == reference
 
 
+@pytest.mark.parametrize("value,message", [
+    ("abc", "FACTEXP_THREADS: not a number: 'abc'"),
+    ("2.5", "FACTEXP_THREADS: not an integer: '2.5'"),
+    ("1e30000", "FACTEXP_THREADS: must stay below 1e20001, got a 30001-digit number"),
+    ("1e400", "FACTEXP_THREADS must be in [1, 256], got '1e400'"),
+    ("-1", "FACTEXP_THREADS must be in [1, 256], got '-1'"),
+])
+def test_bad_threads_env_names_the_variable(monkeypatch, capsys, value, message):
+    monkeypatch.setenv("FACTEXP_THREADS", value)
+    assert run(capsys, "scan", "--primes", "3", "--mods", "2", "--limit", "10") == (
+        1, "", f"error: {message}\n")
+    # the same integer rules as --threads: shorthand is welcome
+    monkeypatch.setenv("FACTEXP_THREADS", "2e0")
+    assert run(capsys, "scan", "--primes", "3", "--mods", "2", "--limit", "10")[0] == 0
+
+
 def test_back_to_back_calls_share_one_parser_and_no_state(monkeypatch, capsys):
     scan = ("scan", "--primes", "3", "--mods", "2", "--limit", "9")
     assert run(capsys, *scan, "--format", "csv") == (0, "a_1,count\n0,6\n1,3\n", "")
@@ -364,7 +380,7 @@ def test_back_to_back_calls_share_one_parser_and_no_state(monkeypatch, capsys):
     assert json.loads(out)["counts"] == [{"count": 6, "residues": [0]}, {"count": 3, "residues": [1]}]
     # FACTEXP_THREADS is read on every call
     monkeypatch.setenv("FACTEXP_THREADS", "0")
-    assert run(capsys, *scan) == (1, "", "error: thread count must be positive, got 0\n")
+    assert run(capsys, *scan) == (1, "", "error: FACTEXP_THREADS must be in [1, 256], got '0'\n")
     monkeypatch.delenv("FACTEXP_THREADS")
     assert run(capsys, *scan, "--format", "csv")[0] == 0
     assert build_parser() is build_parser()

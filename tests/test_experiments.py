@@ -5,6 +5,8 @@ pure Python, which keeps the vectorized chunk kernels honest.
 """
 
 import itertools
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import factexp
 import factexp.construction
 from factexp.construction import verify_congruence
 from factexp.exponents import _hit_tile, exponent_range, legendre_exponent
@@ -163,6 +166,37 @@ def test_chunk_histogram_matches_the_int32_oracle(data):
     # a whole scan, merged from chunks on one or two threads
     chunk, most = data.draw(st.sampled_from([(1, 40), (7, 600), (2**16 + 3, 2**17 + 9)]))
     limit = data.draw(st.integers(1, most))
+    cfg = ScanConfig(primes=primes, mods=mods, limit=limit, chunk_size=chunk)
+    want = int32_chunk_histogram(cfg, 0, limit)
+    for threads in (1, 2):
+        assert np.array_equal(joint_histogram(cfg, threads=threads).counts.ravel(), want)
+
+
+# (mods, width): odd spans of two and a half counting pieces plus one index.
+# A piece holds max(2^17, 8 bins) keys: a uint8 pair key (two indices) has
+# 256 C bins, any other index C.
+LONG_SPANS = [
+    ((2, 3, 5), 5 * 2**17 + 1),          # uint8, pieces of 2^17 pair keys
+    ((256,), 5 * 2**19 + 1),             # uint8, pieces of 2^19 pair keys
+    ((257,), 5 * 2**16 + 1),             # uint16, pieces of 2^17
+    ((16, 16, 256), 5 * 2**18 + 1),      # uint16, pieces of 2^19
+]
+
+
+@pytest.mark.parametrize("mods,width", LONG_SPANS)
+def test_chunk_histogram_of_many_counting_pieces_matches_the_int32_oracle(mods, width):
+    primes = (3, 5, 7)[: len(mods)]
+    start = 2**40 + 12345
+    cfg = ScanConfig(primes=primes, mods=mods, limit=start + width)
+    assert np.array_equal(_chunk_histogram(cfg, start, start + width),
+                          int32_chunk_histogram(cfg, start, start + width))
+
+
+@pytest.mark.parametrize("chunk,limit", [(1, 40), (7, 600), (65539, 2 * 65539 + 9)])
+@pytest.mark.parametrize("mods", [(2, 150), (257, 510), (64, 64, 64)])
+def test_histogram_of_more_classes_than_the_chunk_matches_the_int32_oracle(chunk, limit, mods):
+    # up to 2^18 classes, more than a chunk holds: counted by np.add.at
+    primes = (3, 5, 7)[: len(mods)]
     cfg = ScanConfig(primes=primes, mods=mods, limit=limit, chunk_size=chunk)
     want = int32_chunk_histogram(cfg, 0, limit)
     for threads in (1, 2):
@@ -469,6 +503,23 @@ def test_pattern_search_threads_never_share_a_mask_buffer():
     assert time.monotonic() - started < 60
 
 
+def test_joint_histogram_threads_never_share_an_accumulator():
+    # eight threads pop and push the accumulators of one scan while the
+    # interpreter switches threads every microsecond: two chunks adding
+    # their 2^16 class counts into one accumulator at once would lose some
+    cfg = ScanConfig(primes=(3, 5), mods=(256, 256), limit=1 << 21, chunk_size=65539)
+    want = int32_chunk_histogram(cfg, 0, cfg.limit)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        started = time.monotonic()
+        for _ in range(20):
+            assert np.array_equal(joint_histogram(cfg, threads=8).counts.ravel(), want)
+    finally:
+        sys.setswitchinterval(interval)
+    assert time.monotonic() - started < 60
+
+
 @pytest.mark.parametrize("primes,pattern", [((3, 5, 7), (1, 0, 1)), ((3,), (1,))])
 def test_chunk_hits_peak_at_most_the_mask_and_half_a_mebibyte(primes, pattern):
     # a 2^20 chunk of a sparse and a dense mask: the 1 MiB mask and the
@@ -671,6 +722,34 @@ def test_histogram_at_the_class_cap_is_invariant_under_chunk_size_and_threads(ch
         cfg = ScanConfig(primes=primes, mods=mods, limit=limit, chunk_size=chunk)
         assert cfg.class_count == CLASS_CAP
         assert np.array_equal(joint_histogram(cfg, threads=threads).counts.ravel(), want)
+
+
+# ru_maxrss of a child, in KiB, after a warm-up scan and after a scan of
+# CLASS_CAP classes on two threads
+MEMORY_GATE = """
+import resource
+from factexp.experiments import ScanConfig, joint_histogram
+joint_histogram(ScanConfig(primes=(3, 5, 7), mods=(3, 3, 3), limit=1 << 20), threads=2)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+joint_histogram(ScanConfig(primes=(3, 5, 7, 11), mods=(64,) * 4, limit=1 << 24), threads=2)
+print(before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+# Above the two accumulators, each running chunk holds its uint8 residues
+# and int32 class indices (about 6 MiB at the default chunk) and np.add.at's
+# piece of 2^17 indices: the rise measured 9.5-11.2 MiB over 2 * 2^24 * 8
+# bytes in four runs; a C-entry count array per chunk would add 128 MiB each.
+MEMORY_SLACK = 32 << 20
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_class_cap_scan_holds_one_accumulator_per_thread():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(factexp.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", MEMORY_GATE], capture_output=True,
+                         text=True, env=env, timeout=300)
+    assert res.returncode == 0, res.stderr
+    before, after = map(int, res.stdout.split())
+    assert (after - before) << 10 <= 2 * CLASS_CAP * 8 + MEMORY_SLACK
 
 
 @pytest.mark.parametrize("chunk,limit", [(1, 600), (7, 20_000), (2**16 + 3, 5 * 2**16 + 11)])
