@@ -80,18 +80,27 @@ def int_list(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def integer_text(text: str) -> str:
+    """An integer argument kept as written, so that an error about its
+    value can echo it; `integer` checks it."""
+    integer(text)
+    return text
+
+
 def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("FACTEXP_THREADS")
-    if not env:
-        return 1
+    """The thread count of --threads, else of FACTEXP_THREADS, else 1; a
+    value outside [1, THREAD_CAP] is refused, named and echoed."""
+    name, text = "--threads", args.threads
+    if text is None:
+        name, text = "FACTEXP_THREADS", os.environ.get("FACTEXP_THREADS")
+        if not text:
+            return 1
     try:
-        threads = integer(env)
+        threads = integer(text)
     except argparse.ArgumentTypeError as err:
-        raise ValueError(f"FACTEXP_THREADS: {err}") from None
+        raise ValueError(f"{name}: {err}") from None
     if not 1 <= threads <= THREAD_CAP:
-        raise ValueError(f"FACTEXP_THREADS must be in [1, {THREAD_CAP}], got {_echo(env)}")
+        raise ValueError(f"{name} must be in [1, {THREAD_CAP}], got {_echo(text)}")
     return threads
 
 
@@ -238,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mods", type=int_list, required=True)
     p.add_argument("--limit", type=integer, required=True)
     p.add_argument("--chunk-size", type=integer, default=CHUNK_SIZE)
-    p.add_argument("--threads", type=integer, default=None)
+    p.add_argument("--threads", type=integer_text, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--out", default=None, help="output path, - for stdout")
     p.set_defaults(func=cmd_scan)
@@ -249,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=integer, required=True)
     p.add_argument("--pattern", type=int_list, required=True)
     p.add_argument("--chunk-size", type=integer, default=CHUNK_SIZE)
-    p.add_argument("--threads", type=integer, default=None)
+    p.add_argument("--threads", type=integer_text, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_pattern)

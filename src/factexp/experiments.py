@@ -5,10 +5,11 @@ Everything here counts exactly, so results are independent of chunk
 size and thread count by construction: the kernels hand over residues in
 narrow unsigned dtypes, class indices fold in the narrowest of uint8,
 uint16 and int32 that holds them all (at most CLASS_CAP = 2**24
-classes), pattern masks are ANDed from cached bool hit tables (at most
-4 MiB, see `exponents.and_exponent_hits`) and read as 64-bit words,
-whose first and last set bits come from exact float64 exponents, and
-counts and first witnesses are int64.  The floating-point summaries in
+classes), each prime writes its pattern hits into a bool buffer by row
+gathers from cached bool tables (at most 4 MiB, see
+`exponents.write_exponent_hits`), packed and ANDed into 64-bit words,
+whose set bits are counted and whose first and last come from exact
+float64 exponents, and counts and first witnesses are int64.  The floating-point summaries in
 DiscrepancyReport are derived from those exact counts at the very end.
 
 A histogram scan of C classes keeps one int64 accumulator of C counts
@@ -28,6 +29,7 @@ by class tuple; its C order is the lexicographic order of exports.
 """
 
 import itertools
+import operator
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -35,7 +37,7 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .exponents import _PIECE, and_exponent_hits, exponent_range
+from .exponents import _PIECE, exponent_range, write_exponent_hits
 from .primes import _U63, is_prime
 
 CLASS_CAP = 1 << 24
@@ -124,10 +126,12 @@ def map_spans(fn, config: ScanConfig, threads: int = 1):
     starts.  Closing the generator early cancels the calls not yet
     started and waits for the running ones.
     """
+    # a count too wide for int64 is named by its width, not printed
+    shown = threads if -_U63 < threads < _U63 else f"a {threads.bit_length()}-bit number"
     if threads < 1:
-        raise ValueError(f"thread count must be positive, got {threads}")
+        raise ValueError(f"thread count must be positive, got {shown}")
     if threads > THREAD_CAP:
-        raise ValueError(f"thread count must be at most {THREAD_CAP}, got {threads}")
+        raise ValueError(f"thread count must be at most {THREAD_CAP}, got {shown}")
     spans = config.spans()
     if threads == 1:
         yield from itertools.starmap(fn, spans)
@@ -306,10 +310,29 @@ class PatternReport:
 
 # (hits, first hit, last hit, largest gap between consecutive hits) of a span
 _NO_HITS = (0, None, None, None)
-# A chunk mask is summarized in pieces of this many bits, 8192 words: then no
-# array of the summary reaches 128 KiB, which glibc maps and page-faults in
-# afresh on every call.
-_SUMMARY_BITS = 1 << 19
+
+
+def _swar_popcount(words: np.ndarray) -> np.ndarray:
+    """The set bits of each 64-bit word, as uint8: the bits summed in
+    pairs, nibbles and bytes within the word, and the bytes by one
+    multiply, in two word-sized arrays."""
+    x = np.right_shift(words, np.uint64(1))
+    x &= np.uint64(0x5555555555555555)
+    np.subtract(words, x, out=x)
+    t = np.right_shift(x, np.uint64(2))
+    t &= np.uint64(0x3333333333333333)
+    x &= np.uint64(0x3333333333333333)
+    x += t
+    np.right_shift(x, np.uint64(4), out=t)
+    x += t
+    x &= np.uint64(0x0F0F0F0F0F0F0F0F)
+    x *= np.uint64(0x0101010101010101)
+    x >>= np.uint64(56)
+    return x.astype(np.uint8)
+
+
+# np.bitwise_count came with numpy 2.0
+_popcount = getattr(np, "bitwise_count", _swar_popcount)
 
 
 def _join_hits(a, b):
@@ -335,11 +358,13 @@ def _gap_in_words(words: np.ndarray, first: int, last: int, floor: int) -> int:
     y = ~words
     y[0] = int(y[0]) >> (first + 1) << (first + 1)
     y[-1] = int(y[-1]) & ((1 << last) - 1)
+    shifted = np.empty_like(y)
     have, gap = 1, floor
     while have < gap:
         step = min(have, gap - have)
-        y &= y >> np.uint64(step)
+        y &= np.right_shift(y, np.uint64(step), out=shifted)
         have += step
+    del shifted
     if not y.any():
         return floor
     y = y[y != 0]
@@ -350,53 +375,79 @@ def _gap_in_words(words: np.ndarray, first: int, last: int, floor: int) -> int:
     return gap
 
 
-def _mask_hits(mask: np.ndarray, start: int):
-    """The hit summary of a bool mask over n = start, start + 1, ..., whose
-    length is a multiple of 64, read as 64-bit words: bit i of word j is
-    n = start + 64j + i.  The first and last hit of a word are its lowest
-    and highest set bit, read off float64 exponents; the widest gap is the
-    widest of the gaps between the last hit of a nonzero word and the
-    first of the next, or one inside a word (`_gap_in_words`)."""
-    hits = int(np.count_nonzero(mask))
+def _mask_hits(words: np.ndarray, start: int):
+    """The hit summary of a mask over n = start, start + 1, ... held as
+    little-endian 64-bit words: bit i of word j is n = start + 64j + i.
+    The count is a popcount of the words.  The lowest set bit of a word w
+    and the highest of w >> 1, one place below that of w, are float64
+    exponents, read in one pass over both.  The widest gap is the widest
+    across the edge of two nonzero words, 64 more per zero word between,
+    or one inside a word (`_gap_in_words`)."""
+    count = _popcount(words)
+    hits, carry = int(count.sum()), count.max() >= 53
+    del count
     if not hits:
         return _NO_HITS
-    words = np.packbits(mask, bitorder="little").view("<u8")
-    # the indices of the nonzero words, or None when every word is one
-    at = None
-    if np.count_nonzero(words) < words.size:
-        at = np.flatnonzero(words != 0)
-        words = words[at]
-    # w & -w is the lowest set bit alone, a power of two whose float64
-    # exponent is exact (as int64, which converts faster than uint64)
-    low = -words
-    low &= words
-    low = np.frexp(low.view(np.int64))[1] - 1
-    # w >> 1 rounded to 53 bits has the exponent of the highest set bit of
-    # w, or one more (up to 64) where the rounding carried; then w >> high
-    # is 0, as numpy defines shifts past the width
-    high = np.frexp((words >> np.uint64(1)).view(np.int64))[1].astype(np.uint8)
-    high -= (words >> high) == 0
-    # the gap from the last hit of a word to the first of the next nonzero
-    # one is 64 more than their difference, and 64 more per zero word between
+    n = words.size
+    # w & -w alone at the front, a power of two, and w >> 1 behind, both
+    # below 2**63, turned to float64 in place (the cast goes element by
+    # element); frexp's exponent is the position of the highest set bit
+    # plus one, and 0 for 0
+    bits = np.empty(2 * n, dtype=np.uint64)
+    np.negative(words, out=bits[:n])
+    bits[:n] &= words
+    np.right_shift(words, np.uint64(1), out=bits[n:])
+    floats = bits.view(np.float64)
+    np.copyto(floats, bits.view(np.int64), casting="unsafe")
+    exponents = np.frexp(floats, out=(floats, np.empty(2 * n, dtype=np.int8)))[1]
+    del bits, floats
+    # one more than the lowest set bit, 0 for a zero word; and the highest,
+    # 0 for a zero word, unless w >> 1 rounded up to the next power of two,
+    # which takes 53 set bits (`carry`): then w >> high is 0, as numpy
+    # defines shifts past the width
+    above_low, high = exponents[:n], exponents[n:]
+    if carry:
+        high -= np.right_shift(words, high.view(np.uint8)) == 0
+    # the first and last nonzero word, w0 and w1, and the zero words between
+    zeros = n - np.count_nonzero(above_low)
+    w0, w1 = 0, n - 1
+    if zeros:
+        nonzero = above_low != 0
+        if not nonzero[0]:
+            w0 = int(nonzero.argmax())
+        if not nonzero[-1]:
+            w1 -= int(nonzero[::-1].argmax())
+        zeros -= w0 + n - 1 - w1
+    # the gap across the edge of words j and j + 1 is 63 + above_low[j + 1]
+    # - high[j]; where either is zero (high 0 or -1) it reads at most 64 +
+    # above_low[j + 1], no more than the gap across that zero word
     gap = int(hits > 1)
-    if words.size > 1:
-        steps = low[1:] - high[:-1]
-        if at is not None:
-            steps = steps + ((at[1:] - at[:-1] - 1) << 6)
-        gap = int(steps.max()) + 64
+    if w1 > w0:
+        gap = int(np.subtract(above_low[w0 + 1 : w1 + 1], high[w0:w1], dtype=np.int16).max()) + 63
+    if zeros:
+        # the runs of zero words start and end in turn, each between the
+        # nonzero words `before` and `after`
+        edges = np.flatnonzero(nonzero[w0:w1] != nonzero[w0 + 1 : w1 + 1])
+        edges += w0
+        before, after = edges[0::2], edges[1::2] + 1
+        runs = (after - before) << 6
+        runs += above_low[after]
+        runs -= high[before]
+        gap = max(gap, int(runs.max()) - 1)
+    first, last = 64 * w0 + int(above_low[w0]) - 1, 64 * w1 + int(high[w1])
     if 0 < gap < 63:
-        gap = _gap_in_words(words, int(low[0]), int(high[-1]), gap)
-    ends = (0, words.size - 1) if at is None else (int(at[0]), int(at[-1]))
-    first, last = 64 * ends[0] + int(low[0]), 64 * ends[1] + int(high[-1])
+        # no word between the first and last nonzero ones is zero
+        gap = _gap_in_words(words[w0 : w1 + 1], first - 64 * w0, last - 64 * w1, gap)
     return hits, start + first, start + last, gap or None
 
 
 def _chunk_hits(config: ScanConfig, pattern, start: int, stop: int, *, spare=None):
-    """The hit summary of `pattern` on [start, stop): one bool mask ANDed from
-    hit tiles, padded with misses to whole 64-bit words and summarized in
-    pieces of _SUMMARY_BITS.  The mask is written into a buffer popped off
-    the list `spare` and pushed back after, so the calls of one scan hold
-    as many buffers as run at once."""
+    """The hit summary of `pattern` on [start, stop).  Each prime writes its
+    hits into a bool buffer (`exponents.write_exponent_hits`), padded with
+    misses to whole 64-bit words, and packs it into words: the first
+    prime's words are the chunk's, and each later prime's are ANDed into
+    them.  The buffer is popped off the list `spare` and pushed back after,
+    so the calls of one scan hold as many buffers as run at once."""
     size = stop - start
     width = -(-size // 64) * 64
     spare = [] if spare is None else spare
@@ -407,22 +458,23 @@ def _chunk_hits(config: ScanConfig, pattern, start: int, stop: int, *, spare=Non
     if buffer.size < width:
         buffer = np.empty(width, dtype=bool)
     mask = buffer[:width]
-    mask[:size] = True
     mask[size:] = False
-    for p, m, want in zip(config.primes, config.mods, pattern):
-        and_exponent_hits(mask[:size], start, p, m, want)
-    pieces = (_mask_hits(mask[lo : lo + _SUMMARY_BITS], start + lo)
-              for lo in range(0, width, _SUMMARY_BITS))
-    summary = reduce(_join_hits, pieces, _NO_HITS)
+
+    def packed(p, m, want):
+        write_exponent_hits(mask[:size], start, p, m, want)
+        return np.packbits(mask, bitorder="little").view("<u8")
+
+    # ANDed in place, so at most one packed prime is alive beside the words
+    words = reduce(operator.iand, itertools.starmap(packed, zip(config.primes, config.mods, pattern)))
     spare.append(buffer)
-    return summary
+    return _mask_hits(words, start)
 
 
 def pattern_search(config: ScanConfig, pattern, threads: int = 1) -> PatternReport:
-    """Scan [0, limit) for n whose residue tuple equals `pattern`: one bool mask per
-    chunk, ANDed from cached hit tiles (4 MiB in all) into a buffer reused across
-    chunks, packed into 64-bit words and summarized from those, 2**19 bits at a
-    time, without writing out a hit position (`_mask_hits`).
+    """Scan [0, limit) for n whose residue tuple equals `pattern`: per chunk, each
+    prime's hits are row gathers from cached bool tables (4 MiB in all) into a
+    buffer reused across chunks, packed into 64-bit words and ANDed, and the
+    words are summarized whole, without writing out a hit position (`_mask_hits`).
 
     max_gap is None when there are fewer than two hits; leading and
     trailing runs without hits do not count as gaps.

@@ -26,18 +26,20 @@ every block off a cached (m, P) table whose row c is the tile shifted
 by c mod m (`_shifted_tiles`): past a few blocks, the blocks a range
 touches are one row gather, by their offsets mod m, which come as one
 array from the same kernel on the P-times-shorter range of block
-indices (`_block_residues`, shared with `and_exponent_hits`), and the
-range is a view of them.  So a reduced range costs a fixed number of
-numpy calls whatever its length.  A modulus whose table would have
+indices (`_block_residues`), and the range is a view of them.  So a
+reduced range costs a fixed number of numpy calls whatever its length.  A modulus whose table would have
 rows shorter than `_SHORT_ROW` within the `_ROW_TABLE` entry budget
 adds the offsets to a reduced tile instead and subtracts m where a sum
 reached it.  The tiles are built by the recurrence e_p(a*p + b) = a +
 e_p(a) for b < p, the row tables by e_p(a*s + b) = a*(s - 1)/(p - 1) +
 e_p(b) for a < p, b < s = p^j, with no division per element.
 
-`and_exponent_hits` masks e_p(n) = want (mod m) on the same blocks: on
-block A it holds where table[b] = want - offset(A) (mod m), a bool tile,
-and the offsets of all blocks are one array.
+`write_exponent_hits` writes [e_p(n) = want (mod m)] on the same blocks:
+block A is row offset(A) of the cached bool table `_shifted_tiles(p, m)
+== want` (`_hit_rows`), so the whole blocks are one row gather into the
+output, by offsets read off cached pages of `_PAGE` blocks, and the
+partial blocks at either end are slice copies.  Without a row table it
+compares the residues of `exponent_range` with want.
 """
 
 from functools import lru_cache, partial
@@ -52,7 +54,6 @@ from .primes import _U63, is_prime
 # just above 2**8 does not split a range into one block per base.
 _TILE = 1 << 16
 _SQUARED = 1 << 9
-_HIT_TILE = 1 << 18  # the same for bool hit tables, one byte per entry
 # A reduced range gathers its blocks from a table of m rows of the largest
 # power of p that keeps it within this many entries (16 cached, 4 MiB at
 # most in uint8, 8 MiB in uint16); past that, or with rows shorter than
@@ -69,6 +70,9 @@ _SCALAR_BLOCKS = 4
 # go back to the system and are page-faulted in again, a varying number of
 # times per run.
 _PIECE = 1 << 16
+# Pattern hits read the offsets of their blocks off cached pages of this
+# many blocks (16 cached, 32 KiB each), so that most chunks compute none.
+_PAGE = 1 << 12
 # (dtype, largest value) in the order _residue_dtype tries them
 _RESIDUE_DTYPES = tuple((np.dtype(t), np.iinfo(t).max) for t in (np.uint8, np.uint16, np.uint32))
 
@@ -109,11 +113,11 @@ def _block_exponent(p: int, span: int, a: int) -> int:
     return a * ((span - 1) // (p - 1)) + legendre_exponent(a, p)
 
 
-def _tile_span(base: int, top: int = _TILE) -> int:
-    """The largest power of base that is at most max(base, top), or
+def _tile_span(base: int) -> int:
+    """The largest power of base that is at most max(base, _TILE), or
     base**2 when that is larger and base < 2**9."""
     span = base * base if base < _SQUARED else base
-    while span * base <= top:
+    while span * base <= _TILE:
         span *= base
     return span
 
@@ -294,40 +298,59 @@ def exponent_range(start: int, stop: int, p: int, mod: int | None = None) -> np.
 
 
 @lru_cache(maxsize=16)
-def _hit_tile(p: int, mod: int, r: int) -> np.ndarray:
-    """[e_p(b) = r (mod `mod`)] for b in [0, _tile_span(p, _HIT_TILE)), read-only."""
-    hits = exponent_range(0, _tile_span(p, _HIT_TILE), p, mod) == r
+def _offset_page(p: int, span: int, mod: int, page: int) -> np.ndarray:
+    """`_block_residues` of the blocks [page * _PAGE, (page + 1) * _PAGE),
+    read-only."""
+    offsets = _block_residues(page * _PAGE, (page + 1) * _PAGE, p, span, mod)
+    offsets.flags.writeable = False
+    return offsets
+
+
+def _paged_residues(a0: int, a1: int, p: int, span: int, mod: int) -> np.ndarray:
+    """`_block_residues(a0, a1, p, span, mod)`, a view of a cached page
+    unless the blocks cross into another page."""
+    page = a0 // _PAGE
+    if (a1 - 1) // _PAGE > page:
+        return _block_residues(a0, a1, p, span, mod)
+    return _offset_page(p, span, mod, page)[a0 - page * _PAGE : a1 - page * _PAGE]
+
+
+@lru_cache(maxsize=16)
+def _hit_rows(p: int, mod: int, want: int) -> np.ndarray | None:
+    """The read-only bool table `_shifted_tiles(p, mod) == want`: row c
+    holds the hits of a block whose offset is c mod `mod`.  None where
+    `_shifted_tiles` has no table."""
+    rows = _shifted_tiles(p, mod)
+    if rows is None:
+        return None
+    hits = rows == want
     hits.flags.writeable = False
     return hits
 
 
-def and_exponent_hits(out: np.ndarray, start: int, p: int, mod: int, want: int) -> None:
-    """AND [e_p(n) = want (mod `mod`)] for n in [start, start + out.size) into the
-    bool array `out`, split in blocks of span = `_tile_span(p, 2**18)`: block A
-    holds a hit where e_p(b) = r(A) = want - e_p(A*span) (mod `mod`), the r(A)
-    one array from `_block_residues`.  For p >= 2**9, where span = p and e_p is
-    constant on a block, the whole blocks with r(A) != 0 are cleared by one
-    row assignment; below, each block ANDs in a cached hit tile (16 of at most
-    2**18 B).  Unchecked: p prime, 0 <= want < mod <= 2**31, n < 2**63."""
-    span, size = _tile_span(p, _HIT_TILE), out.size
-    a0 = start // span
-    rs = _block_residues(a0, -(-(start + size) // span), p, span, mod)
-    np.subtract(want, rs, out=rs)
-    rs %= mod
+def write_exponent_hits(out: np.ndarray, start: int, p: int, mod: int, want: int) -> None:
+    """Write [e_p(n) = want (mod `mod`)] for n in [start, start + out.size)
+    into the bool array `out`.  Block A of span = `_shifted_tiles(p, mod)`
+    columns is row e_p(A*span) mod `mod` of `_hit_rows(p, mod, want)`, so
+    the whole blocks are one row gather by their offsets (`_paged_residues`)
+    into a 2-D view of `out`, and the partial blocks at either end slice
+    copies.  Where there is no row table, the residues of `exponent_range`
+    are compared with `want`.  Unchecked: p prime, 0 <= want < mod, n < 2**63."""
+    size = out.size
+    hits = _hit_rows(p, mod, want)
+    if hits is None:
+        np.equal(exponent_range(start, start + size, p, mod), want, out=out)
+        return
+    span = hits.shape[1]
+    rs = _paged_residues(start // span, -(-(start + size) // span), p, span, mod)
     # out is a partial block, the whole blocks, and another partial block
     head = min(-start % span, size)
     count = (size - head) // span
-    whole = out[head : head + count * span].reshape(count, span)
-    wanted = rs[int(head > 0) : int(head > 0) + count]
-    if span == p:
-        whole[wanted != 0] = False
-    else:
-        for block, r in zip(whole, wanted.tolist()):
-            np.logical_and(block, _hit_tile(p, mod, r), out=block)
+    skip = int(head > 0)
+    # mode="clip" writes straight into out; the default buffers it
+    np.take(hits, rs[skip : skip + count], axis=0, mode="clip",
+            out=out[head : head + count * span].reshape(count, span))
     for lo, hi, r in ((0, head, rs[0]), (head + count * span, size, rs[-1])):
         if lo < hi:
-            part, b = out[lo:hi], (start + lo) % span
-            if span == p:
-                part &= r == 0
-            else:
-                np.logical_and(part, _hit_tile(p, mod, int(r))[b : b + hi - lo], out=part)
+            b = (start + lo) % span
+            out[lo:hi] = hits[r, b : b + hi - lo]

@@ -230,7 +230,17 @@ def test_scan_refuses_a_million_threads(capsys):
     code, out, err = run(capsys, "scan", "--primes", "3", "--mods", "2", "--limit", "1e9",
                          "--chunk-size", "1", "--threads", "1000000")
     assert (code, out) == (1, "")
-    assert err == "error: thread count must be at most 256, got 1000000\n"
+    assert err == "error: --threads must be in [1, 256], got '1000000'\n"
+
+
+@pytest.mark.parametrize("command", ["scan", "pattern"])
+@pytest.mark.parametrize("value", ["1e5000", "1e400", "0", "-3"])
+def test_threads_out_of_range_are_echoed_as_written(capsys, command, value):
+    # 1e5000 has more digits than an int may print, 1e400 has 401
+    argv = [command, "--primes", "3", "--mods", "2", "--limit", "10", "--threads", value]
+    if command == "pattern":
+        argv += ["--pattern", "1"]
+    assert run(capsys, *argv) == (1, "", f"error: --threads must be in [1, 256], got '{value}'\n")
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import factexp
 import factexp.construction
 from factexp.construction import verify_congruence
-from factexp.exponents import _hit_tile, exponent_range, legendre_exponent
+from factexp.exponents import _hit_rows, exponent_range, legendre_exponent
 from factexp.primes import nth_odd_prime
 from factexp.experiments import (
     CLASS_CAP,
@@ -31,6 +31,8 @@ from factexp.experiments import (
     _chunk_hits,
     _fold_dtype,
     _mask_hits,
+    _popcount,
+    _swar_popcount,
     CoverageReport,
     ResidueHistogram,
     ScanConfig,
@@ -301,7 +303,9 @@ def test_map_spans_runs_bounded_ahead_and_stops_on_close():
     assert len(started) <= 3
 
 
-@pytest.mark.parametrize("threads", [THREAD_CAP + 1, 10**6])
+# 10**5000 has more digits than an int may print
+@pytest.mark.parametrize("threads", [THREAD_CAP + 1, 10**6, 10**5000],
+                         ids=[str(THREAD_CAP + 1), "1000000", "10**5000"])
 def test_map_spans_refuses_too_many_threads_before_starting_any(threads):
     cfg = ScanConfig(primes=(3,), mods=(2,), limit=10**9, chunk_size=1)
 
@@ -430,8 +434,9 @@ def test_pattern_pieces_match_int64_oracle(chunk):
             assert rep.max_gap == int(np.diff(hits).max())
 
 
-# hit tables over p^J (2, 3, 5) and over p^2 (257 ... 509), and blocks of p
-# on which e_p is constant (521, 65537, 65539)
+# bool row tables over blocks of p^J, p^2 and p (on which e_p is constant),
+# as m allows, or none where m * p is above 2^18 and the residues are
+# compared
 HIT_TILE_PRIMES = (2, 3, 5, 257, 263, 509, 521, 65537, 65539)
 
 
@@ -482,7 +487,18 @@ def test_mask_summary_matches_the_flatnonzero_oracle(data):
     # misses pad the mask to whole words, as in a chunk
     padded = np.zeros(-(-size // 64) * 64, dtype=bool)
     padded[:size] = mask
-    assert _mask_hits(padded, start) == flatnonzero_hits(mask, start)
+    words = np.packbits(padded, bitorder="little").view("<u8")
+    assert _mask_hits(words, start) == flatnonzero_hits(mask, start)
+
+
+def test_popcount_fallback_counts_the_bits_of_each_word():
+    # the count that numpy below 2.0 uses, word by word
+    words = np.random.default_rng(7).integers(0, 2**64, 5000, dtype=np.uint64, endpoint=False)
+    words[:4] = (0, 2**64 - 1, 1, 2**63)
+    want = [int(w).bit_count() for w in words.tolist()]
+    assert _swar_popcount(words).tolist() == want
+    assert _popcount(words).tolist() == want
+    assert _swar_popcount(words[:0]).size == 0
 
 
 def test_pattern_search_threads_never_share_a_mask_buffer():
@@ -552,24 +568,25 @@ def test_pattern_search_matches_the_residue_oracle(primes, mods, chunk, limit):
 
 
 def test_hit_tile_cache_stays_bounded_while_it_churns(monkeypatch):
-    # e_3(n) mod 2^20 has another offset on every hit-table block below
-    # 2^21, so each block of each pattern asks for a hit table of its own
-    cfg = ScanConfig(primes=(3,), mods=(1 << 20,), limit=1 << 21, chunk_size=1 << 18)
+    # every pattern entry of e_3 mod 1000 has a bool row table of its own
+    # (1000 rows of 3^5 blocks), so forty entries churn the cache
+    cfg = ScanConfig(primes=(3,), mods=(1000,), limit=1 << 18, chunk_size=1 << 16)
     sizes = []
-    real = factexp.experiments.and_exponent_hits
+    real = factexp.experiments.write_exponent_hits
 
     def spy(*args):
         real(*args)
-        sizes.append(_hit_tile.cache_info().currsize)
+        sizes.append(_hit_rows.cache_info().currsize)
 
-    monkeypatch.setattr(factexp.experiments, "and_exponent_hits", spy)
-    _hit_tile.cache_clear()
-    for want in (0, 1, 12345, 1 << 19, (1 << 20) - 1):
+    monkeypatch.setattr(factexp.experiments, "write_exponent_hits", spy)
+    _hit_rows.cache_clear()
+    for want in range(0, 1000, 25):
         hits, first, _, gap = residue_chunk_hits(cfg, (want,), 0, cfg.limit)
+        assert hits
         for threads in (1, 2):
             rep = pattern_search(cfg, (want,), threads=threads)
             assert (rep.hits, rep.minimal_n, rep.max_gap) == (hits, first, gap)
-    info = _hit_tile.cache_info()
+    info = _hit_rows.cache_info()
     assert info.misses > 2 * info.maxsize
     assert max(sizes) <= info.maxsize == 16
 
@@ -833,7 +850,7 @@ def test_parity_of_e2_identity():
 def test_parity_of_e2_identity_to_a_million():
     # popcount shortcut against the floor-sum route, vectorized end to end
     ns = np.arange(10**6 + 1, dtype=np.uint64)
-    shortcut = (np.bitwise_count(ns >> 1) & 1).astype(np.int64)
+    shortcut = (_popcount(ns >> 1) & 1).astype(np.int64)
     direct = exponent_range(0, 10**6 + 1, 2, mod=2)
     assert np.array_equal(shortcut, direct)
 

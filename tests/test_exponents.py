@@ -13,19 +13,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factexp.exponents import (
+    _PAGE,
     _PIECE,
     _ROW_TABLE,
     _SHORT_ROW,
     _TILE,
+    _block_residues,
     _exponent_tile,
+    _paged_residues,
     _residue_dtype,
     _shifted_tiles,
     _tile_span,
     _tiled_range,
-    and_exponent_hits,
     digit_sum,
     exponent_range,
     legendre_exponent,
+    write_exponent_hits,
 )
 from oracles import ExponentStream, base_digits, blockwise_tiled_range, floor_sum_range
 
@@ -386,18 +389,28 @@ def test_residue_dtype_reaches_uint64_and_stops_below_2_63():
         exponent_range(0, 10, 3, mod=2**63)
 
 
-# hit tables over p^J (2, 3, 13, 23) and p^2 (67, 127, 131, 257, 509), and
-# blocks of p on which e_p is constant (521, 65537); moduli small enough to
-# repeat a residue across blocks, and large enough to give most blocks a
-# residue of their own
+# bool row tables over blocks of p^J, p^2 and p (from 2 to 65537, as m
+# allows); moduli small enough to repeat a residue across blocks, and large
+# enough to give most blocks a residue of their own, up to 2**24, where
+# there is no row table and the residues are compared
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([2, 3, 13, 23, 67, 127, 131, 257, 509, 521, 65537]),
        st.one_of(st.integers(2, 40), st.integers(2**16, 2**24)),
        st.integers(0, 2**40), st.integers(1, 300_000), st.data())
-def test_and_exponent_hits_is_the_floor_sum_mask_anded_in(p, m, start, size, data):
+def test_write_exponent_hits_is_the_floor_sum_mask(p, m, start, size, data):
     want = data.draw(st.integers(0, m - 1))
-    before = np.random.default_rng(start).random(size) < 0.9
-    out = before.copy()
-    and_exponent_hits(out, start, p, m, want)
-    expected = before & (floor_sum_range(start, start + size, p) % m == want)
-    np.testing.assert_array_equal(out, expected)
+    # whatever the buffer held before is overwritten
+    out = np.random.default_rng(start).random(size) < 0.5
+    write_exponent_hits(out, start, p, m, want)
+    np.testing.assert_array_equal(out, floor_sum_range(start, start + size, p) % m == want)
+
+
+@pytest.mark.parametrize("p,mod", [(3, 2), (521, 3), (67, 1000)])
+def test_paged_block_residues_match_the_block_residues(p, mod):
+    # inside a page, up to its end, across into the next, and far out
+    span = _shifted_tiles(p, mod).shape[1]
+    for a0, a1 in ((0, 1), (5, 300), (_PAGE - 7, _PAGE), (_PAGE - 7, _PAGE + 9),
+                   (3 * _PAGE + 1, 3 * _PAGE + 2), (2**40 // span, 2**40 // span + 600)):
+        got = _paged_residues(a0, a1, p, span, mod)
+        assert np.array_equal(got, _block_residues(a0, a1, p, span, mod))
+        assert got.tolist() == [legendre_exponent(a * span, p) % mod for a in range(a0, a1)]
