@@ -120,11 +120,13 @@ class ScanConfig:
 def map_spans(fn, config: ScanConfig, threads: int = 1):
     """Yield fn(start, stop) for each span of config.spans(), in span order.
 
-    With threads > 1 the calls run on a pool that keeps at most `threads`
-    of them ahead of the consumer, so memory stays bounded by the chunks
-    in flight; more than THREAD_CAP threads are refused before any
-    starts.  Closing the generator early cancels the calls not yet
-    started and waits for the running ones.
+    With threads > 1 the spans go in rounds of `threads`: the calling
+    thread runs the first span of a round while a pool of threads - 1
+    workers runs the rest, so at most `threads` calls run at once and
+    none runs ahead of the consumer by more than a round, and a round of
+    one span starts no thread.  More than THREAD_CAP threads are refused
+    before any starts.  Closing the generator early cancels the calls not
+    yet started and waits for the running ones.
     """
     # a count too wide for int64 is named by its width, not printed
     shown = threads if -_U63 < threads < _U63 else f"a {threads.bit_length()}-bit number"
@@ -136,15 +138,13 @@ def map_spans(fn, config: ScanConfig, threads: int = 1):
     if threads == 1:
         yield from itertools.starmap(fn, spans)
         return
-    pool = ThreadPoolExecutor(max_workers=threads)
+    pool = ThreadPoolExecutor(max_workers=threads - 1)
     try:
-        ahead = deque()
-        for span in spans:
-            ahead.append(pool.submit(fn, *span))
-            if len(ahead) > threads:
-                yield ahead.popleft().result()
-        while ahead:
-            yield ahead.popleft().result()
+        while round_ := list(itertools.islice(spans, threads)):
+            rest = [pool.submit(fn, *span) for span in round_[1:]]
+            yield fn(*round_[0])
+            for future in rest:
+                yield future.result()
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -251,7 +251,7 @@ def joint_histogram(config: ScanConfig, threads: int = 1) -> ResidueHistogram:
     """Count n in [0, limit) by the tuple (e_p(n) mod m) over the
     configured prime/modulus pairs.
 
-    Chunks may be computed on a thread pool.  Each adds its counts into an
+    Chunks may run on several threads (`map_spans`).  Each adds its counts into an
     int64 accumulator that no other running chunk holds, so a scan holds
     at most `threads` of them, and they are summed once at the end (see
     the module docstring for the two counting routes and the memory

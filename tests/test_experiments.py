@@ -303,6 +303,29 @@ def test_map_spans_runs_bounded_ahead_and_stops_on_close():
     assert len(started) <= 3
 
 
+def test_map_spans_runs_on_the_caller_and_at_most_threads_at_once():
+    # three threads: two pool workers and the calling thread, which runs
+    # the first span of every round itself
+    cfg = ScanConfig(primes=(3,), mods=(2,), limit=30, chunk_size=1)
+    lock = threading.Lock()
+    running, most, ran_on = [0], [0], {}
+
+    def fn(start, stop):
+        with lock:
+            running[0] += 1
+            most[0] = max(most[0], running[0])
+        time.sleep(0.005)
+        with lock:
+            running[0] -= 1
+            ran_on[start] = threading.get_ident()
+        return start
+
+    assert list(map_spans(fn, cfg, threads=3)) == list(range(30))
+    assert most[0] <= 3
+    assert len(set(ran_on.values())) <= 3
+    assert [s for s, t in ran_on.items() if t == threading.get_ident()] == list(range(0, 30, 3))
+
+
 # 10**5000 has more digits than an int may print
 @pytest.mark.parametrize("threads", [THREAD_CAP + 1, 10**6, 10**5000],
                          ids=[str(THREAD_CAP + 1), "1000000", "10**5000"])
