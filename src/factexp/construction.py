@@ -236,14 +236,15 @@ def verify_congruence(p: int, m: int, limit: int, chunk_size: int = CHUNK_SIZE) 
     """Check f(n) = e_p(n) (mod m) for all 0 <= n < limit.
 
     The two sides are computed chunk by chunk by independent routes: e_p
-    is read off a table of the Legendre-recurrence tile on base p^J
-    shifted by every residue, one row gathered per block by its offset,
-    and f is a table folded out of the lambda-digit value table on base
-    q^j plus scalar `f.evaluate` offsets, added and wrapped block by
-    block.  (A modulus too large for a row table sends e_p through that
-    add-and-wrap block loop too, with its own tile and scalar Legendre
-    offsets.)  The report carries the smallest counterexample if there
-    is one.
+    is read off the row table of `exponents._shifted_tiles`, the tile of
+    e_p on [0, p^j) built by the digit-weight identity, for the span p^j
+    that table picks, and shifted by every residue, one row gathered per
+    block by its offset; f is a table folded out of the lambda-digit
+    value table on base q^j plus scalar `f.evaluate` offsets, added and
+    wrapped block by block.  (A modulus too large for a row table sends
+    e_p through that add-and-wrap block loop too, with its own
+    Legendre-recurrence tile and scalar Legendre offsets.)  The report
+    carries the smallest counterexample if there is one.
     """
     config = ScanConfig(primes=(p,), mods=(m,), limit=limit, chunk_size=chunk_size)
     built = build_function(p, m)

@@ -32,6 +32,7 @@ import itertools
 import operator
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial, reduce
 
@@ -195,6 +196,23 @@ def _fold_dtype(class_count: int) -> np.dtype:
     return np.dtype(np.uint16 if class_count <= 1 << 16 else np.int32)
 
 
+@contextmanager
+def _scratch(spare, size: int, make):
+    """An array of at least `size` elements popped off the list `spare`, or
+    make(size) when the list is empty (or None) or its array is shorter.
+    It goes back on the list when the block ends, so the calls of one scan
+    hold as many arrays as run at once."""
+    spare = [] if spare is None else spare
+    try:
+        array = spare.pop()
+    except IndexError:
+        array = make(size)
+    if array.size < size:
+        array = make(size)
+    yield array
+    spare.append(array)
+
+
 # The shortest counting piece: its intp copy (1 MiB) stays in the L2 cache.
 _COUNT_PIECE = 1 << 17
 
@@ -221,29 +239,24 @@ def _chunk_histogram(config: ScanConfig, start: int, stop: int, *, spare=None) -
     for p, m in pairs:
         idx *= m
         idx += exponent_range(start, stop, p, mod=m)
-    spare = [] if spare is None else spare
-    try:
-        counts = spare.pop()
-    except IndexError:
-        counts = np.zeros(classes, dtype=np.int64)
-    if classes > idx.size:
-        # a bincount would write more classes than the chunk has indices
-        for piece in _pieces(idx, 0):
-            np.add.at(counts, piece, 1)
-    elif idx.dtype == np.uint8:
-        # counted in pairs, all but an odd last one: a uint16 view entry is one
-        # index plus 256 times the other, in either byte order, so the row sums
-        # count one index of each pair and the column sums the other
-        if idx.size & 1:
-            counts[idx[-1]] += 1
-        for piece in _pieces(idx[: idx.size & ~1].view(np.uint16), 256 * classes):
-            table = np.bincount(piece, minlength=256 * classes).reshape(classes, 256)
-            counts += table.sum(axis=1)
-            counts += table[:, :classes].sum(axis=0)
-    else:
-        for piece in _pieces(idx, classes):
-            counts += np.bincount(piece, minlength=classes)
-    spare.append(counts)
+    with _scratch(spare, classes, partial(np.zeros, dtype=np.int64)) as counts:
+        if classes > idx.size:
+            # a bincount would write more classes than the chunk has indices
+            for piece in _pieces(idx, 0):
+                np.add.at(counts, piece, 1)
+        elif idx.dtype == np.uint8:
+            # counted in pairs, all but an odd last one: a uint16 view entry is one
+            # index plus 256 times the other, in either byte order, so the row sums
+            # count one index of each pair and the column sums the other
+            if idx.size & 1:
+                counts[idx[-1]] += 1
+            for piece in _pieces(idx[: idx.size & ~1].view(np.uint16), 256 * classes):
+                table = np.bincount(piece, minlength=256 * classes).reshape(classes, 256)
+                counts += table.sum(axis=1)
+                counts += table[:, :classes].sum(axis=0)
+        else:
+            for piece in _pieces(idx, classes):
+                counts += np.bincount(piece, minlength=classes)
     return counts
 
 
@@ -450,23 +463,16 @@ def _chunk_hits(config: ScanConfig, pattern, start: int, stop: int, *, spare=Non
     so the calls of one scan hold as many buffers as run at once."""
     size = stop - start
     width = -(-size // 64) * 64
-    spare = [] if spare is None else spare
-    try:
-        buffer = spare.pop()
-    except IndexError:
-        buffer = np.empty(width, dtype=bool)
-    if buffer.size < width:
-        buffer = np.empty(width, dtype=bool)
-    mask = buffer[:width]
-    mask[size:] = False
+    with _scratch(spare, width, partial(np.empty, dtype=bool)) as buffer:
+        mask = buffer[:width]
+        mask[size:] = False
 
-    def packed(p, m, want):
-        write_exponent_hits(mask[:size], start, p, m, want)
-        return np.packbits(mask, bitorder="little").view("<u8")
+        def packed(p, m, want):
+            write_exponent_hits(mask[:size], start, p, m, want)
+            return np.packbits(mask, bitorder="little").view("<u8")
 
-    # ANDed in place, so at most one packed prime is alive beside the words
-    words = reduce(operator.iand, itertools.starmap(packed, zip(config.primes, config.mods, pattern)))
-    spare.append(buffer)
+        # ANDed in place, so at most one packed prime is alive beside the words
+        words = reduce(operator.iand, itertools.starmap(packed, zip(config.primes, config.mods, pattern)))
     return _mask_hits(words, start)
 
 

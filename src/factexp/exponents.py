@@ -21,25 +21,26 @@ one block offset e_p(A*P), with no division per element.  Unreduced, the
 table is cached as int64, each offset is an exact scalar
 (`_block_exponent`) and the whole blocks are filled by one broadcast
 add (`_tiled_range`).  With a modulus m the kernel works on residues
-only, in the narrowest unsigned dtype that holds 2(m - 1), and reads
-every block off a cached (m, P) table whose row c is the tile shifted
-by c mod m (`_shifted_tiles`): past a few blocks, the blocks a range
-touches are one row gather, by their offsets mod m, which come as one
-array from the same kernel on the P-times-shorter range of block
-indices (`_block_residues`), and the range is a view of them.  So a
-reduced range costs a fixed number of numpy calls whatever its length.  A modulus whose table would have
-rows shorter than `_SHORT_ROW` within the `_ROW_TABLE` entry budget
-adds the offsets to a reduced tile instead and subtracts m where a sum
-reached it.  The tiles are built by the recurrence e_p(a*p + b) = a +
-e_p(a) for b < p, the row tables by e_p(a*s + b) = a*(s - 1)/(p - 1) +
-e_p(b) for a < p, b < s = p^j, with no division per element.
+only, in the narrowest unsigned dtype that holds 2(m - 1).  It reads
+each block off a cached (m, P) table whose row c is the tile shifted by
+c mod m (`_shifted_tiles`), so block A is row e_p(A*P) mod m.  One
+writer, `_gather_rows`, does that read: the whole blocks are one row
+gather by their offsets, the partial blocks at either end slice copies.
+The offsets e_p(A) mod m of a run of blocks are the same read one level
+of blocks up, down to at most two scalar offsets (`_block_residues`),
+and the two callers take them off cached pages of `_PAGE` blocks.  So a
+reduced range costs a fixed number of numpy calls whatever its length.
+A modulus whose table would have rows shorter than `_SHORT_ROW` within
+the `_ROW_TABLE` entry budget adds the offsets to a reduced tile instead
+and subtracts m where a sum reached it.  The tiles are built by the
+recurrence e_p(a*p + b) = a + e_p(a) for b < p, the row tables by
+e_p(a*s + b) = a*(s - 1)/(p - 1) + e_p(b) for a < p, b < s = p^j, with
+no division per element.
 
-`write_exponent_hits` writes [e_p(n) = want (mod m)] on the same blocks:
-block A is row offset(A) of the cached bool table `_shifted_tiles(p, m)
-== want` (`_hit_rows`), so the whole blocks are one row gather into the
-output, by offsets read off cached pages of `_PAGE` blocks, and the
-partial blocks at either end are slice copies.  Without a row table it
-compares the residues of `exponent_range` with want.
+`write_exponent_hits` writes [e_p(n) = want (mod m)] with the same
+writer, on the cached bool table `_shifted_tiles(p, m) == want`
+(`_hit_rows`).  Without a row table it compares the residues of
+`exponent_range` with want.
 """
 
 from functools import lru_cache, partial
@@ -61,17 +62,15 @@ _SQUARED = 1 << 9
 # wrap, it takes the add-and-wrap route.
 _ROW_TABLE = 1 << 18
 _SHORT_ROW = 1 << 6
-# A reduced range that touches at most this many blocks takes their offsets
-# as scalars: cheaper than the gather's offset array.
-_SCALAR_BLOCKS = 4
 # Wrap-around passes of the add-and-wrap route, histogram sums and coverage
 # codes go in pieces of at most this many elements, so the allocator reuses
 # one piece's temporaries for the next; at chunk size, megabyte temporaries
 # go back to the system and are page-faulted in again, a varying number of
 # times per run.
 _PIECE = 1 << 16
-# Pattern hits read the offsets of their blocks off cached pages of this
-# many blocks (16 cached, 32 KiB each), so that most chunks compute none.
+# Reduced ranges and pattern hits read the offsets of their blocks off
+# cached pages of this many blocks (16 cached, 32 KiB each), so that most
+# chunks compute none.
 _PAGE = 1 << 12
 # (dtype, largest value) in the order _residue_dtype tries them
 _RESIDUE_DTYPES = tuple((np.dtype(t), np.iinfo(t).max) for t in (np.uint8, np.uint16, np.uint32))
@@ -228,37 +227,42 @@ def _shifted_tiles(p: int, mod: int) -> np.ndarray | None:
     return rows
 
 
-def _gathered_range(start: int, stop: int, p: int, mod: int, rows: np.ndarray) -> np.ndarray:
-    """e_p mod `mod` on [start, stop) read off `_shifted_tiles(p, mod)`:
-    block A of span = rows.shape[1] elements is row e_p(A*span) mod `mod`.
-    A range that touches at most _SCALAR_BLOCKS blocks copies a slice of
-    each block's row at a scalar `_block_exponent` offset.  Past that the
-    offsets of all blocks it touches are one array (`_block_residues`),
-    and the blocks one `np.take` of rows: the range is a view of them, at
-    most two partial blocks shorter, so that one call (one release of the
-    GIL) writes it all."""
+def _gather_rows(rows: np.ndarray, out: np.ndarray, start: int, offsets: np.ndarray) -> np.ndarray:
+    """Write into `out` the values on [start, start + out.size) whose block
+    A of span = rows.shape[1] elements is row offsets[A - start // span] of
+    `rows`, and return it: the whole blocks are one row gather into a 2-D
+    view of `out`, and the partial blocks at either end slice copies.  An
+    empty `out` reads no offset (it has none at a block start)."""
+    size = out.size
     span = rows.shape[1]
-    a0, a1 = start // span, -(-stop // span)
-    if a1 - a0 <= _SCALAR_BLOCKS:
-        out = np.empty(stop - start, dtype=rows.dtype)
-        for a in range(a0, a1):
-            lo, hi = max(start, a * span), min(stop, a * span + span)
-            out[lo - start : hi - start] = rows[_block_exponent(p, span, a) % mod, lo - a * span : hi - a * span]
-        return out
-    blocks = np.take(rows, _block_residues(a0, a1, p, span, mod), axis=0)
-    return blocks.reshape(-1)[start - a0 * span : stop - a0 * span]
+    head = min(-start % span, size)
+    count = (size - head) // span
+    skip = int(head > 0)
+    # a take of no rows costs as much as a short range's copies
+    if count:
+        # mode="clip" writes straight into out; the default buffers it
+        np.take(rows, offsets[skip : skip + count], axis=0, mode="clip",
+                out=out[head : head + count * span].reshape(count, span))
+    for lo, hi, i in ((0, head, 0), (head + count * span, size, -1)):
+        if lo < hi:
+            out[lo:hi] = rows[offsets[i], (start + lo) % span :][: hi - lo]
+    return out
 
 
-def _block_residues(a0: int, a1: int, p: int, span: int, mod: int) -> np.ndarray:
-    """e_p(A*span) mod `mod` for the blocks A in [a0, a1) of a range tiled
-    by a power `span` of p, as one intp array: A*(span - 1)/(p - 1) + e_p(A),
-    with e_p(A) mod `mod` from `exponent_range` on the block indices."""
-    # a count times a weight below mod stays far inside int64
-    weight = (span - 1) // (p - 1)
-    offsets = np.arange(a1 - a0, dtype=np.intp)
-    offsets *= weight % mod
-    offsets += a0 * weight % mod
-    offsets += exponent_range(a0, a1, p, mod)
+def _block_residues(a0: int, a1: int, p: int, mod: int) -> np.ndarray:
+    """e_p(A*span) mod `mod` for the blocks A in [a0, a1) of the row table
+    `_shifted_tiles(p, mod)`, span its row length, as one intp array:
+    A*(span - 1)/(p - 1) + e_p(A), with e_p(A) mod `mod` gathered from the
+    same table one level of blocks up; at most two blocks are scalars."""
+    rows = _shifted_tiles(p, mod)
+    span = rows.shape[1]
+    if a1 - a0 <= 2:
+        return np.array([_block_exponent(p, span, a) % mod for a in range(a0, a1)], dtype=np.intp)
+    # A mod m times a weight below m stays far inside int64
+    weight = (span - 1) // (p - 1) % mod
+    offsets = np.arange(a0, a1, dtype=np.intp) % mod * weight
+    upper = _block_residues(a0 // span, -(-a1 // span), p, mod)
+    offsets += _gather_rows(rows, np.empty(a1 - a0, dtype=rows.dtype), a0, upper)
     offsets %= mod
     return offsets
 
@@ -268,19 +272,17 @@ def exponent_range(start: int, stop: int, p: int, mod: int | None = None) -> np.
     the residues in the narrowest unsigned dtype that holds 2*(mod - 1).
 
     For n = A*P + b with b < P, e_p(n) = e_p(b) + A*(P - 1)/(p - 1) + e_p(A).
-    With `mod`, P is the largest power of p whose `mod` rows fit the
-    _ROW_TABLE budget of `_shifted_tiles`, and the blocks of the range are
-    one row gather from that cached table by their offsets mod `mod`
-    (`_gathered_range`); past a few blocks the result is then a view of
-    the gathered blocks, at most two partial blocks longer than the range.
-    Without `mod`, or when those rows would be
-    shorter than _SHORT_ROW, P = `_tile_span(p)`, the largest power of p
-    that is at most max(p, 2**16) (p**2 for 2**8 < p < 2**9): e_p(b) comes
-    from a cached table (for p > 2**16 it is 0, and no table exists), the
-    offset e_p(A*P) exactly from `_block_exponent`, and with `mod` the
-    table is reduced and m subtracted where a sum reaches it
-    (`_tiled_range`).  The range must sit below 2**63, so every value fits
-    int64, and so must the modulus.
+    With `mod`, P is the row length of `_shifted_tiles(p, mod)`, and the
+    range is gathered from that table (`_gather_rows`): a range shorter
+    than P as it is, a longer one as every block it touches, in one buffer
+    of which the result is a view at most two partial blocks shorter.
+    Without `mod`, or where there is no row table, P = `_tile_span(p)`,
+    the largest power of p that is at most max(p, 2**16) (p**2 for 2**8 <
+    p < 2**9): e_p(b) comes from a cached table (for p > 2**16 it is 0,
+    and no table exists), the offset e_p(A*P) exactly from
+    `_block_exponent`, and with `mod` the table is reduced and m
+    subtracted where a sum reaches it (`_tiled_range`).  The range must sit
+    below 2**63, so every value fits int64, and so must the modulus.
     """
     _require_prime(p)
     if mod is not None and mod < 2:
@@ -291,28 +293,34 @@ def exponent_range(start: int, stop: int, p: int, mod: int | None = None) -> np.
         raise ValueError(f"range end must stay below 2**63, got {stop}")
     rows = None if mod is None else _shifted_tiles(p, mod)
     if rows is not None:
-        return _gathered_range(start, stop, p, mod, rows)
+        span = rows.shape[1]
+        a0, a1 = start // span, -(-stop // span)
+        # a range shorter than a block is written as it is, not as the up to
+        # two blocks it touches; a longer one is a view of all the blocks
+        lo, hi = (start, stop) if stop - start < span else (a0 * span, a1 * span)
+        out = np.empty(hi - lo, dtype=rows.dtype)
+        return _gather_rows(rows, out, lo, _paged_residues(a0, a1, p, mod))[start - lo : stop - lo]
     span = _tile_span(p)
     tile = _exponent_tile(p, mod) if p <= _TILE else None
     return _tiled_range(start, stop, span, tile, partial(_block_exponent, p, span), mod)
 
 
 @lru_cache(maxsize=16)
-def _offset_page(p: int, span: int, mod: int, page: int) -> np.ndarray:
+def _offset_page(p: int, mod: int, page: int) -> np.ndarray:
     """`_block_residues` of the blocks [page * _PAGE, (page + 1) * _PAGE),
     read-only."""
-    offsets = _block_residues(page * _PAGE, (page + 1) * _PAGE, p, span, mod)
+    offsets = _block_residues(page * _PAGE, (page + 1) * _PAGE, p, mod)
     offsets.flags.writeable = False
     return offsets
 
 
-def _paged_residues(a0: int, a1: int, p: int, span: int, mod: int) -> np.ndarray:
-    """`_block_residues(a0, a1, p, span, mod)`, a view of a cached page
-    unless the blocks cross into another page."""
+def _paged_residues(a0: int, a1: int, p: int, mod: int) -> np.ndarray:
+    """`_block_residues(a0, a1, p, mod)`, a view of a cached page unless
+    the blocks cross into another page."""
     page = a0 // _PAGE
     if (a1 - 1) // _PAGE > page:
-        return _block_residues(a0, a1, p, span, mod)
-    return _offset_page(p, span, mod, page)[a0 - page * _PAGE : a1 - page * _PAGE]
+        return _block_residues(a0, a1, p, mod)
+    return _offset_page(p, mod, page)[a0 - page * _PAGE : a1 - page * _PAGE]
 
 
 @lru_cache(maxsize=16)
@@ -330,27 +338,15 @@ def _hit_rows(p: int, mod: int, want: int) -> np.ndarray | None:
 
 def write_exponent_hits(out: np.ndarray, start: int, p: int, mod: int, want: int) -> None:
     """Write [e_p(n) = want (mod `mod`)] for n in [start, start + out.size)
-    into the bool array `out`.  Block A of span = `_shifted_tiles(p, mod)`
-    columns is row e_p(A*span) mod `mod` of `_hit_rows(p, mod, want)`, so
-    the whole blocks are one row gather by their offsets (`_paged_residues`)
-    into a 2-D view of `out`, and the partial blocks at either end slice
-    copies.  Where there is no row table, the residues of `exponent_range`
-    are compared with `want`.  Unchecked: p prime, 0 <= want < mod, n < 2**63."""
-    size = out.size
+    into the bool array `out`: block A of the row span of
+    `_shifted_tiles(p, mod)` is row e_p(A*span) mod `mod` of `_hit_rows(p,
+    mod, want)`, written by `_gather_rows`.  Where there is no row table,
+    the residues of `exponent_range` are compared with `want`.  Unchecked:
+    p prime, 0 <= want < mod, n < 2**63."""
+    stop = start + out.size
     hits = _hit_rows(p, mod, want)
     if hits is None:
-        np.equal(exponent_range(start, start + size, p, mod), want, out=out)
+        np.equal(exponent_range(start, stop, p, mod), want, out=out)
         return
     span = hits.shape[1]
-    rs = _paged_residues(start // span, -(-(start + size) // span), p, span, mod)
-    # out is a partial block, the whole blocks, and another partial block
-    head = min(-start % span, size)
-    count = (size - head) // span
-    skip = int(head > 0)
-    # mode="clip" writes straight into out; the default buffers it
-    np.take(hits, rs[skip : skip + count], axis=0, mode="clip",
-            out=out[head : head + count * span].reshape(count, span))
-    for lo, hi, r in ((0, head, rs[0]), (head + count * span, size, rs[-1])):
-        if lo < hi:
-            b = (start + lo) % span
-            out[lo:hi] = hits[r, b : b + hi - lo]
+    _gather_rows(hits, out, start, _paged_residues(start // span, -(-stop // span), p, mod))

@@ -169,6 +169,14 @@ def test_exponent_range_mod():
 
 def test_exponent_range_edges_and_rejections():
     assert exponent_range(10, 10, 3).size == 0
+    # empty ranges of a row-table modulus, at a block start (no block
+    # touched) and inside a block, and an empty hit write
+    span = _shifted_tiles(3, 2).shape[1]
+    for s in (0, span, 7 * span, 5, span + 11):
+        got = exponent_range(s, s, 3, mod=2)
+        assert got.size == 0 and got.dtype == np.uint8
+    write_exponent_hits(np.empty(0, dtype=bool), span, 3, 2, 1)
+    write_exponent_hits(np.empty(0, dtype=bool), span + 11, 3, 2, 1)
     with pytest.raises(ValueError):
         exponent_range(5, 4, 3)
     with pytest.raises(ValueError):
@@ -351,9 +359,10 @@ def test_shifted_tiles_are_the_reduced_tile_shifted_by_every_residue(p, m):
 @given(st.sampled_from(ROW_MODULI), st.integers(0, 2**62), st.integers(0, 6), st.data())
 def test_gathered_exponent_range_is_the_floor_sum_mod_m(pm, start, blocks, data):
     # every row span the budget allows for p = 2, 3, 257 and 65537, and the
-    # modulus just past it; widths from one element to a few blocks, so the
-    # gather past _SCALAR_BLOCKS whole blocks, the scalar blocks and the
-    # block-range recursion all run
+    # modulus just past it; widths from one element to a few blocks, so
+    # ranges of one to seven blocks, with and without whole blocks, are
+    # gathered, and the block offsets come off pages and, near 2^62, from
+    # the recursion down to its scalar base
     p, m = pm
     rows = _shifted_tiles(p, m)
     span = _tile_span(p) if rows is None else rows.shape[1]
@@ -405,12 +414,45 @@ def test_write_exponent_hits_is_the_floor_sum_mask(p, m, start, size, data):
     np.testing.assert_array_equal(out, floor_sum_range(start, start + size, p) % m == want)
 
 
+def scalar_block_residues(a0: int, a1: int, p: int, mod: int) -> list[int]:
+    span = _shifted_tiles(p, mod).shape[1]
+    return [legendre_exponent(a * span, p) % mod for a in range(a0, a1)]
+
+
 @pytest.mark.parametrize("p,mod", [(3, 2), (521, 3), (67, 1000)])
 def test_paged_block_residues_match_the_block_residues(p, mod):
     # inside a page, up to its end, across into the next, and far out
     span = _shifted_tiles(p, mod).shape[1]
     for a0, a1 in ((0, 1), (5, 300), (_PAGE - 7, _PAGE), (_PAGE - 7, _PAGE + 9),
                    (3 * _PAGE + 1, 3 * _PAGE + 2), (2**40 // span, 2**40 // span + 600)):
-        got = _paged_residues(a0, a1, p, span, mod)
-        assert np.array_equal(got, _block_residues(a0, a1, p, span, mod))
-        assert got.tolist() == [legendre_exponent(a * span, p) % mod for a in range(a0, a1)]
+        got = _paged_residues(a0, a1, p, mod)
+        assert np.array_equal(got, _block_residues(a0, a1, p, mod))
+        assert got.tolist() == scalar_block_residues(a0, a1, p, mod)
+
+
+@pytest.mark.parametrize("p,mod", [(2, 4096), (3, 2), (67, 1000)])
+def test_block_residues_recursion_is_the_scalar_exponent(p, mod):
+    # Ranges of one, two and three blocks, on both sides of the scalar base
+    # (at most two blocks), inside one block of the level above and across
+    # two of them; ranges that recurse a level or more; ranges across a
+    # page boundary; near 0 and near 2^62
+    span = _shifted_tiles(p, mod).shape[1]
+    far = (1 << 62) // span
+    edge = far // span * span  # a block start one level up
+    for a0, n in ((0, 1), (0, 2), (0, 3), (far, 1), (far, 2), (far, 3), (edge - 1, 2),
+                  (edge - 1, 3), (edge - 2, 3), (edge, span + 1), (far - 2 * span, 5 * span),
+                  (_PAGE - 1, 2), (_PAGE - 2, 3), (far - far % _PAGE - 1, 3), (far, _PAGE)):
+        got = _block_residues(a0, a0 + n, p, mod)
+        assert got.dtype == np.intp
+        assert got.tolist() == scalar_block_residues(a0, a0 + n, p, mod), (a0, n)
+        assert np.array_equal(_paged_residues(a0, a0 + n, p, mod), got)
+
+
+def test_block_residues_at_the_deepest_recursion():
+    # Span 64 (p = 2, m = 4096), the shortest rows, near 2^62: 2^20 blocks
+    # recurse through 2^14, 2^8 and a few blocks down to the scalar base
+    a0 = (1 << 62) // 64 - 12345
+    got = _block_residues(a0, a0 + (1 << 20), 2, 4096)
+    picks = np.unique(np.r_[0, 1, 12344, 12345, (1 << 20) - 1,
+                            np.random.default_rng(0).integers(0, 1 << 20, 500)])
+    assert got[picks].tolist() == [legendre_exponent((a0 + int(i)) * 64, 2) % 4096 for i in picks]
