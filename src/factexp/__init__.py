@@ -25,7 +25,6 @@ from .construction import (
     verify_congruence,
 )
 from .exponents import (
-    digit_sum,
     exponent_range,
     legendre_exponent,
 )
@@ -53,7 +52,6 @@ from .qadditive import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "digit_sum",
     "exponent_range",
     "legendre_exponent",
     "QAdditiveFunction",

@@ -3,14 +3,17 @@ pattern searches, and parity-pattern coverage.
 
 Everything here counts exactly, so results are independent of chunk
 size and thread count by construction: the kernels hand over residues in
-narrow unsigned dtypes, class indices fold in the narrowest of uint8,
-uint16 and int32 that holds them all (at most CLASS_CAP = 2**24
-classes), each prime writes its pattern hits into a bool buffer by row
-gathers from cached bool tables (at most 4 MiB, see
+narrow unsigned dtypes, and one fold, `_class_indices`, reads them as the
+mixed-radix digits of a class index in the narrowest of uint8, uint16
+and int32 that holds every index (at most CLASS_CAP = 2**24 classes):
+the histogram's classes, and with moduli 2 the parity codes of the
+coverage scan.  Each prime writes its pattern hits into a bool buffer by
+row gathers from cached bool tables (at most 4 MiB, see
 `exponents.write_exponent_hits`), packed and ANDed into 64-bit words,
 whose set bits are counted and whose first and last come from exact
-float64 exponents, and counts and first witnesses are int64.  The floating-point summaries in
-DiscrepancyReport are derived from those exact counts at the very end.
+float64 exponents.  Counts and first witnesses are int64.  The
+floating-point summaries in DiscrepancyReport are derived from those
+exact counts at the very end.
 
 A histogram scan of C classes keeps one int64 accumulator of C counts
 per running chunk, reused by the chunks that run after it, so it holds
@@ -29,6 +32,7 @@ by class tuple; its C order is the lexicographic order of exports.
 """
 
 import itertools
+import math
 import operator
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -213,6 +217,20 @@ def _scratch(spare, size: int, make):
     spare.append(array)
 
 
+def _class_indices(primes, mods, start: int, stop: int) -> np.ndarray:
+    """The class index of each n in [start, stop): the digits e_p(n) mod m
+    read in the mixed radix of `mods`, the first prime's the most
+    significant, in `_fold_dtype` of the class count."""
+    pairs = zip(primes, mods)
+    p, m = next(pairs)
+    # every partial class index is below the class count too
+    idx = exponent_range(start, stop, p, mod=m).astype(_fold_dtype(math.prod(mods)), copy=False)
+    for p, m in pairs:
+        idx *= m
+        idx += exponent_range(start, stop, p, mod=m)
+    return idx
+
+
 # The shortest counting piece: its intp copy (1 MiB) stays in the L2 cache.
 _COUNT_PIECE = 1 << 17
 
@@ -232,13 +250,7 @@ def _chunk_histogram(config: ScanConfig, start: int, stop: int, *, spare=None) -
     accumulator is popped off the list `spare` and pushed back after, so
     the calls of one scan hold as many accumulators as run at once."""
     classes = config.class_count
-    pairs = zip(config.primes, config.mods)
-    p, m = next(pairs)
-    # every partial class index is below the class count too
-    idx = exponent_range(start, stop, p, mod=m).astype(_fold_dtype(classes), copy=False)
-    for p, m in pairs:
-        idx *= m
-        idx += exponent_range(start, stop, p, mod=m)
+    idx = _class_indices(config.primes, config.mods, start, stop)
     with _scratch(spare, classes, partial(np.zeros, dtype=np.int64)) as counts:
         if classes > idx.size:
             # a bincount would write more classes than the chunk has indices
@@ -325,29 +337,6 @@ class PatternReport:
 _NO_HITS = (0, None, None, None)
 
 
-def _swar_popcount(words: np.ndarray) -> np.ndarray:
-    """The set bits of each 64-bit word, as uint8: the bits summed in
-    pairs, nibbles and bytes within the word, and the bytes by one
-    multiply, in two word-sized arrays."""
-    x = np.right_shift(words, np.uint64(1))
-    x &= np.uint64(0x5555555555555555)
-    np.subtract(words, x, out=x)
-    t = np.right_shift(x, np.uint64(2))
-    t &= np.uint64(0x3333333333333333)
-    x &= np.uint64(0x3333333333333333)
-    x += t
-    np.right_shift(x, np.uint64(4), out=t)
-    x += t
-    x &= np.uint64(0x0F0F0F0F0F0F0F0F)
-    x *= np.uint64(0x0101010101010101)
-    x >>= np.uint64(56)
-    return x.astype(np.uint8)
-
-
-# np.bitwise_count came with numpy 2.0
-_popcount = getattr(np, "bitwise_count", _swar_popcount)
-
-
 def _join_hits(a, b):
     """The hit summary of two adjacent spans, a before b."""
     if not b[0]:
@@ -396,7 +385,7 @@ def _mask_hits(words: np.ndarray, start: int):
     exponents, read in one pass over both.  The widest gap is the widest
     across the edge of two nonzero words, 64 more per zero word between,
     or one inside a word (`_gap_in_words`)."""
-    count = _popcount(words)
+    count = np.bitwise_count(words)
     hits, carry = int(count.sum()), count.max() >= 53
     del count
     if not hits:
@@ -554,11 +543,8 @@ def _chunk_first_codes(primes, first: np.ndarray, start: int, stop: int) -> None
     """Lower first[c] to the smallest n in [start, stop) with parity code
     c; bit i of the code is the parity of e_{primes[i]}(n).  A minimum,
     so spans may come in any order."""
-    codes = exponent_range(start, stop, primes[-1], mod=2)
-    codes = codes.astype(_fold_dtype(first.size), copy=False)
-    for p in reversed(primes[:-1]):
-        codes <<= 1
-        codes |= exponent_range(start, stop, p, mod=2)
+    # reversed, so that the parity of e_{primes[i]} is binary digit i
+    codes = _class_indices(primes[::-1], (2,) * len(primes), start, stop)
     for lo in range(0, codes.size, _PIECE):
         piece = codes[lo : lo + _PIECE]
         np.minimum.at(first, piece, np.arange(start + lo, start + lo + piece.size, dtype=np.int64))

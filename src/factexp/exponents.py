@@ -293,6 +293,9 @@ def exponent_range(start: int, stop: int, p: int, mod: int | None = None) -> np.
         raise ValueError(f"range end must stay below 2**63, got {stop}")
     rows = None if mod is None else _shifted_tiles(p, mod)
     if rows is not None:
+        if start == stop:
+            # no block to read an offset for
+            return np.empty(0, dtype=rows.dtype)
         span = rows.shape[1]
         a0, a1 = start // span, -(-stop // span)
         # a range shorter than a block is written as it is, not as the up to
@@ -343,6 +346,8 @@ def write_exponent_hits(out: np.ndarray, start: int, p: int, mod: int, want: int
     mod, want)`, written by `_gather_rows`.  Where there is no row table,
     the residues of `exponent_range` are compared with `want`.  Unchecked:
     p prime, 0 <= want < mod, n < 2**63."""
+    if not out.size:
+        return
     stop = start + out.size
     hits = _hit_rows(p, mod, want)
     if hits is None:

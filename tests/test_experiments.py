@@ -31,8 +31,6 @@ from factexp.experiments import (
     _chunk_hits,
     _fold_dtype,
     _mask_hits,
-    _popcount,
-    _swar_popcount,
     CoverageReport,
     ResidueHistogram,
     ScanConfig,
@@ -514,16 +512,6 @@ def test_mask_summary_matches_the_flatnonzero_oracle(data):
     assert _mask_hits(words, start) == flatnonzero_hits(mask, start)
 
 
-def test_popcount_fallback_counts_the_bits_of_each_word():
-    # the count that numpy below 2.0 uses, word by word
-    words = np.random.default_rng(7).integers(0, 2**64, 5000, dtype=np.uint64, endpoint=False)
-    words[:4] = (0, 2**64 - 1, 1, 2**63)
-    want = [int(w).bit_count() for w in words.tolist()]
-    assert _swar_popcount(words).tolist() == want
-    assert _popcount(words).tolist() == want
-    assert _swar_popcount(words[:0]).size == 0
-
-
 def test_pattern_search_threads_never_share_a_mask_buffer():
     # eight threads pop and push the mask buffers of one scan while the
     # interpreter switches threads every microsecond: a buffer two chunks
@@ -873,7 +861,7 @@ def test_parity_of_e2_identity():
 def test_parity_of_e2_identity_to_a_million():
     # popcount shortcut against the floor-sum route, vectorized end to end
     ns = np.arange(10**6 + 1, dtype=np.uint64)
-    shortcut = (_popcount(ns >> 1) & 1).astype(np.int64)
+    shortcut = (np.bitwise_count(ns >> 1) & 1).astype(np.int64)
     direct = exponent_range(0, 10**6 + 1, 2, mod=2)
     assert np.array_equal(shortcut, direct)
 

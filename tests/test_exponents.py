@@ -20,6 +20,7 @@ from factexp.exponents import (
     _TILE,
     _block_residues,
     _exponent_tile,
+    _offset_page,
     _paged_residues,
     _residue_dtype,
     _shifted_tiles,
@@ -170,13 +171,16 @@ def test_exponent_range_mod():
 def test_exponent_range_edges_and_rejections():
     assert exponent_range(10, 10, 3).size == 0
     # empty ranges of a row-table modulus, at a block start (no block
-    # touched) and inside a block, and an empty hit write
+    # touched) and inside a block, and empty hit writes, on offset pages 0,
+    # 3 and 7: none reads an offset page
     span = _shifted_tiles(3, 2).shape[1]
-    for s in (0, span, 7 * span, 5, span + 11):
+    pages = _offset_page.cache_info()
+    for s in (0, span, 7 * span, 5, span + 11, 1000 * span + 7, 3 * _PAGE * span):
         got = exponent_range(s, s, 3, mod=2)
         assert got.size == 0 and got.dtype == np.uint8
-    write_exponent_hits(np.empty(0, dtype=bool), span, 3, 2, 1)
-    write_exponent_hits(np.empty(0, dtype=bool), span + 11, 3, 2, 1)
+    for s in (span, span + 11, 7 * _PAGE * span):
+        write_exponent_hits(np.empty(0, dtype=bool), s, 3, 2, 1)
+    assert _offset_page.cache_info() == pages
     with pytest.raises(ValueError):
         exponent_range(5, 4, 3)
     with pytest.raises(ValueError):
