@@ -32,12 +32,11 @@ from math import e as _E, floor, gcd, inf, log, prod
 import numpy as np
 
 from .experiments import CHUNK_SIZE, ScanConfig, map_spans
-from .exponents import _require_prime, exponent_range
+from .exponents import _exponent_rows, _fold, _require_prime, exponent_range
 from .primes import factorize, nth_odd_prime
 from .qadditive import (
     TABLE_CAP,
     QAdditiveFunction,
-    _fold,
     derive_invariants,
     evaluate_range,
     kim_error_exponent,
@@ -188,10 +187,11 @@ class ConstructionResult:
 def build_function(p: int, m: int) -> ConstructionResult:
     """Materialize the value table on [0, p^lambda) and derive (F, d).
 
-    The table is folded digit level by digit level, lowest first: level j
-    puts base-p digit a_j on top with weight (p^j - 1)/(p - 1), so each
-    level is one broadcast add, t <- (w_j*arange(p)[:, None] + t).ravel(),
-    and the last one writes the int64 table the function keeps.  The
+    The table is e_p's digit rows on [0, p^lambda) folded digit level by
+    digit level, lowest first (`exponents._fold`): level j puts base-p
+    digit a_j on top with weight (p^j - 1)/(p - 1), so each level is one
+    broadcast add, t <- (w_j*arange(p)[:, None] + t).ravel(), and the
+    last one writes the int64 table the function keeps.  The
     derived invariants are recomputed through the generic q-additive
     path and must come out F = 0, d = 1; anything else is an internal
     error, not a user mistake.
@@ -204,8 +204,7 @@ def build_function(p: int, m: int) -> ConstructionResult:
         )
     q = p**cert.lam
     weights = tuple((p**j - 1) // (p - 1) for j in range(cert.lam))
-    digits = np.arange(p, dtype=np.int64)
-    f = QAdditiveFunction(q=q, table=_fold([w * digits for w in weights]))
+    f = QAdditiveFunction(q=q, table=_fold(_exponent_rows(p, q, None)))
     F, d = derive_invariants(f, m)
     if F != 0 or d != 1:
         raise RuntimeError(
@@ -235,16 +234,17 @@ class CongruenceReport:
 def verify_congruence(p: int, m: int, limit: int, chunk_size: int = CHUNK_SIZE) -> CongruenceReport:
     """Check f(n) = e_p(n) (mod m) for all 0 <= n < limit.
 
-    The two sides are computed chunk by chunk by independent routes: e_p
-    is read off the row table of `exponents._shifted_tiles`, the tile of
-    e_p on [0, p^j) built by the digit-weight identity, for the span p^j
-    that table picks, and shifted by every residue, one row gathered per
-    block by its offset; f is a table folded out of the lambda-digit
-    value table on base q^j plus scalar `f.evaluate` offsets, added and
-    wrapped block by block.  (A modulus too large for a row table sends
-    e_p through that add-and-wrap block loop too, with its own
-    Legendre-recurrence tile and scalar Legendre offsets.)  The report
-    carries the smallest counterexample if there is one.
+    The two sides are computed chunk by chunk: e_p mod m off the row
+    table of `exponents._shifted_tiles` on base p^j, block weight
+    (p^j - 1)/(p - 1), and f mod m off a table folded out of the
+    lambda-digit value table on base q^j, block weight 0.  (A modulus too
+    large for a row table sends e_p through its reduced tile.)  Both
+    sides share the table fold, the block writer and the offset
+    recursion of `exponents`, on different tables and weights, so they
+    are not independent routes; the tests pin each side to independent
+    oracles (the floor sum, the digit-by-digit `folded_value` and scalar
+    `f.evaluate`).  The report carries the smallest counterexample if
+    there is one.
     """
     config = ScanConfig(primes=(p,), mods=(m,), limit=limit, chunk_size=chunk_size)
     built = build_function(p, m)

@@ -12,38 +12,48 @@ scalar `legendre_exponent` computes the floor sum; the test suite pins
 all three against each other.
 
 `exponent_range`, the vectorized workhorse behind the scan harness,
-splits n = A*P + b with b < P = p^J and uses
+splits n = A*S + b with b < S = p^J and uses
 
-    e_p(n) = e_p(b) + A*(P - 1)/(p - 1) + e_p(A),
+    e_p(n) = e_p(b) + A*(S - 1)/(p - 1) + e_p(A),
 
-so a range is a run of blocks, each the same table of e_p on [0, P) plus
-one block offset e_p(A*P), with no division per element.  Unreduced, the
-table is cached as int64, each offset is an exact scalar
-(`_block_exponent`) and the whole blocks are filled by one broadcast
-add (`_tiled_range`).  With a modulus m the kernel works on residues
-only, in the narrowest unsigned dtype that holds 2(m - 1).  It reads
-each block off a cached (m, P) table whose row c is the tile shifted by
-c mod m (`_shifted_tiles`), so block A is row e_p(A*P) mod m.  One
-writer, `_gather_rows`, does that read: the whole blocks are one row
-gather by their offsets, the partial blocks at either end slice copies.
-The offsets e_p(A) mod m of a run of blocks are the same read one level
-of blocks up, down to at most two scalar offsets (`_block_residues`),
-and the two callers take them off cached pages of `_PAGE` blocks.  So a
+so a range is a run of blocks, each the same table of e_p on [0, S) plus
+one block offset e_p(A*S), with no division per element.  A completely
+q-additive function f obeys the same block rule with weight 0,
+f(A*S + b) = f(b) + f(A), and `qadditive.evaluate_range` runs on the
+same three parts:
+
+- `_fold` builds every table, one digit level per broadcast add (and,
+  with a modulus, one wrap): the e_p tile from the digit rows
+  d*(p^j - 1)/(p - 1) (`_exponent_rows`), the (m, S) row table from the
+  same rows under a top level of the residues c, so that its row c is
+  the tile shifted by c mod m (`_shifted_tiles`), and f's value table
+  and tiles from f's digit values.
+- `_write_blocks` writes a range from a table and one offset per block.
+  With a row table, block A is the row of its offset: the whole blocks
+  are one row gather, the partial blocks at either end slice copies.
+  With a tile, block A is the tile plus its offset, and m is subtracted
+  where a sum reached it (`_shift`).
+- `_tiled_offsets` gives the offsets of a run of blocks: block A's is
+  A*w + g(A), and g on the block indices is the same kind of range one
+  level of blocks up, written by `_write_blocks` from the same table,
+  down to block 0, whose offset is 0.
+
+Unreduced, e_p is tiled by an int64 tile of `_tile_span(p)` entries.
+With a modulus m the kernel works on residues only, in the narrowest
+unsigned dtype that holds 2(m - 1), and reads its blocks off the cached
+row table, whose offsets come off cached pages of `_PAGE` blocks; so a
 reduced range costs a fixed number of numpy calls whatever its length.
 A modulus whose table would have rows shorter than `_SHORT_ROW` within
-the `_ROW_TABLE` entry budget adds the offsets to a reduced tile instead
-and subtracts m where a sum reached it.  The tiles are built by the
-recurrence e_p(a*p + b) = a + e_p(a) for b < p, the row tables by
-e_p(a*s + b) = a*(s - 1)/(p - 1) + e_p(b) for a < p, b < s = p^j, with
-no division per element.
+the `_ROW_TABLE` entry budget adds its offsets to a reduced tile
+instead.
 
 `write_exponent_hits` writes [e_p(n) = want (mod m)] with the same
-writer, on the cached bool table `_shifted_tiles(p, m) == want`
-(`_hit_rows`).  Without a row table it compares the residues of
-`exponent_range` with want.
+writer and offset pages, on the cached bool table
+`_shifted_tiles(p, m) == want` (`_hit_rows`).  Without a row table it
+compares the residues of `exponent_range` with want.
 """
 
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,8 +79,9 @@ _SHORT_ROW = 1 << 6
 # times per run.
 _PIECE = 1 << 16
 # Reduced ranges and pattern hits read the offsets of their blocks off
-# cached pages of this many blocks (16 cached, 32 KiB each), so that most
-# chunks compute none.
+# cached pages of this many blocks, in the residue dtype of the row table
+# (16 cached, 4 KiB each in uint8, 8 KiB in uint16), so that most chunks
+# compute none.
 _PAGE = 1 << 12
 # (dtype, largest value) in the order _residue_dtype tries them
 _RESIDUE_DTYPES = tuple((np.dtype(t), np.iinfo(t).max) for t in (np.uint8, np.uint16, np.uint32))
@@ -106,12 +117,6 @@ def legendre_exponent(n: int, p: int) -> int:
     return e
 
 
-def _block_exponent(p: int, span: int, a: int) -> int:
-    """e_p(a * span) for a power `span` of p: a*(span - 1)/(p - 1) + e_p(a),
-    exact; the offset of block a of a range tiled by `span`."""
-    return a * ((span - 1) // (p - 1)) + legendre_exponent(a, p)
-
-
 def _tile_span(base: int) -> int:
     """The largest power of base that is at most max(base, _TILE), or
     base**2 when that is larger and base < 2**9."""
@@ -132,36 +137,30 @@ def _residue_dtype(mod: int) -> np.dtype:
     return np.dtype(np.uint64)
 
 
-def _tiled_range(start: int, stop: int, span: int, tile, offset, mod: int | None) -> np.ndarray:
-    """Values on [start, stop) of a function g with g(A*span + b) =
-    tile[b] + offset(A) for 0 <= b < span.
+def _fold(rows, mod: int | None = None) -> np.ndarray:
+    """sum_j rows[j][n_j] over the mixed-radix digits n_j of n, digit j
+    running over len(rows[j]) with rows[0] the lowest, for every n below
+    the product of the lengths: one digit level on top at a time.  With
+    `mod` the rows hold residues in `_residue_dtype(mod)`, reduced at
+    every level so only reduced values need to fit."""
+    tile = rows[0]
+    for row in rows[1:]:
+        tile = (row[:, None] + tile).ravel()
+        if mod is not None:
+            np.minimum(tile, tile - mod, out=tile)
+    return tile
 
-    `tile` is an array of the span values, or None when they are all 0;
-    offset(A) is an exact Python int.  Without `mod` the result is int64.
-    With `mod` the tile must hold residues in `_residue_dtype(mod)`, and
-    the result comes back reduced in that dtype.  The range is a leading
-    partial block, a run of whole blocks and a trailing partial block;
-    the whole blocks are one (blocks, span) view of the result, filled by
-    one broadcast call against the column of their offsets.
-    """
-    out = np.empty(stop - start, dtype=np.int64 if mod is None else _residue_dtype(mod))
-    block_offset = offset if mod is None else (lambda a: offset(a) % mod)
-    # the whole blocks are those of A in [first, last)
-    first, last = -(-start // span), stop // span
-    if first > last:
-        partial = ((start, stop),)
-    else:
-        partial = ((start, first * span), (last * span, stop))
-    if first < last:
-        whole = out[first * span - start : last * span - start].reshape(last - first, span)
-        offsets = np.fromiter(map(block_offset, range(first, last)), out.dtype, last - first)
-        _shift(whole, tile, offsets.reshape(-1, 1), mod)
-    for lo, hi in partial:
-        if lo < hi:
-            a, b = divmod(lo, span)
-            part = None if tile is None else tile[b : b + hi - lo]
-            _shift(out[lo - start : hi - start], part, block_offset(a), mod)
-    return out
+
+def _exponent_rows(p: int, span: int, mod: int | None) -> list:
+    """The digit rows whose `_fold` is e_p on [0, span), span a power of p:
+    row j is d*(p^j - 1)/(p - 1) for the digits d < p, int64, or reduced
+    mod `mod` into `_residue_dtype(mod)`.  Every entry is below span."""
+    rows, weight = [], 0
+    while p ** len(rows) < span:
+        row = np.arange(p, dtype=np.int64) * weight
+        rows.append(row if mod is None else (row % mod).astype(_residue_dtype(mod)))
+        weight = weight * p + 1
+    return rows
 
 
 def _shift(out: np.ndarray, tile, offset, mod: int | None) -> None:
@@ -171,7 +170,8 @@ def _shift(out: np.ndarray, tile, offset, mod: int | None) -> None:
     there.  The minimum runs in pieces of `_PIECE` elements, so no
     temporary grows with `out`, and skips every piece whose blocks all
     have offset 0: they hold tile residues.  `offset` is an int for a 1-D
-    `out`, a column of offsets for the rows of a 2-D one."""
+    `out`, a column of offsets for the rows of a 2-D one; a tile of None
+    stands for all 0s."""
     if tile is None:
         out[...] = offset
     else:
@@ -187,17 +187,71 @@ def _shift(out: np.ndarray, tile, offset, mod: int | None) -> None:
                     np.minimum(piece, piece - mod, out=piece)
 
 
+def _write_blocks(out: np.ndarray, start: int, span: int, table, offsets: np.ndarray,
+                  mod: int | None) -> np.ndarray:
+    """Write into `out` the values on [start, start + out.size) whose block
+    A of `span` elements has offset offsets[A - start // span], and return
+    it.  A 2-D `table` has one row of block values per offset (span =
+    table.shape[1]): the whole blocks are one row gather into a 2-D view
+    of `out`.  Otherwise `table` is a tile of span values (None for all
+    0s) and a block is the tile plus its offset, reduced below `mod`
+    (`_shift`): the whole blocks are one broadcast add against the column
+    of their offsets.  The partial blocks at either end are slices.  An
+    empty `out` reads no offset (it has none at a block start)."""
+    size = out.size
+    head = min(-start % span, size)
+    count = (size - head) // span
+    skip = int(head > 0)
+    rows = table is not None and table.ndim == 2
+    # a take of no rows costs as much as a short range's copies
+    if count:
+        whole = out[head : head + count * span].reshape(count, span)
+        picked = offsets[skip : skip + count]
+        if rows:
+            # mode="clip" writes straight into out; the default buffers it
+            np.take(table, picked, axis=0, mode="clip", out=whole)
+        else:
+            _shift(whole, table, picked.reshape(-1, 1), mod)
+    for lo, hi, i in ((0, head, 0), (head + count * span, size, -1)):
+        if lo < hi:
+            b = (start + lo) % span
+            if rows:
+                out[lo:hi] = table[offsets[i], b : b + hi - lo]
+            else:
+                _shift(out[lo:hi], None if table is None else table[b : b + hi - lo], offsets[i], mod)
+    return out
+
+
+def _tiled_offsets(a0: int, a1: int, span: int, table, weight: int, mod: int | None) -> np.ndarray:
+    """The offsets g(A*span) = A*weight + g(A) of the blocks A in [a0, a1)
+    of the function g with g(A*span + b) = g(b) + A*weight + g(A) for
+    b < span, whose values on [0, span) `table` holds as `_write_blocks`
+    reads it: int64, or reduced mod `mod` in `_residue_dtype(mod)`.  g(A)
+    on the block indices is that writer's range on the same table, with
+    the offsets of the blocks one level up, down to block 0, whose offset
+    is 0.  Weight 0 gives the offsets of a completely q-additive g."""
+    dtype = np.dtype(np.int64) if mod is None else _residue_dtype(mod)
+    if a1 <= 1:
+        return np.zeros(a1 - a0, dtype=dtype)
+    upper = _tiled_offsets(a0 // span, -(-a1 // span), span, table, weight, mod)
+    offsets = _write_blocks(np.empty(a1 - a0, dtype=dtype), a0, span, table, upper, mod)
+    if weight:
+        # A*weight <= e_p(A*span) < A*span, a block start below 2**63
+        steps = np.arange(a0 * weight, a1 * weight, weight, dtype=np.int64)
+        if mod is None:
+            offsets += steps
+        else:
+            steps %= mod
+            offsets += steps.astype(dtype, copy=False)
+            np.minimum(offsets, offsets - mod, out=offsets)
+    return offsets
+
+
 @lru_cache(maxsize=32)
 def _exponent_tile(p: int, mod: int | None) -> np.ndarray:
-    """e_p on [0, p^J) by the Legendre recurrence e_p(a*p + b) = a + e_p(a)
-    for b < p, one base-p level per step: int64, or reduced mod `mod` in
-    the dtype _tiled_range adds in."""
-    span = _tile_span(p)
-    tile = np.zeros(1, dtype=np.int64)
-    while tile.size < span:
-        tile = np.repeat(np.arange(tile.size, dtype=np.int64) + tile, p)
-    if mod is not None:
-        tile = (tile % mod).astype(_residue_dtype(mod))
+    """e_p on [0, _tile_span(p)), folded out of its digit rows: int64, or
+    reduced mod `mod` in `_residue_dtype(mod)`; read-only."""
+    tile = _fold(_exponent_rows(p, _tile_span(p), mod), mod)
     tile.flags.writeable = False
     return tile
 
@@ -207,82 +261,35 @@ def _shifted_tiles(p: int, mod: int) -> np.ndarray | None:
     """The read-only (mod, span) table, in `_residue_dtype(mod)`, whose row
     c is (e_p(b) + c) mod `mod` for b in [0, span), span the largest power
     of p with mod*span <= _ROW_TABLE; None when that span is below
-    _SHORT_ROW.  Built in the residue dtype, one base-p level per step:
-    e_p(a*s + b) = a*(s - 1)/(p - 1) + e_p(b) for a < p and b < s = p^j,
-    each level one broadcast add and one wrap, and the rows the same."""
+    _SHORT_ROW.  Folded out of the digit rows of e_p on [0, span) with
+    the residues c as the top level."""
     span = p
     while mod * span * p <= _ROW_TABLE:
         span *= p
     if mod * span > _ROW_TABLE or span < _SHORT_ROW:
         return None
-    dtype = _residue_dtype(mod)
-    tile = np.zeros(1, dtype=dtype)
-    while tile.size < span:
-        weight = (tile.size - 1) // (p - 1) % mod
-        tile = np.add.outer((np.arange(p) * weight % mod).astype(dtype), tile).ravel()
-        np.minimum(tile, tile - mod, out=tile)
-    rows = np.add.outer(np.arange(mod, dtype=dtype), tile)
-    np.minimum(rows, rows - mod, out=rows)
+    levels = _exponent_rows(p, span, mod) + [np.arange(mod, dtype=_residue_dtype(mod))]
+    rows = _fold(levels, mod).reshape(mod, span)
     rows.flags.writeable = False
     return rows
-
-
-def _gather_rows(rows: np.ndarray, out: np.ndarray, start: int, offsets: np.ndarray) -> np.ndarray:
-    """Write into `out` the values on [start, start + out.size) whose block
-    A of span = rows.shape[1] elements is row offsets[A - start // span] of
-    `rows`, and return it: the whole blocks are one row gather into a 2-D
-    view of `out`, and the partial blocks at either end slice copies.  An
-    empty `out` reads no offset (it has none at a block start)."""
-    size = out.size
-    span = rows.shape[1]
-    head = min(-start % span, size)
-    count = (size - head) // span
-    skip = int(head > 0)
-    # a take of no rows costs as much as a short range's copies
-    if count:
-        # mode="clip" writes straight into out; the default buffers it
-        np.take(rows, offsets[skip : skip + count], axis=0, mode="clip",
-                out=out[head : head + count * span].reshape(count, span))
-    for lo, hi, i in ((0, head, 0), (head + count * span, size, -1)):
-        if lo < hi:
-            out[lo:hi] = rows[offsets[i], (start + lo) % span :][: hi - lo]
-    return out
-
-
-def _block_residues(a0: int, a1: int, p: int, mod: int) -> np.ndarray:
-    """e_p(A*span) mod `mod` for the blocks A in [a0, a1) of the row table
-    `_shifted_tiles(p, mod)`, span its row length, as one intp array:
-    A*(span - 1)/(p - 1) + e_p(A), with e_p(A) mod `mod` gathered from the
-    same table one level of blocks up; at most two blocks are scalars."""
-    rows = _shifted_tiles(p, mod)
-    span = rows.shape[1]
-    if a1 - a0 <= 2:
-        return np.array([_block_exponent(p, span, a) % mod for a in range(a0, a1)], dtype=np.intp)
-    # A mod m times a weight below m stays far inside int64
-    weight = (span - 1) // (p - 1) % mod
-    offsets = np.arange(a0, a1, dtype=np.intp) % mod * weight
-    upper = _block_residues(a0 // span, -(-a1 // span), p, mod)
-    offsets += _gather_rows(rows, np.empty(a1 - a0, dtype=rows.dtype), a0, upper)
-    offsets %= mod
-    return offsets
 
 
 def exponent_range(start: int, stop: int, p: int, mod: int | None = None) -> np.ndarray:
     """e_p(n) for every n in [start, stop): an int64 array, or with `mod`
     the residues in the narrowest unsigned dtype that holds 2*(mod - 1).
 
-    For n = A*P + b with b < P, e_p(n) = e_p(b) + A*(P - 1)/(p - 1) + e_p(A).
-    With `mod`, P is the row length of `_shifted_tiles(p, mod)`, and the
-    range is gathered from that table (`_gather_rows`): a range shorter
-    than P as it is, a longer one as every block it touches, in one buffer
-    of which the result is a view at most two partial blocks shorter.
-    Without `mod`, or where there is no row table, P = `_tile_span(p)`,
-    the largest power of p that is at most max(p, 2**16) (p**2 for 2**8 <
-    p < 2**9): e_p(b) comes from a cached table (for p > 2**16 it is 0,
-    and no table exists), the offset e_p(A*P) exactly from
-    `_block_exponent`, and with `mod` the table is reduced and m
-    subtracted where a sum reaches it (`_tiled_range`).  The range must sit
-    below 2**63, so every value fits int64, and so must the modulus.
+    For n = A*S + b with b < S, e_p(n) = e_p(b) + A*(S - 1)/(p - 1) + e_p(A).
+    With `mod`, S is the row length of `_shifted_tiles(p, mod)`, and the
+    range is gathered from that table by `_write_blocks`, with its block
+    offsets off `_paged_residues`: a range shorter than S as it is, a
+    longer one as every block it touches, in one buffer of which the
+    result is a view at most two partial blocks shorter.  Without `mod`,
+    or where there is no row table, S = `_tile_span(p)`, the largest
+    power of p that is at most max(p, 2**16) (p**2 for 2**8 < p < 2**9):
+    e_p(b) comes from a cached tile (for p > 2**16 it is 0, and no tile
+    exists), reduced with `mod`, and the offsets from `_tiled_offsets` on
+    that tile.  The range must sit below 2**63, so every value fits
+    int64, and so must the modulus.
     """
     _require_prime(p)
     if mod is not None and mod < 2:
@@ -291,39 +298,45 @@ def exponent_range(start: int, stop: int, p: int, mod: int | None = None) -> np.
         raise ValueError(f"bad range [{start}, {stop})")
     if stop >= _U63:
         raise ValueError(f"range end must stay below 2**63, got {stop}")
+    dtype = np.dtype(np.int64) if mod is None else _residue_dtype(mod)
+    if start == stop:
+        # no block to read an offset for
+        return np.empty(0, dtype=dtype)
     rows = None if mod is None else _shifted_tiles(p, mod)
     if rows is not None:
-        if start == stop:
-            # no block to read an offset for
-            return np.empty(0, dtype=rows.dtype)
         span = rows.shape[1]
         a0, a1 = start // span, -(-stop // span)
         # a range shorter than a block is written as it is, not as the up to
         # two blocks it touches; a longer one is a view of all the blocks
         lo, hi = (start, stop) if stop - start < span else (a0 * span, a1 * span)
-        out = np.empty(hi - lo, dtype=rows.dtype)
-        return _gather_rows(rows, out, lo, _paged_residues(a0, a1, p, mod))[start - lo : stop - lo]
+        out = np.empty(hi - lo, dtype=dtype)
+        _write_blocks(out, lo, span, rows, _paged_residues(a0, a1, p, mod), mod)
+        return out[start - lo : stop - lo]
     span = _tile_span(p)
     tile = _exponent_tile(p, mod) if p <= _TILE else None
-    return _tiled_range(start, stop, span, tile, partial(_block_exponent, p, span), mod)
+    offsets = _tiled_offsets(start // span, -(-stop // span), span, tile, (span - 1) // (p - 1), mod)
+    return _write_blocks(np.empty(stop - start, dtype=dtype), start, span, tile, offsets, mod)
 
 
 @lru_cache(maxsize=16)
-def _offset_page(p: int, mod: int, page: int) -> np.ndarray:
-    """`_block_residues` of the blocks [page * _PAGE, (page + 1) * _PAGE),
-    read-only."""
-    offsets = _block_residues(page * _PAGE, (page + 1) * _PAGE, p, mod)
+def _offset_page(p: int, mod: int, a0: int, a1: int) -> np.ndarray:
+    """The offsets e_p(A*span) mod `mod` of the blocks A in [a0, a1) of the
+    row table `_shifted_tiles(p, mod)`, span its row length, read-only;
+    cached for whole pages of `_PAGE` blocks."""
+    rows = _shifted_tiles(p, mod)
+    span = rows.shape[1]
+    offsets = _tiled_offsets(a0, a1, span, rows, (span - 1) // (p - 1), mod)
     offsets.flags.writeable = False
     return offsets
 
 
 def _paged_residues(a0: int, a1: int, p: int, mod: int) -> np.ndarray:
-    """`_block_residues(a0, a1, p, mod)`, a view of a cached page unless
-    the blocks cross into another page."""
-    page = a0 // _PAGE
-    if (a1 - 1) // _PAGE > page:
-        return _block_residues(a0, a1, p, mod)
-    return _offset_page(p, mod, page)[a0 - page * _PAGE : a1 - page * _PAGE]
+    """`_offset_page(p, mod, a0, a1)`, a view of a cached page unless the
+    blocks cross into another page, which are computed uncached."""
+    page = a0 // _PAGE * _PAGE
+    if a1 - page > _PAGE:
+        return _offset_page.__wrapped__(p, mod, a0, a1)
+    return _offset_page(p, mod, page, page + _PAGE)[a0 - page : a1 - page]
 
 
 @lru_cache(maxsize=16)
@@ -343,7 +356,7 @@ def write_exponent_hits(out: np.ndarray, start: int, p: int, mod: int, want: int
     """Write [e_p(n) = want (mod `mod`)] for n in [start, start + out.size)
     into the bool array `out`: block A of the row span of
     `_shifted_tiles(p, mod)` is row e_p(A*span) mod `mod` of `_hit_rows(p,
-    mod, want)`, written by `_gather_rows`.  Where there is no row table,
+    mod, want)`, written by `_write_blocks`.  Where there is no row table,
     the residues of `exponent_range` are compared with `want`.  Unchecked:
     p prime, 0 <= want < mod, n < 2**63."""
     if not out.size:
@@ -354,4 +367,4 @@ def write_exponent_hits(out: np.ndarray, start: int, p: int, mod: int, want: int
         np.equal(exponent_range(start, stop, p, mod), want, out=out)
         return
     span = hits.shape[1]
-    _gather_rows(hits, out, start, _paged_residues(start // span, -(-stop // span), p, mod))
+    _write_blocks(out, start, span, hits, _paged_residues(start // span, -(-stop // span), p, mod), mod)

@@ -17,6 +17,12 @@ a result of Kim on joint distributions of q-additive functions.
 `check_system` evaluates exactly those hypotheses on (function, modulus)
 pairs, deriving each (F, d) itself, and `kim_error_exponent` the
 accompanying exponent delta = 1/(120 k^2 q^3 m^2).
+
+`evaluate_range` computes f on a range with the kernel that computes
+e_p in `exponents`, since f(A*Q + b) = f(b) + f(A) for b < Q = q^j is
+e_p's block rule with weight 0: its table on [0, Q) comes from the same
+digit fold, the range from the same block writer, and the block offsets
+f(A) from the same offset recursion.
 """
 
 from dataclasses import dataclass, field
@@ -27,8 +33,8 @@ from math import gcd
 
 import numpy as np
 
-from .exponents import _residue_dtype, _tile_span, _tiled_range
-from .primes import _U64
+from .exponents import _fold, _residue_dtype, _tile_span, _tiled_offsets, _write_blocks
+from .primes import _U63, _U64
 
 # Value tables are stored eagerly; the cap keeps memory bounded and makes
 # oversized bases fail loudly instead of thrashing.
@@ -79,19 +85,6 @@ class QAdditiveFunction:
         return {}
 
 
-def _fold(rows, mod: int | None = None) -> np.ndarray:
-    """sum_j rows[j][n_j] over the base-b digits n_j of n (b = len(row)),
-    for n in [0, b^len(rows)), one digit level on top at a time.  With
-    `mod` the rows hold residues in `_residue_dtype(mod)`, reduced at
-    every level so only reduced values need to fit."""
-    tile = rows[0]
-    for row in rows[1:]:
-        tile = (row[:, None] + tile).ravel()
-        if mod is not None:
-            np.minimum(tile, tile - mod, out=tile)
-    return tile
-
-
 def _value_tile(f: QAdditiveFunction, span: int, mod: int | None) -> np.ndarray:
     """f on [0, span) for span = q^j, folded out of the value table:
     f(a*q^i + b) = f(a) + f(b) for b < q^i.  Without `mod` the tile is
@@ -118,17 +111,24 @@ def evaluate_range(f: QAdditiveFunction, start: int, stop: int, mod: int | None 
     max(q, 2**16) (q**2 for 2**8 < q < 2**9): for n = A*Q + b with b < Q,
     f(n) = f(b) + f(A).  f(b) comes from a table of f on [0, Q) folded out
     of the value table and kept with f, one per modulus, and the block
-    offset is computed exactly by `f.evaluate`.  Without `mod` table
-    values must fit int64.  With `mod` the table is folded reduced and
-    the offsets are reduced, so only the reduced values need to fit.
+    offsets f(A) from `exponents._tiled_offsets` on the same table with
+    weight 0; `exponents._write_blocks` writes the range, as it writes
+    e_p's.  Without `mod` table values must fit int64.  With `mod` the
+    table is folded reduced, so only the reduced values need to fit.  The
+    range must sit below 2**63, and so must the modulus.
     """
+    if mod is not None and mod < 2:
+        raise ValueError(f"modulus must be >= 2, got {mod}")
     if start < 0 or stop < start:
         raise ValueError(f"bad range [{start}, {stop})")
+    if stop >= _U63:
+        raise ValueError(f"range end must stay below 2**63, got {stop}")
     span = _tile_span(f.q)
     tile = f._tiles.get(mod)
     if tile is None:
         tile = f._tiles[mod] = _value_tile(f, span, mod)
-    return _tiled_range(start, stop, span, tile, f.evaluate, mod)
+    offsets = _tiled_offsets(start // span, -(-stop // span), span, tile, 0, mod)
+    return _write_blocks(np.empty(stop - start, dtype=tile.dtype), start, span, tile, offsets, mod)
 
 
 def derive_invariants(f: QAdditiveFunction, m: int) -> tuple[int, int]:

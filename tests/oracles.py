@@ -99,17 +99,17 @@ def digit_pass_table(p: int, weights: tuple[int, ...]):
     return acc
 
 
-def blockwise_tiled_range(start: int, stop: int, span: int, tile, offset, mod):
-    """`exponents._tiled_range` one block at a time: each block of the
-    range is its slice of `tile` (all 0 when tile is None) plus the
-    block's offset reduced below mod, with mod subtracted where the sum
-    reached it (an XOR mod 2)."""
+def blockwise_tiled_range(start: int, stop: int, span: int, tile, offsets, mod):
+    """`exponents._write_blocks` on a tile, one block at a time: each block
+    A of the range is its slice of `tile` (all 0 when tile is None) plus
+    offsets[A - start // span], an offset already reduced below mod, with
+    mod subtracted where the sum reached it (an XOR mod 2)."""
     out = np.empty(stop - start, dtype=np.int64 if mod is None else _residue_dtype(mod))
     n = start
     while n < stop:
         a, b = divmod(n, span)
         end = min(stop, n - b + span)
-        off = offset(a) if mod is None else offset(a) % mod
+        off = int(offsets[a - start // span])
         block = out[n - start : end - start]
         if tile is None:
             block.fill(off)

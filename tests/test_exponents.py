@@ -18,14 +18,14 @@ from factexp.exponents import (
     _ROW_TABLE,
     _SHORT_ROW,
     _TILE,
-    _block_residues,
     _exponent_tile,
     _offset_page,
     _paged_residues,
     _residue_dtype,
     _shifted_tiles,
     _tile_span,
-    _tiled_range,
+    _tiled_offsets,
+    _write_blocks,
     digit_sum,
     exponent_range,
     legendre_exponent,
@@ -247,6 +247,14 @@ def test_exponent_range_huge_prime_allocates_only_the_output():
     ]
 
 
+def block_offsets(start: int, stop: int, span: int, offset, mod) -> np.ndarray:
+    """offset(A), reduced below mod, for every block A of span elements
+    that [start, stop) touches, in the dtype of the range."""
+    dtype = np.int64 if mod is None else _residue_dtype(mod)
+    blocks = range(start // span, -(-stop // span))
+    return np.array([offset(a) if mod is None else offset(a) % mod for a in blocks], dtype=dtype)
+
+
 # every residue dtype: uint8 (2, 3), uint16 (129), uint32 (2^15 + 1)
 # and uint64 (2^31 + 1, 2^63 - 1), and unreduced int64
 KERNEL_MODS = [None, 2, 3, 129, 2**15 + 1, 2**31 + 1, 2**63 - 1]
@@ -266,12 +274,9 @@ def test_tiled_range_equals_the_blockwise_loop(p, mod, blocks, data):
     tile = _exponent_tile(p, mod) if p <= _TILE else None
     weight = (span - 1) // (p - 1)
     shift = 0 if mod is None else data.draw(st.integers(0, mod - 1))
-
-    def offset(a):
-        return a * weight + legendre_exponent(a, p) + shift
-
-    got = _tiled_range(start, stop, span, tile, offset, mod)
-    want = blockwise_tiled_range(start, stop, span, tile, offset, mod)
+    offsets = block_offsets(start, stop, span, lambda a: a * weight + legendre_exponent(a, p) + shift, mod)
+    got = _write_blocks(np.empty(stop - start, offsets.dtype), start, span, tile, offsets, mod)
+    want = blockwise_tiled_range(start, stop, span, tile, offsets, mod)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     for n in boundary_points(start, stop, span):
         e = legendre_exponent(n, p) + shift
@@ -286,12 +291,10 @@ def test_tiled_range_wraps_every_piece_that_holds_a_nonzero_offset(mod):
     span = 1000
     tile = (np.arange(span) * 7919 % mod).astype(_residue_dtype(mod))
 
-    def offset(a):
-        return 0 if a // 200 % 2 == 0 else mod - 1 - a % 5
-
     start, stop = 3 * span + 17, 1200 * span - 5
-    got = _tiled_range(start, stop, span, tile, offset, mod)
-    want = blockwise_tiled_range(start, stop, span, tile, offset, mod)
+    offsets = block_offsets(start, stop, span, lambda a: 0 if a // 200 % 2 == 0 else mod - 1 - a % 5, mod)
+    got = _write_blocks(np.empty(stop - start, offsets.dtype), start, span, tile, offsets, mod)
+    want = blockwise_tiled_range(start, stop, span, tile, offsets, mod)
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -366,7 +369,7 @@ def test_gathered_exponent_range_is_the_floor_sum_mod_m(pm, start, blocks, data)
     # modulus just past it; widths from one element to a few blocks, so
     # ranges of one to seven blocks, with and without whole blocks, are
     # gathered, and the block offsets come off pages and, near 2^62, from
-    # the recursion down to its scalar base
+    # the recursion down to block 0
     p, m = pm
     rows = _shifted_tiles(p, m)
     span = _tile_span(p) if rows is None else rows.shape[1]
@@ -423,6 +426,13 @@ def scalar_block_residues(a0: int, a1: int, p: int, mod: int) -> list[int]:
     return [legendre_exponent(a * span, p) % mod for a in range(a0, a1)]
 
 
+def block_residues(a0: int, a1: int, p: int, mod: int) -> np.ndarray:
+    """The offset recursion on the row table of (p, mod), uncached."""
+    rows = _shifted_tiles(p, mod)
+    span = rows.shape[1]
+    return _tiled_offsets(a0, a1, span, rows, (span - 1) // (p - 1), mod)
+
+
 @pytest.mark.parametrize("p,mod", [(3, 2), (521, 3), (67, 1000)])
 def test_paged_block_residues_match_the_block_residues(p, mod):
     # inside a page, up to its end, across into the next, and far out
@@ -430,14 +440,14 @@ def test_paged_block_residues_match_the_block_residues(p, mod):
     for a0, a1 in ((0, 1), (5, 300), (_PAGE - 7, _PAGE), (_PAGE - 7, _PAGE + 9),
                    (3 * _PAGE + 1, 3 * _PAGE + 2), (2**40 // span, 2**40 // span + 600)):
         got = _paged_residues(a0, a1, p, mod)
-        assert np.array_equal(got, _block_residues(a0, a1, p, mod))
+        assert np.array_equal(got, block_residues(a0, a1, p, mod))
         assert got.tolist() == scalar_block_residues(a0, a1, p, mod)
 
 
 @pytest.mark.parametrize("p,mod", [(2, 4096), (3, 2), (67, 1000)])
 def test_block_residues_recursion_is_the_scalar_exponent(p, mod):
-    # Ranges of one, two and three blocks, on both sides of the scalar base
-    # (at most two blocks), inside one block of the level above and across
+    # Ranges of one, two and three blocks, at block 0 (the base of the
+    # recursion) and past it, inside one block of the level above and across
     # two of them; ranges that recurse a level or more; ranges across a
     # page boundary; near 0 and near 2^62
     span = _shifted_tiles(p, mod).shape[1]
@@ -446,17 +456,17 @@ def test_block_residues_recursion_is_the_scalar_exponent(p, mod):
     for a0, n in ((0, 1), (0, 2), (0, 3), (far, 1), (far, 2), (far, 3), (edge - 1, 2),
                   (edge - 1, 3), (edge - 2, 3), (edge, span + 1), (far - 2 * span, 5 * span),
                   (_PAGE - 1, 2), (_PAGE - 2, 3), (far - far % _PAGE - 1, 3), (far, _PAGE)):
-        got = _block_residues(a0, a0 + n, p, mod)
-        assert got.dtype == np.intp
+        got = block_residues(a0, a0 + n, p, mod)
+        assert got.dtype == _residue_dtype(mod)
         assert got.tolist() == scalar_block_residues(a0, a0 + n, p, mod), (a0, n)
         assert np.array_equal(_paged_residues(a0, a0 + n, p, mod), got)
 
 
 def test_block_residues_at_the_deepest_recursion():
     # Span 64 (p = 2, m = 4096), the shortest rows, near 2^62: 2^20 blocks
-    # recurse through 2^14, 2^8 and a few blocks down to the scalar base
+    # recurse through 2^14, 2^8 and a few blocks down to block 0
     a0 = (1 << 62) // 64 - 12345
-    got = _block_residues(a0, a0 + (1 << 20), 2, 4096)
+    got = block_residues(a0, a0 + (1 << 20), 2, 4096)
     picks = np.unique(np.r_[0, 1, 12344, 12345, (1 << 20) - 1,
                             np.random.default_rng(0).integers(0, 1 << 20, 500)])
     assert got[picks].tolist() == [legendre_exponent((a0 + int(i)) * 64, 2) % 4096 for i in picks]

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factexp.construction import build_function
-from factexp.exponents import _tile_span, digit_sum, exponent_range
+from factexp.exponents import _tile_span, _tiled_offsets, digit_sum, exponent_range
 from factexp.qadditive import (
     TABLE_CAP,
     QAdditiveFunction,
@@ -234,6 +234,46 @@ def test_evaluate_range_empty_and_bad_range():
     assert evaluate_range(digit_sum_function(3), 5, 5).size == 0
     with pytest.raises(ValueError):
         evaluate_range(digit_sum_function(3), 5, 4)
+
+
+def test_evaluate_range_checks_its_arguments_as_exponent_range_does():
+    f = digit_sum_function(3)
+    for mod in (1, 0, -3):
+        for kernel in (lambda: evaluate_range(f, 0, 10, mod=mod), lambda: exponent_range(0, 10, 3, mod=mod)):
+            with pytest.raises(ValueError, match=f"^modulus must be >= 2, got {mod}$"):
+                kernel()
+    for kernel in (lambda: evaluate_range(f, 0, 1 << 63), lambda: exponent_range(0, 1 << 63, 3)):
+        with pytest.raises(ValueError, match=r"^range end must stay below 2\*\*63, got 9223372036854775808$"):
+            kernel()
+    # the last values below 2^63 are still written
+    start, stop = (1 << 63) - 6, (1 << 63) - 1
+    assert evaluate_range(f, start, stop, mod=5).tolist() == [f(n) % 5 for n in range(start, stop)]
+
+
+# one function of each (p, lambda) stratum that the construct benchmark
+# verifies, at the largest of its moduli below 400: q = 3^12, 3^4, 5^8,
+# 7^6, 11^4 and 13^2
+STRATA_PAIRS = [(3, 365), (3, 40), (5, 313), (7, 344), (11, 366), (13, 14)]
+
+
+@pytest.mark.parametrize("pair", STRATA_PAIRS)
+def test_weight_zero_block_offsets_are_the_scalar_value(pair):
+    # block ranges near 0, across a block of the level above, and near 2^62
+    # (three levels above q^12) across a block of the level above, unreduced
+    # and mod m
+    built = build_function(*pair)
+    f, m = built.f, built.m
+    span = _tile_span(f.q)
+    far = (1 << 62) // span
+    edge = far // span * span
+    for mod in (None, m):
+        evaluate_range(f, 0, 1, mod=mod)
+        tile = f._tiles[mod]
+        for a0, n in ((0, 1), (0, 3), (1, 50), (span - 2, 4), (edge - 3, 7), (far - 1000, 1000)):
+            got = _tiled_offsets(a0, a0 + n, span, tile, 0, mod)
+            assert got.dtype == tile.dtype
+            want = [f.evaluate(a) for a in range(a0, a0 + n)]
+            assert got.tolist() == (want if mod is None else [v % m for v in want]), (mod, a0, n)
 
 
 def test_invariants_of_digit_sums():
