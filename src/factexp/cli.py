@@ -169,35 +169,30 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_scan(args) -> int:
-    config = ScanConfig(primes=args.primes, mods=args.mods, limit=args.limit,
-                        chunk_size=args.chunk_size)
-    hist = joint_histogram(config, threads=_threads(args))
-    if args.format == "csv":
-        emit(histogram_csv(hist), _out_path(args.out))
-    else:
-        emit(histogram_json(hist, discrepancy(hist)), _out_path(args.out))
+def _config(args) -> ScanConfig:
+    return ScanConfig(primes=args.primes, mods=args.mods, limit=args.limit,
+                      chunk_size=args.chunk_size)
+
+
+def _report(args, report, to_csv, to_json) -> int:
+    """Emit to_csv(report) or to_json(report), as --format asks, to --out."""
+    emit(to_csv(report) if args.format == "csv" else to_json(report), _out_path(args.out))
     return 0
+
+
+def cmd_scan(args) -> int:
+    hist = joint_histogram(_config(args), threads=_threads(args))
+    return _report(args, hist, histogram_csv, lambda h: histogram_json(h, discrepancy(h)))
 
 
 def cmd_pattern(args) -> int:
-    config = ScanConfig(primes=args.primes, mods=args.mods, limit=args.limit,
-                        chunk_size=args.chunk_size)
-    report = pattern_search(config, args.pattern, threads=_threads(args))
-    if args.format == "csv":
-        emit(pattern_csv(report), _out_path(args.out))
-    else:
-        emit(pattern_json(report), _out_path(args.out))
-    return 0
+    report = pattern_search(_config(args), args.pattern, threads=_threads(args))
+    return _report(args, report, pattern_csv, pattern_json)
 
 
 def cmd_coverage(args) -> int:
     report = pattern_coverage(args.primes, args.limit, chunk_size=args.chunk_size)
-    if args.format == "csv":
-        emit(coverage_csv(report), _out_path(args.out))
-    else:
-        emit(coverage_json(report), _out_path(args.out))
-    return 0
+    return _report(args, report, coverage_csv, coverage_json)
 
 
 def cmd_kofx(args) -> int:

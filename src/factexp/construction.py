@@ -32,7 +32,7 @@ from math import e as _E, floor, gcd, inf, log, prod
 import numpy as np
 
 from .experiments import CHUNK_SIZE, ScanConfig, map_spans
-from .exponents import _exponent_rows, _fold, _require_prime, exponent_range
+from .exponents import _exponent_rows, _fold, _require_prime, exponent_range, legendre_exponent
 from .primes import factorize, nth_odd_prime
 from .qadditive import (
     TABLE_CAP,
@@ -217,7 +217,11 @@ def build_function(p: int, m: int) -> ConstructionResult:
 
 @dataclass(frozen=True)
 class CongruenceReport:
-    """Outcome of an exhaustive f(n) = e_p(n) (mod m) check on [0, N)."""
+    """Outcome of an exhaustive f(n) = e_p(n) (mod m) check on [0, N).
+
+    At the smallest counterexample n, f_value is f(n) and e_value is
+    e_p(n), both exact and unreduced, so they differ mod m; all three are
+    None when the check passed."""
 
     p: int
     m: int
@@ -244,22 +248,22 @@ def verify_congruence(p: int, m: int, limit: int, chunk_size: int = CHUNK_SIZE) 
     are not independent routes; the tests pin each side to independent
     oracles (the floor sum, the digit-by-digit `folded_value` and scalar
     `f.evaluate`).  The report carries the smallest counterexample if
-    there is one.
+    there is one, with f and e_p there exact (scalar `f.evaluate` and
+    `legendre_exponent`).
     """
     config = ScanConfig(primes=(p,), mods=(m,), limit=limit, chunk_size=chunk_size)
     built = build_function(p, m)
 
-    def mismatches(start, stop):
+    def first_mismatch(start, stop):
         lhs = evaluate_range(built.f, start, stop, mod=m)
-        rhs = exponent_range(start, stop, p, mod=m)
-        return start, rhs, np.flatnonzero(lhs != rhs)
+        bad = np.flatnonzero(lhs != exponent_range(start, stop, p, mod=m))
+        return start + int(bad[0]) if bad.size else None
 
-    for start, rhs, bad in map_spans(mismatches, config):
-        if bad.size:
-            n = start + int(bad[0])
+    for n in map_spans(first_mismatch, config):
+        if n is not None:
             return CongruenceReport(
                 p=p, m=m, limit=limit, counterexample=n,
-                f_value=built.f.evaluate(n), e_value=int(rhs[bad[0]]),
+                f_value=built.f.evaluate(n), e_value=legendre_exponent(n, p),
             )
     return CongruenceReport(p=p, m=m, limit=limit, counterexample=None)
 

@@ -111,10 +111,7 @@ class ScanConfig:
 
     @property
     def class_count(self) -> int:
-        out = 1
-        for m in self.mods:
-            out *= m
-        return out
+        return math.prod(self.mods)
 
     def spans(self):
         """The chunk boundaries covering [0, limit)."""
@@ -182,15 +179,6 @@ class ResidueHistogram:
         if not isinstance(other, ResidueHistogram):
             return NotImplemented
         return self.config == other.config and np.array_equal(self.counts, other.counts)
-
-    def count_of(self, residues) -> int:
-        residues = tuple(residues)
-        if len(residues) != self.config.k:
-            raise ValueError(f"expected {self.config.k} residues, got {len(residues)}")
-        for a, m in zip(residues, self.config.mods):
-            if not 0 <= a < m:
-                raise ValueError(f"residue {a} out of range for modulus {m}")
-        return int(self.counts[residues])
 
 
 def _fold_dtype(class_count: int) -> np.dtype:
@@ -516,10 +504,6 @@ class CoverageReport:
                 and np.array_equal(self.minimal, other.minimal))
 
     @property
-    def complete(self) -> bool:
-        return bool(self.minimal.max() != NO_WITNESS)
-
-    @property
     def covered_prefix(self) -> int:
         return len(self.covering_limits())
 
@@ -539,15 +523,17 @@ class CoverageReport:
         covered = itertools.takewhile(lambda top: top != NO_WITNESS, reversed(tops))
         return tuple(top + 1 for top in covered)
 
-def _chunk_first_codes(primes, first: np.ndarray, start: int, stop: int) -> None:
+
+def _chunk_first_codes(primes, first: np.ndarray, start: int, stop: int) -> int:
     """Lower first[c] to the smallest n in [start, stop) with parity code
-    c; bit i of the code is the parity of e_{primes[i]}(n).  A minimum,
-    so spans may come in any order."""
+    c, and return stop; bit i of the code is the parity of
+    e_{primes[i]}(n).  A minimum, so spans may come in any order."""
     # reversed, so that the parity of e_{primes[i]} is binary digit i
     codes = _class_indices(primes[::-1], (2,) * len(primes), start, stop)
     for lo in range(0, codes.size, _PIECE):
         piece = codes[lo : lo + _PIECE]
         np.minimum.at(first, piece, np.arange(start + lo, start + lo + piece.size, dtype=np.int64))
+    return stop
 
 
 def pattern_coverage(primes, limit: int, chunk_size: int = CHUNK_SIZE) -> CoverageReport:
@@ -566,8 +552,7 @@ def pattern_coverage(primes, limit: int, chunk_size: int = CHUNK_SIZE) -> Covera
     due, missing = first.size, None
     # map_spans runs one thread here, so no two chunks lower `first` at once
     # (np.minimum.at takes no lock); the order they come in does not matter
-    chunks = map_spans(partial(_chunk_first_codes, primes, first), config)
-    for (_, stop), _ in zip(config.spans(), chunks):
+    for stop in map_spans(partial(_chunk_first_codes, primes, first), config):
         if stop < due:
             continue
         if missing is None:

@@ -38,19 +38,31 @@ same three parts:
   level of blocks up, written by `_write_blocks` from the same table,
   down to block 0, whose offset is 0.
 
+The entry points reach those parts through three helpers:
+
+- `_check_range` refuses a modulus below 2 and a range that is not
+  0 <= start <= stop < 2**63, for `exponent_range` and `evaluate_range`
+  alike.
+- `_tiled_range` writes a range off a tile: the offsets from
+  `_tiled_offsets`, then `_write_blocks`.  It is e_p's route without a
+  row table (weight (S - 1)/(p - 1)) and f's route (weight 0).
+- `_gathered` writes a range off an (m, S) row table: the offsets from
+  cached pages of `_PAGE` blocks (`_paged_residues`), then
+  `_write_blocks`.  It is e_p's route with a row table and the route
+  of `write_exponent_hits`.
+
 Unreduced, e_p is tiled by an int64 tile of `_tile_span(p)` entries.
 With a modulus m the kernel works on residues only, in the narrowest
 unsigned dtype that holds 2(m - 1), and reads its blocks off the cached
-row table, whose offsets come off cached pages of `_PAGE` blocks; so a
-reduced range costs a fixed number of numpy calls whatever its length.
-A modulus whose table would have rows shorter than `_SHORT_ROW` within
-the `_ROW_TABLE` entry budget adds its offsets to a reduced tile
-instead.
+row table through `_gathered`; so a reduced range costs a fixed number
+of numpy calls whatever its length.  A modulus whose table would have
+rows shorter than `_SHORT_ROW` within the `_ROW_TABLE` entry budget
+adds its offsets to a reduced tile instead.
 
-`write_exponent_hits` writes [e_p(n) = want (mod m)] with the same
-writer and offset pages, on the cached bool table
-`_shifted_tiles(p, m) == want` (`_hit_rows`).  Without a row table it
-compares the residues of `exponent_range` with want.
+`write_exponent_hits` writes [e_p(n) = want (mod m)] through `_gathered`
+on the cached bool table `_shifted_tiles(p, m) == want` (`_hit_rows`).
+Without a row table it compares the residues of `exponent_range` with
+want.
 """
 
 from functools import lru_cache
@@ -274,48 +286,68 @@ def _shifted_tiles(p: int, mod: int) -> np.ndarray | None:
     return rows
 
 
-def exponent_range(start: int, stop: int, p: int, mod: int | None = None) -> np.ndarray:
-    """e_p(n) for every n in [start, stop): an int64 array, or with `mod`
-    the residues in the narrowest unsigned dtype that holds 2*(mod - 1).
-
-    For n = A*S + b with b < S, e_p(n) = e_p(b) + A*(S - 1)/(p - 1) + e_p(A).
-    With `mod`, S is the row length of `_shifted_tiles(p, mod)`, and the
-    range is gathered from that table by `_write_blocks`, with its block
-    offsets off `_paged_residues`: a range shorter than S as it is, a
-    longer one as every block it touches, in one buffer of which the
-    result is a view at most two partial blocks shorter.  Without `mod`,
-    or where there is no row table, S = `_tile_span(p)`, the largest
-    power of p that is at most max(p, 2**16) (p**2 for 2**8 < p < 2**9):
-    e_p(b) comes from a cached tile (for p > 2**16 it is 0, and no tile
-    exists), reduced with `mod`, and the offsets from `_tiled_offsets` on
-    that tile.  The range must sit below 2**63, so every value fits
-    int64, and so must the modulus.
-    """
-    _require_prime(p)
+def _check_range(start: int, stop: int, mod: int | None) -> None:
+    """Refuse a modulus below 2 and a range [start, stop) that is not
+    0 <= start <= stop < 2**63, the rule of every range kernel."""
     if mod is not None and mod < 2:
         raise ValueError(f"modulus must be >= 2, got {mod}")
     if start < 0 or stop < start:
         raise ValueError(f"bad range [{start}, {stop})")
     if stop >= _U63:
         raise ValueError(f"range end must stay below 2**63, got {stop}")
-    dtype = np.dtype(np.int64) if mod is None else _residue_dtype(mod)
+
+
+def _tiled_range(start: int, stop: int, span: int, tile, weight: int, mod: int | None) -> np.ndarray:
+    """The values on [start, stop) of the function g with g(A*span + b) =
+    g(b) + A*weight + g(A) for b < span, whose values on [0, span) the 1-D
+    `tile` holds (None for all 0s): the block offsets from
+    `_tiled_offsets`, written by `_write_blocks`, int64 or reduced mod
+    `mod` in `_residue_dtype(mod)`."""
+    offsets = _tiled_offsets(start // span, -(-stop // span), span, tile, weight, mod)
+    return _write_blocks(np.empty(stop - start, dtype=offsets.dtype), start, span, tile, offsets, mod)
+
+
+def _gathered(out: np.ndarray, start: int, p: int, mod: int, rows: np.ndarray) -> np.ndarray:
+    """Write into `out` the rows of the (mod, span) table `rows` for n in
+    [start, start + out.size): block A of span is row e_p(A*span) mod
+    `mod`, its offset off `_paged_residues`, written by `_write_blocks`;
+    return `out`."""
+    span = rows.shape[1]
+    offsets = _paged_residues(start // span, -(-(start + out.size) // span), p, mod)
+    return _write_blocks(out, start, span, rows, offsets, mod)
+
+
+def exponent_range(start: int, stop: int, p: int, mod: int | None = None) -> np.ndarray:
+    """e_p(n) for every n in [start, stop): an int64 array, or with `mod`
+    the residues in the narrowest unsigned dtype that holds 2*(mod - 1).
+
+    For n = A*S + b with b < S, e_p(n) = e_p(b) + A*(S - 1)/(p - 1) + e_p(A).
+    With `mod`, S is the row length of `_shifted_tiles(p, mod)`, and the
+    range is gathered from that table (`_gathered`): a range shorter than
+    S as it is, a longer one as every block it touches, in one buffer of
+    which the result is a view at most two partial blocks shorter.
+    Without `mod`, or where there is no row table, S = `_tile_span(p)`,
+    the largest power of p that is at most max(p, 2**16) (p**2 for 2**8 <
+    p < 2**9), and the range is `_tiled_range` on a cached tile of e_p on
+    [0, S) (for p > 2**16 it is 0, and no tile exists), reduced with
+    `mod`.  The range must sit below 2**63, so every value fits int64, and
+    so must the modulus (`_check_range`).
+    """
+    _require_prime(p)
+    _check_range(start, stop, mod)
     if start == stop:
         # no block to read an offset for
-        return np.empty(0, dtype=dtype)
+        return np.empty(0, dtype=np.int64 if mod is None else _residue_dtype(mod))
     rows = None if mod is None else _shifted_tiles(p, mod)
-    if rows is not None:
-        span = rows.shape[1]
-        a0, a1 = start // span, -(-stop // span)
-        # a range shorter than a block is written as it is, not as the up to
-        # two blocks it touches; a longer one is a view of all the blocks
-        lo, hi = (start, stop) if stop - start < span else (a0 * span, a1 * span)
-        out = np.empty(hi - lo, dtype=dtype)
-        _write_blocks(out, lo, span, rows, _paged_residues(a0, a1, p, mod), mod)
-        return out[start - lo : stop - lo]
-    span = _tile_span(p)
-    tile = _exponent_tile(p, mod) if p <= _TILE else None
-    offsets = _tiled_offsets(start // span, -(-stop // span), span, tile, (span - 1) // (p - 1), mod)
-    return _write_blocks(np.empty(stop - start, dtype=dtype), start, span, tile, offsets, mod)
+    if rows is None:
+        span = _tile_span(p)
+        tile = _exponent_tile(p, mod) if p <= _TILE else None
+        return _tiled_range(start, stop, span, tile, (span - 1) // (p - 1), mod)
+    span = rows.shape[1]
+    # a range shorter than a block is written as it is, not as the up to
+    # two blocks it touches; a longer one is a view of all the blocks
+    lo, hi = (start, stop) if stop - start < span else (start // span * span, -(-stop // span) * span)
+    return _gathered(np.empty(hi - lo, dtype=rows.dtype), lo, p, mod, rows)[start - lo : stop - lo]
 
 
 @lru_cache(maxsize=16)
@@ -354,17 +386,15 @@ def _hit_rows(p: int, mod: int, want: int) -> np.ndarray | None:
 
 def write_exponent_hits(out: np.ndarray, start: int, p: int, mod: int, want: int) -> None:
     """Write [e_p(n) = want (mod `mod`)] for n in [start, start + out.size)
-    into the bool array `out`: block A of the row span of
-    `_shifted_tiles(p, mod)` is row e_p(A*span) mod `mod` of `_hit_rows(p,
-    mod, want)`, written by `_write_blocks`.  Where there is no row table,
-    the residues of `exponent_range` are compared with `want`.  Unchecked:
-    p prime, 0 <= want < mod, n < 2**63."""
+    into the bool array `out`: `_gathered` on the table `_hit_rows(p, mod,
+    want)`, whose row c is the hits of a block with offset c.  Where there
+    is no row table, the residues of `exponent_range` are compared with
+    `want`.  Unchecked: p prime, 0 <= want < mod, n < 2**63.  An empty
+    `out` reads no table."""
     if not out.size:
         return
-    stop = start + out.size
     hits = _hit_rows(p, mod, want)
     if hits is None:
-        np.equal(exponent_range(start, stop, p, mod), want, out=out)
-        return
-    span = hits.shape[1]
-    _write_blocks(out, start, span, hits, _paged_residues(start // span, -(-stop // span), p, mod), mod)
+        np.equal(exponent_range(start, start + out.size, p, mod), want, out=out)
+    else:
+        _gathered(out, start, p, mod, hits)

@@ -21,8 +21,9 @@ accompanying exponent delta = 1/(120 k^2 q^3 m^2).
 `evaluate_range` computes f on a range with the kernel that computes
 e_p in `exponents`, since f(A*Q + b) = f(b) + f(A) for b < Q = q^j is
 e_p's block rule with weight 0: its table on [0, Q) comes from the same
-digit fold, the range from the same block writer, and the block offsets
-f(A) from the same offset recursion.
+digit fold (`_fold`), its arguments are checked by the same rule
+(`_check_range`), and the range is written by the same tile route
+(`_tiled_range`: the offset recursion, then the block writer).
 """
 
 from dataclasses import dataclass, field
@@ -33,8 +34,8 @@ from math import gcd
 
 import numpy as np
 
-from .exponents import _fold, _residue_dtype, _tile_span, _tiled_offsets, _write_blocks
-from .primes import _U63, _U64
+from .exponents import _check_range, _fold, _residue_dtype, _tile_span, _tiled_range
+from .primes import _U64
 
 # Value tables are stored eagerly; the cap keeps memory bounded and makes
 # oversized bases fail loudly instead of thrashing.
@@ -110,25 +111,19 @@ def evaluate_range(f: QAdditiveFunction, start: int, stop: int, mod: int | None 
     Tiled by Q = `_tile_span(q)`, the largest power of q that is at most
     max(q, 2**16) (q**2 for 2**8 < q < 2**9): for n = A*Q + b with b < Q,
     f(n) = f(b) + f(A).  f(b) comes from a table of f on [0, Q) folded out
-    of the value table and kept with f, one per modulus, and the block
-    offsets f(A) from `exponents._tiled_offsets` on the same table with
-    weight 0; `exponents._write_blocks` writes the range, as it writes
-    e_p's.  Without `mod` table values must fit int64.  With `mod` the
-    table is folded reduced, so only the reduced values need to fit.  The
-    range must sit below 2**63, and so must the modulus.
+    of the value table and kept with f, one per modulus, and
+    `exponents._tiled_range` writes the range off it with weight 0, as it
+    writes e_p's with its block weight.  Without `mod` table values must
+    fit int64.  With `mod` the table is folded reduced, so only the
+    reduced values need to fit.  The range must sit below 2**63, and so
+    must the modulus (`exponents._check_range`).
     """
-    if mod is not None and mod < 2:
-        raise ValueError(f"modulus must be >= 2, got {mod}")
-    if start < 0 or stop < start:
-        raise ValueError(f"bad range [{start}, {stop})")
-    if stop >= _U63:
-        raise ValueError(f"range end must stay below 2**63, got {stop}")
+    _check_range(start, stop, mod)
     span = _tile_span(f.q)
     tile = f._tiles.get(mod)
     if tile is None:
         tile = f._tiles[mod] = _value_tile(f, span, mod)
-    offsets = _tiled_offsets(start // span, -(-stop // span), span, tile, 0, mod)
-    return _write_blocks(np.empty(stop - start, dtype=tile.dtype), start, span, tile, offsets, mod)
+    return _tiled_range(start, stop, span, tile, 0, mod)
 
 
 def derive_invariants(f: QAdditiveFunction, m: int) -> tuple[int, int]:

@@ -166,7 +166,7 @@ def smallest_covering_limit(primes) -> int:
     limit = 64
     while True:
         report = pattern_coverage(primes, limit)
-        if report.complete:
+        if report.covered_prefix == len(report.primes):
             return int(report.minimal.max()) + 1
         limit *= 2
 

@@ -214,7 +214,7 @@ def test_criterion_5_equidistribution_desk_scale():
 
 def test_criterion_6_single_congruence_balance():
     hist = fx.joint_histogram(fx.ScanConfig(primes=(3,), mods=(2,), limit=10**6))
-    even = hist.count_of((0,))
+    even = int(hist.counts[0])
     deviation = abs(even - 500000)
     ok = even == 500607 and deviation <= 10**4
     _line(6, "single congruence balance", ok,
@@ -233,13 +233,13 @@ N32 = 188  # smallest limit below which all 32 parity patterns appear
 def test_criterion_7_parity_pattern_coverage():
     report = fx.pattern_coverage(COVERAGE_PRIMES, N32)
     problems = []
-    if not report.complete:
+    if report.covered_prefix != len(COVERAGE_PRIMES):
         problems.append("not all patterns covered at N32")
     if report.minimal.tolist() != list(FROZEN_WITNESSES):
         problems.append("witness table drifted from frozen fixture")
     if report.covered_prefix != 5:
         problems.append(f"covered prefix {report.covered_prefix} != 5")
-    if fx.pattern_coverage(COVERAGE_PRIMES, N32 - 1).complete:
+    if fx.pattern_coverage(COVERAGE_PRIMES, N32 - 1).covered_prefix == len(COVERAGE_PRIMES):
         problems.append("N32 is not minimal")
     # each witness re-proved by scalar recomputation
     for code, n in enumerate(report.minimal):

@@ -6,6 +6,7 @@ running on a subgrid.
 """
 
 import dataclasses
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -28,9 +29,10 @@ from factexp.construction import (
     split_modulus,
     verify_congruence,
 )
+from factexp.cli import main
 from factexp.exponents import legendre_exponent
 from factexp.primes import nth_odd_prime, primes_up_to
-from factexp.qadditive import TABLE_CAP, derive_invariants, kim_error_exponent
+from factexp.qadditive import TABLE_CAP, QAdditiveFunction, derive_invariants, kim_error_exponent
 from oracles import digit_pass_table, folded_value
 
 odd_primes_st = st.sampled_from([3, 5, 7, 11, 13, 31, 97])
@@ -232,6 +234,30 @@ def test_verify_congruence_passes_and_reports():
     assert (rep.p, rep.m, rep.limit) == (3, 2, 10**4)
     # odd chunk sizes see the same thing
     assert verify_congruence(3, 2, 10**4, chunk_size=997).passed
+
+
+def test_verify_congruence_reports_a_counterexample_exactly(monkeypatch, capsys):
+    # (13, 10) has lambda = 4, so q = 13^4 = 28561; with the last table
+    # entry bumped by one, f and e_13 first differ at n = q - 1 = 28560,
+    # where f(n) = e_13(n) + 1 = 2377
+    real = build_function(13, 10)
+    table = real.f.table.copy()
+    table[-1] += 1
+    bumped = dataclasses.replace(real, f=QAdditiveFunction(q=real.q, table=table))
+    monkeypatch.setattr(cons, "build_function", lambda p, m: bumped)
+    for chunk in (1 << 20, 997):
+        rep = verify_congruence(13, 10, 10**6, chunk_size=chunk)
+        assert rep.counterexample == real.q - 1 == 28560 and not rep.passed
+        assert (rep.f_value, rep.e_value) == (bumped.f(28560), legendre_exponent(28560, 13)) == (2377, 2376)
+        assert rep.f_value % 10 != rep.e_value % 10
+    # every n below it agrees
+    assert verify_congruence(13, 10, 28560).passed
+    # the command reports the same, and a counterexample is not a failure
+    assert main(["verify", "--prime", "13", "--mod", "10", "--limit", "1e6"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "p": 13, "m": 10, "limit": 10**6, "passed": False,
+        "counterexample": 28560, "f_value": 2377, "e_value": 2376,
+    }
 
 
 def test_verify_congruence_rejections():

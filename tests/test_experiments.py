@@ -206,11 +206,7 @@ def test_histogram_of_more_classes_than_the_chunk_matches_the_int32_oracle(chunk
 def test_histogram_accessors():
     hist = joint_histogram(ScanConfig(primes=(3, 5), mods=(2, 3), limit=500))
     classes = itertools.product(range(2), range(3))
-    assert sum(hist.count_of(c) for c in classes) == 500
-    with pytest.raises(ValueError):
-        hist.count_of((0,))
-    with pytest.raises(ValueError):
-        hist.count_of((2, 0))
+    assert sum(hist.counts[c] for c in classes) == 500
 
 
 def test_histogram_rejects_inconsistent_counts():
@@ -255,7 +251,7 @@ def test_histogram_counts_are_a_lex_ndarray():
     assert hist.counts.dtype == np.int64
     assert not hist.counts.flags.writeable
     flat = hist.counts.ravel().tolist()
-    assert flat == [hist.count_of(c) for c in itertools.product(range(2), range(3), range(2))]
+    assert flat == [hist.counts[c] for c in itertools.product(range(2), range(3), range(2))]
     assert ResidueHistogram(config=cfg, counts=flat) == hist
     flat[0], flat[1] = flat[0] - 1, flat[1] + 1
     assert ResidueHistogram(config=cfg, counts=flat) != hist
@@ -616,14 +612,14 @@ def test_coverage_hand_case():
     rep = pattern_coverage((3, 5), 1000)
     assert rep.minimal.tolist() == [0, 3, 6, 5]
     assert rep.covered_prefix == 2
-    assert rep.complete
+    assert rep.covered_prefix == len(rep.primes)
 
 
 def test_coverage_partial():
     rep = pattern_coverage((3, 5), 6)
     assert rep.minimal.tolist() == [0, 3, NO_WITNESS, 5]
     assert rep.covered_prefix == 1
-    assert not rep.complete
+    assert rep.covered_prefix != len(rep.primes)
 
 
 def test_coverage_single_value():
@@ -640,7 +636,7 @@ def test_coverage_report_keeps_witnesses_in_a_read_only_int64_array():
     assert np.shares_memory(rep.minimal, first) and first.flags.writeable
     with pytest.raises(ValueError):
         rep.minimal[0] = 1
-    assert not rep.complete
+    assert rep.covered_prefix != len(rep.primes)
     # any other sequence of integers is copied into one
     assert (CoverageReport(primes=(3, 5), limit=6, minimal=[0, 3, NO_WITNESS, 5])
             == rep == pattern_coverage((3, 5), 6))
@@ -700,7 +696,7 @@ def test_covering_limits_fold_within_one_half_size_buffer():
 
 def test_coverage_witnesses_are_real_and_minimal():
     rep = pattern_coverage((3, 5, 7), 5000)
-    assert rep.complete
+    assert rep.covered_prefix == len(rep.primes)
     for code, n in enumerate(rep.minimal):
         for i, p in enumerate((3, 5, 7)):
             assert legendre_exponent(n, p) % 2 == (code >> i) & 1
@@ -838,7 +834,7 @@ def test_coverage_stops_at_full_cover_for_any_chunk_size(chunk, monkeypatch):
     # must stop with the chunk that covers the last one
     primes = (3, 5, 7, 11, 13, 17, 19, 23)
     whole = pattern_coverage(primes, 2**17)
-    assert whole.complete and max(whole.minimal) == 4074
+    assert whole.covered_prefix == len(primes) and max(whole.minimal) == 4074
     stops = []
     real = factexp.experiments.exponent_range
 

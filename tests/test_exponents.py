@@ -19,6 +19,7 @@ from factexp.exponents import (
     _SHORT_ROW,
     _TILE,
     _exponent_tile,
+    _hit_rows,
     _offset_page,
     _paged_residues,
     _residue_dtype,
@@ -172,15 +173,19 @@ def test_exponent_range_edges_and_rejections():
     assert exponent_range(10, 10, 3).size == 0
     # empty ranges of a row-table modulus, at a block start (no block
     # touched) and inside a block, and empty hit writes, on offset pages 0,
-    # 3 and 7: none reads an offset page
+    # 3 and 7, of a row-table modulus and of one without a row table
+    # (65537 mod 5): none reads an offset page or a hit table
     span = _shifted_tiles(3, 2).shape[1]
-    pages = _offset_page.cache_info()
+    assert _shifted_tiles(65537, 5) is None
+    pages, hits = _offset_page.cache_info(), _hit_rows.cache_info()
     for s in (0, span, 7 * span, 5, span + 11, 1000 * span + 7, 3 * _PAGE * span):
         got = exponent_range(s, s, 3, mod=2)
         assert got.size == 0 and got.dtype == np.uint8
     for s in (span, span + 11, 7 * _PAGE * span):
         write_exponent_hits(np.empty(0, dtype=bool), s, 3, 2, 1)
+        write_exponent_hits(np.empty(0, dtype=bool), s, 65537, 5, 3)
     assert _offset_page.cache_info() == pages
+    assert _hit_rows.cache_info() == hits
     with pytest.raises(ValueError):
         exponent_range(5, 4, 3)
     with pytest.raises(ValueError):
