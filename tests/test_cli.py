@@ -16,6 +16,7 @@ import factexp
 import factexp.cli
 from factexp.cli import build_parser, int_list, integer, main
 from factexp.construction import coverage_log_threshold
+from factexp.experiments import CHUNK_SIZE
 
 
 def run(capsys, *argv):
@@ -351,6 +352,49 @@ def test_integer_argument_type():
     assert int_list("3,5,7") == (3, 5, 7)
     with pytest.raises(argparse.ArgumentTypeError):
         int_list("3,x")
+
+
+# Each command's required options and what they parse to, with every
+# other option of the command at its default (--threads aside).
+SURFACE = {
+    "exponent": (["--n", "10", "--prime", "3"], {"n": 10, "prime": 3, "mod": None}),
+    "lambda": (["--prime", "13", "--mod", "10"], {"prime": 13, "mod": 10}),
+    "construct": (["--prime", "13", "--mod", "10"], {"prime": 13, "mod": 10}),
+    "verify": (["--prime", "13", "--mod", "10", "--limit", "1e3"],
+               {"prime": 13, "mod": 10, "limit": 1000, "chunk_size": CHUNK_SIZE}),
+    "scan": (["--primes", "3,5", "--mods", "2,3", "--limit", "1e3"],
+             {"primes": (3, 5), "mods": (2, 3), "limit": 1000, "chunk_size": CHUNK_SIZE,
+              "format": "json", "out": None}),
+    "pattern": (["--primes", "3,5", "--mods", "2,3", "--limit", "1e3", "--pattern", "1,2"],
+                {"primes": (3, 5), "mods": (2, 3), "limit": 1000, "pattern": (1, 2),
+                 "chunk_size": CHUNK_SIZE, "format": "json", "out": None}),
+    "coverage": (["--primes", "3,5", "--limit", "1e3"],
+                 {"primes": (3, 5), "limit": 1000, "chunk_size": CHUNK_SIZE,
+                  "format": "json", "out": None}),
+    "kofx": (["--x", "1e100", "--c1", "1"], {"x": 1e100, "c1": 1.0}),
+    "threshold": (["--k", "1", "--c3", "1"], {"k": 1, "c3": 1.0}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SURFACE))
+def test_command_line_surface(capsys, command):
+    argv, want = SURFACE[command]
+    args = vars(build_parser().parse_args([command, *argv]))
+    assert args.pop("func") is getattr(factexp.cli, f"cmd_{command}")
+    assert ("threads" in args) == (command in ("scan", "pattern"))
+    args.pop("threads", None)
+    assert args == {"command": command, **want}
+    # leaving out any one required option is a usage error that names it
+    for i in range(0, len(argv), 2):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, *argv[:i], *argv[i + 2:]])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: the following arguments are required: {argv[i]}\n")
+    # help is formatted only when printed, so print it
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, "--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith(f"usage: factexp {command}")
 
 
 def test_threads_env_override(monkeypatch, capsys):
