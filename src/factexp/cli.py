@@ -5,12 +5,11 @@ counterexample; the report is the product), 1 on runtime failures
 (invalid mathematical inputs, overflow, I/O, memory), 2 on usage errors
 (argparse's own convention).
 
-Environment knobs: FACTEXP_THREADS supplies a default for --threads,
-and FACTEXP_OUT_DIR is prepended to relative --out paths.
+The parser is built from two tables: OPTIONS defines each option once,
+and COMMANDS gives each command its function, options and help line.
 """
 
 import argparse
-import os
 import sys
 from decimal import Decimal, InvalidOperation
 from functools import lru_cache
@@ -88,41 +87,23 @@ def integer_text(text: str) -> str:
 
 
 def _threads(args) -> int:
-    """The thread count of --threads, else of FACTEXP_THREADS, else 1; a
-    value outside [1, THREAD_CAP] is refused, named and echoed."""
-    name, text = "--threads", args.threads
-    if text is None:
-        name, text = "FACTEXP_THREADS", os.environ.get("FACTEXP_THREADS")
-        if not text:
-            return 1
-    try:
-        threads = integer(text)
-    except argparse.ArgumentTypeError as err:
-        raise ValueError(f"{name}: {err}") from None
+    """The thread count of --threads; a value outside [1, THREAD_CAP] is
+    refused and echoed as written."""
+    threads = integer(args.threads)
     if not 1 <= threads <= THREAD_CAP:
-        raise ValueError(f"{name} must be in [1, {THREAD_CAP}], got {_echo(text)}")
+        raise ValueError(f"--threads must be in [1, {THREAD_CAP}], got {_echo(args.threads)}")
     return threads
 
 
-def _out_path(path):
-    if path is None or path == "-":
-        return path
-    base = os.environ.get("FACTEXP_OUT_DIR")
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
-
-
-def cmd_exponent(args) -> int:
+def cmd_exponent(args) -> None:
     if args.mod is not None and args.mod < 1:
         raise ValueError(f"modulus must be >= 1, got {args.mod}")
     e = legendre_exponent(args.n, args.prime)
     # a Decimal prints every digit, past the interpreter's int-to-str digit cap
     print(e % args.mod if args.mod is not None else Decimal(e))
-    return 0
 
 
-def cmd_lambda(args) -> int:
+def cmd_lambda(args) -> None:
     cert = lambda_index(args.prime, args.mod)
     sys.stdout.write(_dumps({
         "p": cert.p,
@@ -132,10 +113,9 @@ def cmd_lambda(args) -> int:
         "m_dprime": cert.m_dprime,
         "mu": cert.mu,
     }))
-    return 0
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> None:
     built = build_function(args.prime, args.mod)
     try:
         delta = str(construction_error_exponent(1, args.prime, args.mod))
@@ -152,10 +132,9 @@ def cmd_construct(args) -> int:
         "d": built.d,
         "delta": delta,
     }))
-    return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> None:
     report = verify_congruence(args.prime, args.mod, args.limit, chunk_size=args.chunk_size)
     sys.stdout.write(_dumps({
         "p": report.p,
@@ -166,7 +145,6 @@ def cmd_verify(args) -> int:
         "f_value": report.f_value,
         "e_value": report.e_value,
     }))
-    return 0
 
 
 def _config(args) -> ScanConfig:
@@ -174,35 +152,70 @@ def _config(args) -> ScanConfig:
                       chunk_size=args.chunk_size)
 
 
-def _report(args, report, to_csv, to_json) -> int:
+def _report(args, report, to_csv, to_json) -> None:
     """Emit to_csv(report) or to_json(report), as --format asks, to --out."""
-    emit(to_csv(report) if args.format == "csv" else to_json(report), _out_path(args.out))
-    return 0
+    emit(to_csv(report) if args.format == "csv" else to_json(report), args.out)
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> None:
     hist = joint_histogram(_config(args), threads=_threads(args))
-    return _report(args, hist, histogram_csv, lambda h: histogram_json(h, discrepancy(h)))
+    _report(args, hist, histogram_csv, lambda h: histogram_json(h, discrepancy(h)))
 
 
-def cmd_pattern(args) -> int:
+def cmd_pattern(args) -> None:
     report = pattern_search(_config(args), args.pattern, threads=_threads(args))
-    return _report(args, report, pattern_csv, pattern_json)
+    _report(args, report, pattern_csv, pattern_json)
 
 
-def cmd_coverage(args) -> int:
+def cmd_coverage(args) -> None:
     report = pattern_coverage(args.primes, args.limit, chunk_size=args.chunk_size)
-    return _report(args, report, coverage_csv, coverage_json)
+    _report(args, report, coverage_csv, coverage_json)
 
 
-def cmd_kofx(args) -> int:
+def cmd_kofx(args) -> None:
     print(coverage_depth(args.x, args.c1))
-    return 0
 
 
-def cmd_threshold(args) -> int:
+def cmd_threshold(args) -> None:
     print(coverage_log_threshold(args.k, args.c3))
-    return 0
+
+
+# Every option once, by its flag: its argparse type or choices, default and help.
+OPTIONS = {
+    "--n": dict(type=integer, help="n of n!"),
+    "--prime": dict(type=integer, help="the prime p"),
+    "--mod": dict(type=integer, help="the modulus m (exponent: reduce the result)"),
+    "--limit": dict(type=integer, help="the end of the range [0, limit)"),
+    "--primes": dict(type=int_list, help="the primes p_1,...,p_k"),
+    "--mods": dict(type=int_list, help="the moduli m_1,...,m_k"),
+    "--pattern": dict(type=int_list, help="the residues a_1,...,a_k"),
+    "--chunk-size": dict(type=integer, default=CHUNK_SIZE, help="numbers per chunk"),
+    "--threads": dict(type=integer_text, default="1", help=f"worker threads, 1 to {THREAD_CAP}"),
+    "--format": dict(choices=("csv", "json"), default="json"),
+    "--out": dict(help="output path; stdout if absent or -"),
+    "--x": dict(type=float, help="the bound x, past e"),
+    "--c1": dict(type=float, help="the constant c_1"),
+    "--k": dict(type=integer, help="the pattern length"),
+    "--c3": dict(type=float, help="the constant c_3"),
+}
+# Each command: its function, its options and its help line.  The options
+# read as in a usage line: a bracketed one is optional, any other required.
+# The cmd_* functions look the kernels and reports up when called.
+COMMANDS = {
+    "exponent": (cmd_exponent, "n prime [mod]", "exponent of a prime in n!"),
+    "lambda": (cmd_lambda, "prime mod", "repunit order of p modulo m, with certificate"),
+    "construct": (cmd_construct, "prime mod", "build the q-additive representation of e_p mod m"),
+    "verify": (cmd_verify, "prime mod limit [chunk-size]",
+               "exhaustively check the representation on [0, limit)"),
+    "scan": (cmd_scan, "primes mods limit [chunk-size] [threads] [format] [out]",
+             "joint residue histogram with discrepancy summary"),
+    "pattern": (cmd_pattern, "primes mods limit pattern [chunk-size] [threads] [format] [out]",
+                "occurrences of one residue tuple"),
+    "coverage": (cmd_coverage, "primes limit [chunk-size] [format] [out]",
+                 "first witnesses of all parity patterns"),
+    "kofx": (cmd_kofx, "x c1", "guaranteed coverable pattern length below x"),
+    "threshold": (cmd_threshold, "k c3", "log of the bound past which all patterns appear"),
+}
 
 
 @lru_cache(maxsize=None)  # built once per process: parsing leaves it unchanged
@@ -213,79 +226,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "representations, and empirical distribution scans",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("exponent", help="exponent of a prime in n!")
-    p.add_argument("--n", type=integer, required=True)
-    p.add_argument("--prime", type=integer, required=True)
-    p.add_argument("--mod", type=integer, default=None, help="reduce the result")
-    p.set_defaults(func=cmd_exponent)
-
-    p = sub.add_parser("lambda", help="repunit order of p modulo m, with certificate")
-    p.add_argument("--prime", type=integer, required=True)
-    p.add_argument("--mod", type=integer, required=True)
-    p.set_defaults(func=cmd_lambda)
-
-    p = sub.add_parser("construct", help="build the q-additive representation of e_p mod m")
-    p.add_argument("--prime", type=integer, required=True)
-    p.add_argument("--mod", type=integer, required=True)
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("verify", help="exhaustively check the representation on [0, limit)")
-    p.add_argument("--prime", type=integer, required=True)
-    p.add_argument("--mod", type=integer, required=True)
-    p.add_argument("--limit", type=integer, required=True)
-    p.add_argument("--chunk-size", type=integer, default=CHUNK_SIZE)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("scan", help="joint residue histogram with discrepancy summary")
-    p.add_argument("--primes", type=int_list, required=True)
-    p.add_argument("--mods", type=int_list, required=True)
-    p.add_argument("--limit", type=integer, required=True)
-    p.add_argument("--chunk-size", type=integer, default=CHUNK_SIZE)
-    p.add_argument("--threads", type=integer_text, default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--out", default=None, help="output path, - for stdout")
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("pattern", help="occurrences of one residue tuple")
-    p.add_argument("--primes", type=int_list, required=True)
-    p.add_argument("--mods", type=int_list, required=True)
-    p.add_argument("--limit", type=integer, required=True)
-    p.add_argument("--pattern", type=int_list, required=True)
-    p.add_argument("--chunk-size", type=integer, default=CHUNK_SIZE)
-    p.add_argument("--threads", type=integer_text, default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_pattern)
-
-    p = sub.add_parser("coverage", help="first witnesses of all parity patterns")
-    p.add_argument("--primes", type=int_list, required=True)
-    p.add_argument("--limit", type=integer, required=True)
-    p.add_argument("--chunk-size", type=integer, default=CHUNK_SIZE)
-    p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_coverage)
-
-    p = sub.add_parser("kofx", help="guaranteed coverable pattern length below x")
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--c1", type=float, required=True)
-    p.set_defaults(func=cmd_kofx)
-
-    p = sub.add_parser("threshold", help="log of the bound past which all patterns appear")
-    p.add_argument("--k", type=integer, required=True)
-    p.add_argument("--c3", type=float, required=True)
-    p.set_defaults(func=cmd_threshold)
-
+    for command, (func, usage, text) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for word in usage.split():
+            name = "--" + word.strip("[]")
+            p.add_argument(name, required=word[0] != "[", **OPTIONS[name])
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (ValueError, OverflowError, RuntimeError, OSError, MemoryError) as err:
         print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -311,6 +311,7 @@ def coverage_depth(x: float, c1: float) -> int:
     pattern length below x.  Requires x > e so the inner log is positive."""
     if not 0 < c1 < inf:
         raise ValueError(f"c1 must be positive and finite, got {c1}")
-    if not _E < x < inf:
+    # ln x rounds to 1.0 for the doubles just above e, and ln ln x to 0
+    if not (_E < x < inf and log(x) > 1):
         raise ValueError(f"x must be finite and exceed e, got {x}")
     return int(floor(c1 * (log(x) / log(log(x)) ** 6) ** (1.0 / 9.0)))

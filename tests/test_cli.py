@@ -1,4 +1,4 @@
-"""Command-line behavior: outputs, exit codes, environment knobs."""
+"""Command-line behavior: outputs, exit codes, the option surface."""
 
 import argparse
 import json
@@ -317,6 +317,7 @@ def test_usage_errors_do_not_echo_a_huge_argument_whole(capsys, argv):
     [
         ["kofx", "--x", "inf", "--c1", "1.0"],
         ["kofx", "--x", "1e400", "--c1", "1.0"],
+        ["kofx", "--x", "2.7182818284590455", "--c1", "1"],
         ["kofx", "--x", "1e100", "--c1", "inf"],
         ["threshold", "--k", "1", "--c3", "inf"],
     ],
@@ -397,65 +398,15 @@ def test_command_line_surface(capsys, command):
     assert exc.value.code == 0 and capsys.readouterr().out.startswith(f"usage: factexp {command}")
 
 
-def test_threads_env_override(monkeypatch, capsys):
-    reference = run(
-        capsys, "scan", "--primes", "3,5", "--mods", "2,2", "--limit", "5000",
-        "--format", "csv",
-    )
-    monkeypatch.setenv("FACTEXP_THREADS", "8")
-    assert run(
-        capsys, "scan", "--primes", "3,5", "--mods", "2,2", "--limit", "5000",
-        "--format", "csv",
-    ) == reference
-
-
-@pytest.mark.parametrize("value,message", [
-    ("abc", "FACTEXP_THREADS: not a number: 'abc'"),
-    ("2.5", "FACTEXP_THREADS: not an integer: '2.5'"),
-    ("1e30000", "FACTEXP_THREADS: must stay below 1e20001, got a 30001-digit number"),
-    ("1e400", "FACTEXP_THREADS must be in [1, 256], got '1e400'"),
-    ("-1", "FACTEXP_THREADS must be in [1, 256], got '-1'"),
-])
-def test_bad_threads_env_names_the_variable(monkeypatch, capsys, value, message):
-    monkeypatch.setenv("FACTEXP_THREADS", value)
-    assert run(capsys, "scan", "--primes", "3", "--mods", "2", "--limit", "10") == (
-        1, "", f"error: {message}\n")
-    # the same integer rules as --threads: shorthand is welcome
-    monkeypatch.setenv("FACTEXP_THREADS", "2e0")
-    assert run(capsys, "scan", "--primes", "3", "--mods", "2", "--limit", "10")[0] == 0
-
-
-def test_back_to_back_calls_share_one_parser_and_no_state(monkeypatch, capsys):
+def test_back_to_back_calls_share_one_parser_and_no_state(capsys):
     scan = ("scan", "--primes", "3", "--mods", "2", "--limit", "9")
     assert run(capsys, *scan, "--format", "csv") == (0, "a_1,count\n0,6\n1,3\n", "")
     # the csv choice does not stick: a plain scan is JSON again
     code, out, err = run(capsys, *scan)
     assert (code, err) == (0, "")
     assert json.loads(out)["counts"] == [{"count": 6, "residues": [0]}, {"count": 3, "residues": [1]}]
-    # FACTEXP_THREADS is read on every call
-    monkeypatch.setenv("FACTEXP_THREADS", "0")
-    assert run(capsys, *scan) == (1, "", "error: FACTEXP_THREADS must be in [1, 256], got '0'\n")
-    monkeypatch.delenv("FACTEXP_THREADS")
     assert run(capsys, *scan, "--format", "csv")[0] == 0
     assert build_parser() is build_parser()
-
-
-def test_out_dir_env(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("FACTEXP_OUT_DIR", str(tmp_path))
-    code, _, _ = run(
-        capsys, "scan", "--primes", "3", "--mods", "2", "--limit", "9",
-        "--format", "csv", "--out", "rel.csv",
-    )
-    assert code == 0
-    assert (tmp_path / "rel.csv").read_text() == "a_1,count\n0,6\n1,3\n"
-    # absolute paths ignore the env knob
-    target = tmp_path / "abs.csv"
-    code, _, _ = run(
-        capsys, "scan", "--primes", "3", "--mods", "2", "--limit", "9",
-        "--format", "csv", "--out", str(target),
-    )
-    assert code == 0
-    assert target.exists()
 
 
 def child_env():

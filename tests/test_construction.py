@@ -352,7 +352,8 @@ def test_coverage_depth_rejections():
         coverage_depth(2.0, 1.0)  # x must exceed e
     with pytest.raises(ValueError):
         coverage_depth(10**100, 0.0)
-    for x in (math.inf, math.nan):
+    # 2.7182818284590455 is the double after e, whose ln rounds to 1.0
+    for x in (math.inf, math.nan, 2.7182818284590455):
         with pytest.raises(ValueError, match="x must be finite"):
             coverage_depth(x, 1.0)
     for c1 in (math.inf, math.nan):
