@@ -200,7 +200,8 @@ OPTIONS = {
 }
 # Each command: its function, its options and its help line.  The options
 # read as in a usage line: a bracketed one is optional, any other required.
-# The cmd_* functions look the kernels and reports up when called.
+# The cmd_* functions look the kernels and report functions up in this
+# module when called, so a wrapper installed on those names sees every call.
 COMMANDS = {
     "exponent": (cmd_exponent, "n prime [mod]", "exponent of a prime in n!"),
     "lambda": (cmd_lambda, "prime mod", "repunit order of p modulo m, with certificate"),
