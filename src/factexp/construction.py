@@ -308,7 +308,8 @@ def coverage_log_threshold(k: int, c3: float) -> float:
 
 def coverage_depth(x: float, c1: float) -> int:
     """floor(c1 * (ln x / (ln ln x)^6)^(1/9)): the guaranteed coverable
-    pattern length below x.  Requires x > e so the inner log is positive."""
+    pattern length below x.  Requires ln x > 1, so that the inner log is
+    positive: x must exceed e by more than rounding."""
     if not 0 < c1 < inf:
         raise ValueError(f"c1 must be positive and finite, got {c1}")
     # ln x rounds to 1.0 for the doubles just above e, and ln ln x to 0
