@@ -247,17 +247,23 @@ def verify_congruence(p: int, m: int, limit: int, chunk_size: int = CHUNK_SIZE) 
     recursion of `exponents`, on different tables and weights, so they
     are not independent routes; the tests pin each side to independent
     oracles (the floor sum, the digit-by-digit `folded_value` and scalar
-    `f.evaluate`).  The report carries the smallest counterexample if
-    there is one, with f and e_p there exact (scalar `f.evaluate` and
-    `legendre_exponent`).
+    `f.evaluate`).  Each chunk is checked with no mismatch mask: e_p's
+    residues are XORed into f's in place and the nonzeros counted, and
+    only a chunk with one is searched for its first.  The report carries
+    the smallest counterexample if there is one, with f and e_p there
+    exact (scalar `f.evaluate` and `legendre_exponent`).
     """
     config = ScanConfig(primes=(p,), mods=(m,), limit=limit, chunk_size=chunk_size)
     built = build_function(p, m)
 
     def first_mismatch(start, stop):
-        lhs = evaluate_range(built.f, start, stop, mod=m)
-        bad = np.flatnonzero(lhs != exponent_range(start, stop, p, mod=m))
-        return start + int(bad[0]) if bad.size else None
+        # f's residues are freshly written, so e_p's are XORed into them in
+        # place: a chunk that agrees everywhere is left all zero
+        diff = evaluate_range(built.f, start, stop, mod=m)
+        diff ^= exponent_range(start, stop, p, mod=m)
+        if not np.count_nonzero(diff):
+            return None
+        return start + int(np.flatnonzero(diff)[0])
 
     for n in map_spans(first_mismatch, config):
         if n is not None:

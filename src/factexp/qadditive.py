@@ -41,6 +41,9 @@ from .primes import _U64
 # oversized bases fail loudly instead of thrashing.
 TABLE_CAP = 1 << 24
 
+# entries of the value table reduced at a time by _value_tile
+_PIECE = 1 << 13
+
 
 @dataclass(frozen=True)
 class QAdditiveFunction:
@@ -89,13 +92,25 @@ class QAdditiveFunction:
 def _value_tile(f: QAdditiveFunction, span: int, mod: int | None) -> np.ndarray:
     """f on [0, span) for span = q^j, folded out of the value table:
     f(a*q^i + b) = f(a) + f(b) for b < q^i.  Without `mod` the tile is
-    int64; with it the table is reduced mod `mod` straight into
-    `_residue_dtype(mod)`, with no int64 copy of the table on the way."""
+    int64; with it the table is reduced mod `mod` into
+    `_residue_dtype(mod)` as t - (t // mod)*mod, `_PIECE` entries at a
+    time in one reused int64 buffer, with no int64 copy of the table on
+    the way.  Floor division by a scalar is cheaper than np.remainder,
+    and the result is exact for every int64 t: the quotient is exact,
+    and the product and difference wrap mod 2**64 onto a remainder that
+    fits."""
     if mod is None:
         values = f.table
     else:
         values = np.empty(f.q, dtype=_residue_dtype(mod))
-        np.remainder(f.table, mod, out=values, casting="unsafe")
+        buffer = np.empty(min(f.q, _PIECE), dtype=np.int64)
+        for lo in range(0, f.q, _PIECE):
+            table = f.table[lo : lo + _PIECE]
+            piece = buffer[: table.size]
+            np.floor_divide(table, mod, out=piece)
+            piece *= mod
+            np.subtract(table, piece, out=piece)
+            values[lo : lo + piece.size] = piece
     levels = 1
     while f.q**levels < span:
         levels += 1

@@ -236,18 +236,27 @@ def test_verify_congruence_passes_and_reports():
     assert verify_congruence(3, 2, 10**4, chunk_size=997).passed
 
 
-def test_verify_congruence_reports_a_counterexample_exactly(monkeypatch, capsys):
-    # (13, 10) has lambda = 4, so q = 13^4 = 28561; with the last table
-    # entry bumped by one, f and e_13 first differ at n = q - 1 = 28560,
-    # where f(n) = e_13(n) + 1 = 2377
-    real = build_function(13, 10)
+def bump_last_entry(monkeypatch, p, m):
+    """Make build_function(p, m) return the construction with its last
+    table entry raised by one, so f first differs from e_p at n = q - 1."""
+    real = build_function(p, m)
     table = real.f.table.copy()
     table[-1] += 1
     bumped = dataclasses.replace(real, f=QAdditiveFunction(q=real.q, table=table))
     monkeypatch.setattr(cons, "build_function", lambda p, m: bumped)
-    for chunk in (1 << 20, 997):
-        rep = verify_congruence(13, 10, 10**6, chunk_size=chunk)
-        assert rep.counterexample == real.q - 1 == 28560 and not rep.passed
+    return bumped
+
+
+def test_verify_congruence_reports_a_counterexample_exactly(monkeypatch, capsys):
+    # (13, 10) has lambda = 4, so q = 13^4 = 28561; with the last table
+    # entry bumped by one, f and e_13 first differ at n = q - 1 = 28560,
+    # where f(n) = e_13(n) + 1 = 2377.  Chunks of 28560 put it first in
+    # the second chunk, and a limit of 28561 in chunks of 997 puts it last
+    # in a short last chunk.
+    bumped = bump_last_entry(monkeypatch, 13, 10)
+    for limit, chunk in ((10**6, 1 << 20), (10**6, 997), (10**6, 28560), (28561, 997)):
+        rep = verify_congruence(13, 10, limit, chunk_size=chunk)
+        assert rep.counterexample == bumped.q - 1 == 28560 and not rep.passed
         assert (rep.f_value, rep.e_value) == (bumped.f(28560), legendre_exponent(28560, 13)) == (2377, 2376)
         assert rep.f_value % 10 != rep.e_value % 10
     # every n below it agrees
@@ -258,6 +267,30 @@ def test_verify_congruence_reports_a_counterexample_exactly(monkeypatch, capsys)
         "p": 13, "m": 10, "limit": 10**6, "passed": False,
         "counterexample": 28560, "f_value": 2377, "e_value": 2376,
     }
+
+
+def test_verify_congruence_reports_a_uint16_counterexample(monkeypatch):
+    # (3, 130) has lambda = 12, so q = 3^12 = 531441 tiles by itself and
+    # both sides hold uint16 residues; f and e_3 first differ at q - 1
+    bumped = bump_last_entry(monkeypatch, 3, 130)
+    for chunk in (1 << 20, 997):
+        rep = verify_congruence(3, 130, 10**6, chunk_size=chunk)
+        assert rep.counterexample == bumped.q - 1 == 531440
+        assert (rep.f_value, rep.e_value) == (265709, 265708)
+    assert verify_congruence(3, 130, 531440).passed
+
+
+def test_verify_congruence_keeps_no_mismatch_mask():
+    # warmed, a chunk holds f's residues with e_p's XORed into them and
+    # e_p's own residues, two 2^20-element arrays and no third
+    verify_congruence(3, 2, 1 << 22)
+    tracemalloc.start()
+    try:
+        assert verify_congruence(3, 2, 1 << 22).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (1 << 20) * np.dtype(np.uint8).itemsize + (1 << 18)
 
 
 def test_verify_congruence_rejections():

@@ -14,6 +14,7 @@ from factexp.exponents import _tile_span, _tiled_offsets, digit_sum, exponent_ra
 from factexp.qadditive import (
     TABLE_CAP,
     QAdditiveFunction,
+    _value_tile,
     check_system,
     derive_invariants,
     evaluate_range,
@@ -203,10 +204,11 @@ def test_value_tile_is_built_once_per_modulus():
     assert set(f._tiles) == {None, 5, 19}
 
 
-@pytest.mark.parametrize("pair", [(5, 24), (5, 313)])
+@pytest.mark.parametrize("pair", [(5, 24), (5, 313), (3, 130)])
 def test_value_tile_allocates_no_int64_copy_of_the_table(pair):
-    # q = 5^8 tiles by q itself; the uint8 and uint16 residues are written
-    # straight from the int64 table, and 1 << 17 covers the ufunc buffers
+    # q = 5^8 and 3^12 tile by q itself; the uint8 and uint16 residues are
+    # reduced from the int64 table in pieces, and 1 << 17 covers the piece
+    # buffer and the ufunc buffers
     built = build_function(*pair)
     m = built.m
     tracemalloc.start()
@@ -220,6 +222,24 @@ def test_value_tile_allocates_no_int64_copy_of_the_table(pair):
     assert peak < tile.nbytes + (1 << 17)
     assert np.array_equal(tile, built.f.table % m)
     assert got.tolist() == [built.f(n) % m for n in range(10)]
+
+
+@pytest.mark.parametrize("q", [7, 81, 8193, 19683])
+def test_value_tile_reduces_any_int64_table_exactly(q):
+    # floor division and a wrapping subtraction give int(t) % m for every
+    # int64 t, the two extremes included, in every residue dtype; q = 8193
+    # and 19683 span more than one piece
+    rng = np.random.default_rng(q)
+    info = np.iinfo(np.int64)
+    table = rng.integers(info.min, info.max, size=q, dtype=np.int64, endpoint=True)
+    table[:3] = 0, info.min, info.max
+    f = QAdditiveFunction(q=q, table=table)
+    dtypes = set()
+    for m in (2, 130, (1 << 31) - 1, (1 << 31) + 11, (1 << 62) + 1):
+        tile = _value_tile(f, q, m)
+        dtypes.add(tile.dtype)
+        assert tile.tolist() == [t % m for t in table.tolist()]
+    assert dtypes == {np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64)}
 
 
 def test_evaluate_range_reduces_each_level():
