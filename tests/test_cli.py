@@ -97,6 +97,43 @@ def test_verify_json(capsys):
     assert payload["limit"] == 10**4
 
 
+SCAN_3_5_BYTES = (
+    '{"chunk_size":1048576,"counts":[{"count":21,"residues":[0,0]},'
+    '{"count":26,"residues":[0,1]},{"count":11,"residues":[0,2]},'
+    '{"count":19,"residues":[1,0]},{"count":14,"residues":[1,1]},'
+    '{"count":9,"residues":[1,2]}],"discrepancy":{"main_term":16.6666666667,'
+    '"max_abs_dev":9.33333333333,"max_rel_dev":0.56,"worst_class":[0,1]},'
+    '"limit":100,"mods":[2,3],"primes":[3,5]}\n'
+)
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    ("lambda --prime 13 --mod 10",
+     '{"lambda":4,"m":10,"m_dprime":5,"m_prime":2,"mu":8,"p":13}\n'),
+    ("verify --prime 3 --mod 2 --limit 1e4",
+     '{"counterexample":null,"e_value":null,"f_value":null,"limit":10000,"m":2,"p":3,'
+     '"passed":true}\n'),
+    ("pattern --primes 3,5 --mods 2,2 --pattern 1,1 --limit 100 --format csv",
+     "pattern,minimal_n,hits,max_gap\n11,5,15,28\n"),
+    ("pattern --primes 3 --mods 7 --pattern 6 --limit 10",
+     '{"chunk_size":1048576,"hits":0,"limit":10,"max_gap":null,"minimal_n":null,'
+     '"mods":[7],"pattern":"6","primes":[3]}\n'),
+    ("pattern --primes 3 --mods 7 --pattern 6 --limit 10 --format csv",
+     "pattern,minimal_n,hits,max_gap\n6,,0,\n"),
+    ("scan --primes 3,5 --mods 2,3 --limit 100", SCAN_3_5_BYTES),
+])
+def test_output_bytes(capsys, argv, stdout):
+    assert run(capsys, *argv.split()) == (0, stdout, "")
+
+
+def test_failed_verify_bytes(monkeypatch, capsys):
+    report = factexp.CongruenceReport(13, 10, 10**6, 28560, f_value=2377, e_value=2376)
+    monkeypatch.setattr(factexp.cli, "verify_congruence", lambda *args, **kwargs: report)
+    assert run(capsys, "verify", "--prime", "13", "--mod", "10", "--limit", "1e6") == (
+        0, '{"counterexample":28560,"e_value":2376,"f_value":2377,"limit":1000000,"m":10,'
+           '"p":13,"passed":false}\n', "")
+
+
 def test_scan_csv_stdout(capsys):
     code, out, _ = run(
         capsys, "scan", "--primes", "3", "--mods", "2", "--limit", "9", "--format", "csv"
