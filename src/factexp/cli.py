@@ -11,6 +11,7 @@ and COMMANDS gives each command its function, options and help line.
 
 import argparse
 import sys
+from dataclasses import asdict
 from decimal import Decimal, InvalidOperation
 from functools import lru_cache
 
@@ -25,6 +26,7 @@ from .construction import (
 from .exponents import legendre_exponent
 from .experiments import (CHUNK_SIZE, THREAD_CAP, ScanConfig, discrepancy,
                           joint_histogram, pattern_coverage, pattern_search)
+from .primes import _shown
 from .reports import (
     _dumps,
     coverage_csv,
@@ -97,25 +99,20 @@ def _threads(args) -> int:
 
 def cmd_exponent(args) -> None:
     if args.mod is not None and args.mod < 1:
-        raise ValueError(f"modulus must be >= 1, got {args.mod}")
+        raise ValueError(f"modulus must be >= 1, got {_shown(args.mod)}")
     e = legendre_exponent(args.n, args.prime)
     # a Decimal prints every digit, past the interpreter's int-to-str digit cap
     print(e % args.mod if args.mod is not None else Decimal(e))
 
 
 def cmd_lambda(args) -> None:
-    cert = lambda_index(args.prime, args.mod)
-    sys.stdout.write(_dumps({
-        "p": cert.p,
-        "m": cert.m,
-        "lambda": cert.lam,
-        "m_prime": cert.m_prime,
-        "m_dprime": cert.m_dprime,
-        "mu": cert.mu,
-    }))
+    cert = asdict(lambda_index(args.prime, args.mod))
+    cert["lambda"] = cert.pop("lam")
+    sys.stdout.write(_dumps(cert))
 
 
 def cmd_construct(args) -> None:
+    # built by hand: asdict would deep-copy f's value table of up to 2^24 entries
     built = build_function(args.prime, args.mod)
     try:
         delta = str(construction_error_exponent(1, args.prime, args.mod))
@@ -136,15 +133,7 @@ def cmd_construct(args) -> None:
 
 def cmd_verify(args) -> None:
     report = verify_congruence(args.prime, args.mod, args.limit, chunk_size=args.chunk_size)
-    sys.stdout.write(_dumps({
-        "p": report.p,
-        "m": report.m,
-        "limit": report.limit,
-        "passed": report.passed,
-        "counterexample": report.counterexample,
-        "f_value": report.f_value,
-        "e_value": report.e_value,
-    }))
+    sys.stdout.write(_dumps({**asdict(report), "passed": report.passed}))
 
 
 def _config(args) -> ScanConfig:

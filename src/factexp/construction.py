@@ -33,7 +33,7 @@ import numpy as np
 
 from .experiments import CHUNK_SIZE, ScanConfig, map_spans
 from .exponents import _exponent_rows, _fold, _require_prime, exponent_range, legendre_exponent
-from .primes import factorize, nth_odd_prime
+from .primes import _U64, _shown, factorize, nth_odd_prime
 from .qadditive import (
     TABLE_CAP,
     QAdditiveFunction,
@@ -138,10 +138,17 @@ def lambda_index(p: int, m: int) -> LambdaCertificate:
     of length mu that m does not divide would contradict the
     Lucas-sequence divisibility fact backing the bound, so that is a hard
     internal error.
+
+    m must stay below 2**64, the bound `is_prime` puts on p: a larger m is
+    refused before anything is factored or raised to a power, since the
+    powers mod m(p - 1) grow with m's digits and a smooth m of thousands
+    of digits would take minutes.
     """
     _require_odd_prime(p)
     if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
+        raise ValueError(f"modulus must be >= 2, got {_shown(m)}")
+    if m >= _U64:
+        raise ValueError(f"modulus must be below 2**64, got a {m.bit_length()}-bit number")
     if m % p == 0:
         raise ValueError(
             f"the construction requires p not dividing m, got p = {p}, m = {m}"
@@ -303,7 +310,7 @@ def coverage_log_threshold(k: int, c3: float) -> float:
     to schedule scans.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ValueError(f"k must be >= 1, got {_shown(k)}")
     if not 0 < c3 < inf:
         raise ValueError(f"c3 must be positive and finite, got {c3}")
     p_k = nth_odd_prime(k)

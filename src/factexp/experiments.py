@@ -43,7 +43,7 @@ from functools import partial, reduce
 import numpy as np
 
 from .exponents import _PIECE, exponent_range, write_exponent_hits
-from .primes import _U63, is_prime
+from .primes import _U63, _shown, is_prime
 
 CLASS_CAP = 1 << 24
 CHUNK_SIZE = 1 << 20
@@ -88,22 +88,22 @@ class ScanConfig:
             raise ValueError(
                 f"got {len(self.primes)} primes but {len(self.mods)} moduli"
             )
-        if len(set(self.primes)) != len(self.primes):
-            raise ValueError(f"primes must be distinct, got {self.primes}")
+        # primes first, so that the distinct check prints none past 2**64
         for p in self.primes:
             if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
+                raise ValueError(f"{_shown(p)} is not prime")
+        if len(set(self.primes)) != len(self.primes):
+            raise ValueError(f"primes must be distinct, got {self.primes}")
         for m in self.mods:
             if m < 2:
-                raise ValueError(f"moduli must be >= 2, got {m}")
+                raise ValueError(f"moduli must be >= 2, got {_shown(m)}")
         if self.class_count > CLASS_CAP:
-            raise ValueError(
-                f"{self.class_count} residue classes exceed the cap of {CLASS_CAP}"
-            )
+            raise ValueError(f"the residue class count must be at most {CLASS_CAP}, "
+                             f"got {_shown(self.class_count)}")
         if not 1 <= self.limit < _U63:
-            raise ValueError(f"limit must be in [1, 2^63), got {self.limit}")
+            raise ValueError(f"limit must be in [1, 2^63), got {_shown(self.limit)}")
         if self.chunk_size < 1:
-            raise ValueError(f"chunk size must be positive, got {self.chunk_size}")
+            raise ValueError(f"chunk size must be positive, got {_shown(self.chunk_size)}")
 
     @property
     def k(self) -> int:
@@ -130,12 +130,10 @@ def map_spans(fn, config: ScanConfig, threads: int = 1):
     before any starts.  Closing the generator early cancels the calls not
     yet started and waits for the running ones.
     """
-    # a count too wide for int64 is named by its width, not printed
-    shown = threads if -_U63 < threads < _U63 else f"a {threads.bit_length()}-bit number"
     if threads < 1:
-        raise ValueError(f"thread count must be positive, got {shown}")
+        raise ValueError(f"thread count must be positive, got {_shown(threads)}")
     if threads > THREAD_CAP:
-        raise ValueError(f"thread count must be at most {THREAD_CAP}, got {shown}")
+        raise ValueError(f"thread count must be at most {THREAD_CAP}, got {_shown(threads)}")
     spans = config.spans()
     if threads == 1:
         yield from itertools.starmap(fn, spans)
@@ -467,7 +465,7 @@ def pattern_search(config: ScanConfig, pattern, threads: int = 1) -> PatternRepo
         raise ValueError(f"pattern length {len(pattern)} does not match k = {config.k}")
     for a, m in zip(pattern, config.mods):
         if not 0 <= a < m:
-            raise ValueError(f"pattern entry {a} out of range for modulus {m}")
+            raise ValueError(f"pattern entry {_shown(a)} out of range for modulus {m}")
     parts = map_spans(partial(_chunk_hits, config, pattern, spare=[]), config, threads)
     hits, minimal, _, max_gap = reduce(_join_hits, parts, _NO_HITS)
     return PatternReport(

@@ -69,7 +69,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .primes import _U63, is_prime
+from .primes import _U63, _shown, is_prime
 
 # Range kernels tile by the largest power of the base that is at most
 # this, or by the base itself when it is larger; a base below _SQUARED
@@ -101,7 +101,7 @@ _RESIDUE_DTYPES = tuple((np.dtype(t), np.iinfo(t).max) for t in (np.uint8, np.ui
 
 def _require_prime(p: int) -> None:
     if not is_prime(p):
-        raise ValueError(f"expected a prime, got {p}")
+        raise ValueError(f"expected a prime, got {_shown(p)}")
 
 
 def digit_sum(n: int, p: int) -> int:
@@ -121,7 +121,7 @@ def legendre_exponent(n: int, p: int) -> int:
     """e_p(n): the exponent of the prime p in n!, by the floor sum."""
     _require_prime(p)
     if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+        raise ValueError(f"n must be nonnegative, got {_shown(n)}")
     e = 0
     while n:
         n //= p

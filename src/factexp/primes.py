@@ -17,6 +17,8 @@ _WITNESSES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 _U63 = 1 << 63
 _U64 = 1 << 64
+# Error messages print a number of at most this many bits (155 digits) whole
+_SHOWN_BITS = 512
 
 # Largest trial divisor `factorize` tries: every n < 2^40 factors within
 # it, and a larger n that would need more is refused before that work.
@@ -26,11 +28,18 @@ _TRIAL_LIMIT = 1 << 20
 ODD_PRIME_INDEX_CAP = 10**6
 
 
+def _shown(n: int) -> int | str:
+    """n for an error message: itself up to _SHOWN_BITS bits, and "a N-bit
+    number" past that, whose digits could run past the interpreter's
+    int-to-str cap and would bury the message."""
+    return n if n.bit_length() <= _SHOWN_BITS else f"a {n.bit_length()}-bit number"
+
+
 @lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test, exact for n < 2**64."""
     if n >= _U64:
-        raise ValueError(f"primality test is only deterministic below 2**64, got {n}")
+        raise ValueError(f"primality test is only deterministic below 2**64, got {_shown(n)}")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -64,13 +73,14 @@ def factorize(n: int) -> dict[int, int]:
     ValueError naming n.
     """
     if n < 1:
-        raise ValueError(f"can only factor n >= 1, got {n}")
+        raise ValueError(f"can only factor n >= 1, got {_shown(n)}")
     factors = {}
     rest = n
     d = 2
     while d * d <= rest:
         if d > _TRIAL_LIMIT:
-            raise ValueError(f"cannot factor {n}: it needs trial divisors above {_TRIAL_LIMIT}")
+            raise ValueError(
+                f"cannot factor {_shown(n)}: it needs trial divisors above {_TRIAL_LIMIT}")
         while rest % d == 0:
             rest //= d
             factors[d] = factors.get(d, 0) + 1
@@ -98,9 +108,9 @@ def nth_odd_prime(i: int) -> int:
     for n = i + 1, below n(ln n + ln ln n) for n >= 6 (Rosser), so one
     sieve to that bound finds it."""
     if i < 1:
-        raise ValueError(f"odd-prime index must be >= 1, got {i}")
+        raise ValueError(f"odd-prime index must be >= 1, got {_shown(i)}")
     if i > ODD_PRIME_INDEX_CAP:
-        raise ValueError(f"odd-prime index {i} exceeds the cap of {ODD_PRIME_INDEX_CAP}")
+        raise ValueError(f"odd-prime index {_shown(i)} exceeds the cap of {ODD_PRIME_INDEX_CAP}")
     n = i + 1
     limit = int(n * (log(n) + log(log(n)))) + 1 if n >= 6 else 11
     return primes_up_to(limit)[i]

@@ -19,10 +19,18 @@ call (str of an int) per value.  A JSON report's head and tail are the
 `json.dumps` of its scalar fields around the empty list left for the
 rows, so the bytes equal a `json.dumps` of the whole payload without one
 dict per row.
+
+A JSON object is the fields of the dataclass it reports, by
+`dataclasses.asdict`: a scan's config, its discrepancy summary and a
+pattern report, whose CSV header and row are the same fields.  A
+coverage report's head is built by hand, since `asdict` would deep-copy
+its 2^k first witnesses.
 """
 
 import json
 import sys
+from dataclasses import asdict
+
 import numpy as np
 
 from .experiments import (
@@ -53,15 +61,6 @@ def _sig12(x: float) -> float:
 
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _config_dict(config) -> dict:
-    return {
-        "primes": list(config.primes),
-        "mods": list(config.mods),
-        "limit": config.limit,
-        "chunk_size": config.chunk_size,
-    }
 
 
 def _labels(axes: tuple, sep: str, lead: str = "", end: str = "") -> list[str]:
@@ -157,14 +156,10 @@ def histogram_csv(hist: ResidueHistogram) -> str:
 
 
 def histogram_json(hist: ResidueHistogram, report: DiscrepancyReport | None = None) -> str:
-    payload = _config_dict(hist.config)
+    payload = asdict(hist.config)
     if report is not None:
-        payload["discrepancy"] = {
-            "main_term": _sig12(report.main_term),
-            "max_abs_dev": _sig12(report.max_abs_dev),
-            "max_rel_dev": _sig12(report.max_rel_dev),
-            "worst_class": list(report.worst_class),
-        }
+        payload["discrepancy"] = {key: _sig12(value) if isinstance(value, float) else value
+                                  for key, value in asdict(report).items()}
     head, tail = _json_ends(payload, "counts")
     return _report(head, '{"count":{value},"residues":[{label}]}', ",", tail,
                    hist.config.mods, hist.counts, ",")
@@ -176,20 +171,23 @@ def _pattern_str(pattern, mods) -> str:
     return "-".join(str(a) for a in pattern)
 
 
+def _pattern_fields(report: PatternReport) -> dict:
+    """The report's fields but its config, in field order, with the pattern
+    spelled out."""
+    fields = asdict(report)
+    del fields["config"]
+    fields["pattern"] = _pattern_str(report.pattern, report.config.mods)
+    return fields
+
+
 def pattern_csv(report: PatternReport) -> str:
-    pat = _pattern_str(report.pattern, report.config.mods)
-    minimal = "" if report.minimal_n is None else str(report.minimal_n)
-    gap = "" if report.max_gap is None else str(report.max_gap)
-    return "pattern,minimal_n,hits,max_gap\n" + f"{pat},{minimal},{report.hits},{gap}\n"
+    fields = _pattern_fields(report)
+    values = ("" if value is None else str(value) for value in fields.values())
+    return ",".join(fields) + "\n" + ",".join(values) + "\n"
 
 
 def pattern_json(report: PatternReport) -> str:
-    payload = _config_dict(report.config)
-    payload["pattern"] = _pattern_str(report.pattern, report.config.mods)
-    payload["minimal_n"] = report.minimal_n
-    payload["hits"] = report.hits
-    payload["max_gap"] = report.max_gap
-    return _dumps(payload)
+    return _dumps({**asdict(report.config), **_pattern_fields(report)})
 
 
 def _coverage(report: CoverageReport, head: str, row: str, join: str, tail: str,

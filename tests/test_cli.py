@@ -237,6 +237,44 @@ def test_lambda_refuses_a_modulus_it_cannot_factor(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["lambda", "construct"])
+def test_a_modulus_past_2_to_the_64_is_refused_at_once(capsys, command):
+    # 10^20000 is smooth, so it factors at once, but its powers would take minutes
+    t0 = time.monotonic()
+    assert run(capsys, command, "--prime", "3", "--mod", "1e20000") == (
+        1, "", "error: modulus must be below 2**64, got a 66439-bit number\n")
+    assert time.monotonic() - t0 < 1.0
+
+
+def test_lambda_of_a_64_bit_modulus(capsys):
+    code, out, err = run(capsys, "lambda", "--prime", "3", "--mod", str(2**63))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"p": 3, "m": 2**63, "lambda": 2**62, "m_prime": 2**63,
+                               "m_dprime": 1, "mu": 2**63}
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("exponent --prime 1e5000 --n 5", "primality test is only deterministic below 2**64"),
+    ("lambda --prime 1e5000 --mod 2", "primality test is only deterministic below 2**64"),
+    ("scan --primes 1e5000 --mods 2 --limit 10", "primality test is only deterministic"),
+    ("scan --primes 3 --mods 1e5000 --limit 10", "residue class count must be at most 16777216"),
+    ("coverage --primes 3 --limit 1e5000", "limit must be in [1, 2^63)"),
+    ("threshold --k 1e5000 --c3 1", "odd-prime index a 16610-bit number exceeds the cap"),
+    ("exponent --prime 3 --n=-1e5000", "n must be nonnegative"),
+    ("exponent --prime 3 --n 5 --mod=-1e5000", "modulus must be >= 1"),
+    ("exponent --prime=-1e5000 --n 5", "expected a prime"),
+    ("threshold --k=-1e5000 --c3 1", "k must be >= 1"),
+    ("scan --primes 1e5000,1e5000 --mods 2,2 --limit 10", "only deterministic below 2**64"),
+    ("coverage --primes=-1e5000 --limit 10", "a 16610-bit number is not prime"),
+    ("pattern --primes 3 --mods 2 --limit 10 --pattern=-1e5000", "pattern entry a 16610-bit"),
+])
+def test_errors_name_a_huge_number_by_its_width(capsys, argv, message):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err and "16610-bit number" in err
+    assert "Exceeds the limit" not in err and "Traceback" not in err
+
+
 def test_construct_refuses_a_huge_lambda_before_forming_the_base(capsys):
     code, out, err = run(capsys, "construct", "--prime", "3", "--mod", "1000000007")
     assert (code, out) == (1, "")

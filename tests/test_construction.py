@@ -126,6 +126,16 @@ def test_lambda_rejections():
         lambda_index(9, 4)
 
 
+def test_lambda_modulus_stays_below_2_to_the_64():
+    # 2^64 - 1 = 3 * 5 * 17 * 257 * 641 * 65537 * 6700417
+    cert = lambda_index(7, 2**64 - 1)
+    assert (cert.lam, cert.m_prime, cert.mu) == (17153064960, 3, 13813472443005665280)
+    for m in (2**64, 2**64 + 1, 10**20000):
+        with pytest.raises(ValueError, match=rf"^modulus must be below 2\*\*64, "
+                                             rf"got a {m.bit_length()}-bit number$"):
+            lambda_index(7, m)
+
+
 @pytest.mark.parametrize("call", [
     lambda: split_modulus(4, 10),
     lambda: lambda_index(9, 4),

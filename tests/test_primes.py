@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from factexp.primes import ODD_PRIME_INDEX_CAP, factorize, is_prime, nth_odd_prime, primes_up_to
+from factexp.primes import (ODD_PRIME_INDEX_CAP, _shown, factorize, is_prime, nth_odd_prime,
+                            primes_up_to)
 
 PRIMES_BELOW_100 = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
@@ -66,6 +67,19 @@ def test_is_prime_large_known_values():
 def test_is_prime_rejects_beyond_64_bits():
     with pytest.raises(ValueError):
         is_prime(1 << 64)
+
+
+def test_messages_name_a_number_past_512_bits_by_its_width():
+    assert [_shown(n) for n in (2**512 - 1, 1 - 2**512)] == [2**512 - 1, 1 - 2**512]
+    assert [_shown(n) for n in (2**512, -(2**512))] == ["a 513-bit number"] * 2
+    # 10^5000 has 5001 digits, past the interpreter's default int-to-str cap
+    with pytest.raises(ValueError, match=r"^primality test is only deterministic below "
+                                         r"2\*\*64, got a 16610-bit number$"):
+        is_prime(10**5000)
+    with pytest.raises(ValueError, match="^can only factor n >= 1, got a 16610-bit number$"):
+        factorize(-(10**5000))
+    with pytest.raises(ValueError, match="^odd-prime index a 16610-bit number exceeds the cap"):
+        nth_odd_prime(10**5000)
 
 
 @given(st.integers(min_value=1, max_value=2**40 - 1))
