@@ -102,7 +102,7 @@ def cmd_exponent(args) -> None:
         raise ValueError(f"modulus must be >= 1, got {_shown(args.mod)}")
     e = legendre_exponent(args.n, args.prime)
     # a Decimal prints every digit, past the interpreter's int-to-str digit cap
-    print(e % args.mod if args.mod is not None else Decimal(e))
+    print(Decimal(e % args.mod if args.mod is not None else e))
 
 
 def cmd_lambda(args) -> None:

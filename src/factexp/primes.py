@@ -17,8 +17,6 @@ _WITNESSES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 _U63 = 1 << 63
 _U64 = 1 << 64
-# Error messages print a number of at most this many bits (155 digits) whole
-_SHOWN_BITS = 512
 
 # Largest trial divisor `factorize` tries: every n < 2^40 factors within
 # it, and a larger n that would need more is refused before that work.
@@ -29,10 +27,10 @@ ODD_PRIME_INDEX_CAP = 10**6
 
 
 def _shown(n: int) -> int | str:
-    """n for an error message: itself up to _SHOWN_BITS bits, and "a N-bit
-    number" past that, whose digits could run past the interpreter's
+    """n for an error message: itself up to 512 bits (155 digits), and "a
+    N-bit number" past that, whose digits could run past the interpreter's
     int-to-str cap and would bury the message."""
-    return n if n.bit_length() <= _SHOWN_BITS else f"a {n.bit_length()}-bit number"
+    return n if n.bit_length() <= 512 else f"a {n.bit_length()}-bit number"
 
 
 @lru_cache(maxsize=4096)

@@ -50,7 +50,11 @@ def test_exponent_prints_every_digit_past_the_str_digit_cap(capsys):
     while want:
         want, low = divmod(want, 10**100)
         digits.append(f"{low:0100d}")
-    assert out == "".join(reversed(digits)).lstrip("0") + "\n"
+    full = "".join(reversed(digits)).lstrip("0")
+    assert out == full + "\n"
+    # reduced mod 10^4400, the result still has more than 4300 digits
+    code, out, err = run(capsys, "exponent", "--n", "1e5000", "--prime", "3", "--mod", "1e4400")
+    assert (code, out, err) == (0, full[-4400:].lstrip("0") + "\n", "")
 
 
 def test_lambda_json(capsys):
