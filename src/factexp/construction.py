@@ -67,6 +67,11 @@ def _require_odd_prime(p: int) -> None:
         )
 
 
+def _require_modulus_below_2_64(m: int) -> None:
+    if m >= _U64:
+        raise ValueError(f"modulus must be below 2**64, got a {m.bit_length()}-bit number")
+
+
 def euler_phi(n: int) -> int:
     """Euler's totient from the factorization of n."""
     if n < 1:
@@ -105,8 +110,10 @@ class LambdaCertificate:
 
     def __post_init__(self):
         _require_odd_prime(self.p)
+        # before any factorization or power, whose cost grows with m's digits
+        _require_modulus_below_2_64(self.m)
         if self.m < 2 or self.m % self.p == 0:
-            raise ValueError(f"modulus must be >= 2 and not divisible by p, got {self.m}")
+            raise ValueError(f"modulus must be >= 2 and not divisible by p, got {_shown(self.m)}")
         if self.m_prime * self.m_dprime != self.m or gcd(self.m_prime, self.m_dprime) != 1:
             raise ValueError("m' and m'' must be a coprime factorization of m")
         if any((self.p - 1) % r for r in factorize(self.m_prime)):
@@ -116,7 +123,8 @@ class LambdaCertificate:
         if self.mu != self.m_prime * euler_phi(self.m_dprime):
             raise ValueError("mu must equal m' * phi(m'')")
         if not (2 <= self.lam <= self.mu <= self.m):
-            raise ValueError(f"need 2 <= lambda <= mu <= m, got {self.lam}, {self.mu}, {self.m}")
+            raise ValueError("need 2 <= lambda <= mu <= m, got "
+                             f"{_shown(self.lam)}, {_shown(self.mu)}, {_shown(self.m)}")
         modulus = self.m * (self.p - 1)
         if pow(self.p, self.lam, modulus) != 1:
             raise ValueError(f"repunit({self.lam}) is not divisible by {self.m}")
@@ -147,8 +155,7 @@ def lambda_index(p: int, m: int) -> LambdaCertificate:
     _require_odd_prime(p)
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {_shown(m)}")
-    if m >= _U64:
-        raise ValueError(f"modulus must be below 2**64, got a {m.bit_length()}-bit number")
+    _require_modulus_below_2_64(m)
     if m % p == 0:
         raise ValueError(
             f"the construction requires p not dividing m, got p = {p}, m = {m}"

@@ -29,11 +29,19 @@ chunk.
 
 Histogram counts are a read-only int64 ndarray of shape `mods`, indexed
 by class tuple; its C order is the lexicographic order of exports.
+
+Histogram and pattern scans run their chunks through one driver,
+`map_spans`: on t threads, the calling thread and up to t - 1 helper
+threads, started once per process and kept between calls, each take the
+next chunk nobody has taken, and the results come back in chunk order.
+A scan of one chunk, or on one thread, starts no thread.
 """
 
 import itertools
 import math
 import operator
+import os
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -119,34 +127,94 @@ class ScanConfig:
             yield start, min(start + self.chunk_size, self.limit)
 
 
+# The kept helper threads: (pid, workers, executor), built on first need.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _kept_pool(workers: int) -> ThreadPoolExecutor:
+    """This process's kept executor, with at least `workers` threads: one
+    that is smaller is replaced and shut down without waiting, and one
+    built by another pid is rebuilt, since a forked child inherits the
+    executor but not its threads."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != os.getpid() or _pool[1] < workers:
+            if _pool is not None and _pool[0] == os.getpid():
+                _pool[2].shutdown(wait=False)
+            _pool = os.getpid(), workers, ThreadPoolExecutor(max_workers=workers)
+        return _pool[2]
+
+
 def map_spans(fn, config: ScanConfig, threads: int = 1):
     """Yield fn(start, stop) for each span of config.spans(), in span order.
 
-    With threads > 1 the spans go in rounds of `threads`: the calling
-    thread runs the first span of a round while a pool of threads - 1
-    workers runs the rest, so at most `threads` calls run at once and
-    none runs ahead of the consumer by more than a round, and a round of
-    one span starts no thread.  More than THREAD_CAP threads are refused
-    before any starts.  Closing the generator early cancels the calls not
-    yet started and waits for the running ones.
+    With threads > 1 and more than one span, the calling thread and up to
+    threads - 1 helpers, kept by the process between calls, each take the
+    next span nobody has taken, so at most `threads` calls run at once and
+    a slow span holds up no other thread.  A span starts only while its
+    index is at most `threads` past the oldest span not yet yielded.  A
+    call of one span, or on one thread, starts no thread.  More than
+    THREAD_CAP threads are refused before any starts.  A span's exception
+    is raised in its place in span order; then, or when the generator is
+    closed early, no span starts and the running ones are waited for.
     """
     if threads < 1:
         raise ValueError(f"thread count must be positive, got {_shown(threads)}")
     if threads > THREAD_CAP:
         raise ValueError(f"thread count must be at most {THREAD_CAP}, got {_shown(threads)}")
     spans = config.spans()
-    if threads == 1:
+    count = -(-config.limit // config.chunk_size)
+    helpers = min(threads, count) - 1
+    if helpers < 1:
         yield from itertools.starmap(fn, spans)
         return
-    pool = ThreadPoolExecutor(max_workers=threads - 1)
+    cond = threading.Condition()
+    done = {}  # span index: (raised, result or exception), until yielded
+    taken = oldest = 0
+    stop = False
+
+    def work(ready):
+        # take and run spans until ready(), read under cond, holds
+        nonlocal taken
+        while True:
+            with cond:
+                while not ready() and (stop or taken == count or taken > oldest + threads):
+                    cond.wait()
+                if ready():
+                    return
+                i, span = taken, next(spans)
+                taken += 1
+            try:
+                out = False, fn(*span)
+            except BaseException as exc:
+                out = True, exc
+            with cond:
+                done[i] = out
+                cond.notify_all()
+
+    pool = _kept_pool(threads - 1)
+    futures = [pool.submit(work, lambda: stop or taken == count) for _ in range(helpers)]
     try:
-        while round_ := list(itertools.islice(spans, threads)):
-            rest = [pool.submit(fn, *span) for span in round_[1:]]
-            yield fn(*round_[0])
-            for future in rest:
-                yield future.result()
+        for i in range(count):
+            # the caller takes spans too, until span i is done
+            work(lambda: i in done)
+            with cond:
+                raised, value = done.pop(i)
+                if not raised:
+                    oldest = i + 1
+                    cond.notify_all()
+            if raised:
+                raise value
+            yield value
     finally:
-        pool.shutdown(cancel_futures=True)
+        with cond:
+            stop = True
+            cond.notify_all()
+        # cancel the helpers not started, and wait for the others
+        for future in futures:
+            if not future.cancel():
+                future.result()
 
 
 @dataclass(frozen=True)
@@ -262,9 +330,10 @@ def joint_histogram(config: ScanConfig, threads: int = 1) -> ResidueHistogram:
     """Count n in [0, limit) by the tuple (e_p(n) mod m) over the
     configured prime/modulus pairs.
 
-    Chunks may run on several threads (`map_spans`).  Each adds its counts into an
-    int64 accumulator that no other running chunk holds, so a scan holds
-    at most `threads` of them, and they are summed once at the end (see
+    Chunks may run on several threads, each thread taking the next chunk
+    nobody has taken (`map_spans`).  Each adds its counts into an int64
+    accumulator that no other running chunk holds, so a scan holds at
+    most `threads` of them, and they are summed once at the end (see
     the module docstring for the two counting routes and the memory
     bound).  The counts are exact integers, so the outcome never depends
     on scheduling.
@@ -456,6 +525,8 @@ def pattern_search(config: ScanConfig, pattern, threads: int = 1) -> PatternRepo
     prime's hits are row gathers from cached bool tables (4 MiB in all) into a
     buffer reused across chunks, packed into 64-bit words and ANDed, and the
     words are summarized whole, without writing out a hit position (`_mask_hits`).
+    On several threads each thread takes the next chunk nobody has taken
+    (`map_spans`), and the chunk summaries are joined in chunk order.
 
     max_gap is None when there are fewer than two hits; leading and
     trailing runs without hits do not count as gaps.

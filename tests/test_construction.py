@@ -8,6 +8,7 @@ running on a subgrid.
 import dataclasses
 import json
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 from math import gcd
@@ -134,6 +135,26 @@ def test_lambda_modulus_stays_below_2_to_the_64():
         with pytest.raises(ValueError, match=rf"^modulus must be below 2\*\*64, "
                                              rf"got a {m.bit_length()}-bit number$"):
             lambda_index(7, m)
+
+
+# m = 5^7000 (16,254 bits) with m' = 1 and mu = phi(m): lambda = mu took
+# 18.9 s to pass the checks, and lambda = 1 raised the interpreter's
+# digit-limit error from the bound-chain message
+@pytest.mark.parametrize("lam", [4 * 5**6999, 1], ids=["mu", "1"])
+def test_certificate_refuses_a_modulus_past_2_to_the_64_at_once(lam):
+    m = 5**7000
+    began = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^modulus must be below 2\*\*64, got a 16254-bit number$"):
+        cons.LambdaCertificate(p=3, m=m, lam=lam, m_prime=1, m_dprime=m, mu=4 * 5**6999)
+    assert time.perf_counter() - began < 1
+    # the largest power of two below the bound still builds
+    assert lambda_index(3, 2**63).lam == 2**62
+
+
+def test_certificate_bound_chain_names_a_huge_lambda_by_its_width():
+    # 3 mod 7: m' = 1, m'' = 7, mu = phi(7) = 6
+    with pytest.raises(ValueError, match=r"^need 2 <= lambda <= mu <= m, got a 601-bit number, 6, 7$"):
+        cons.LambdaCertificate(p=3, m=7, lam=2**600, m_prime=1, m_dprime=7, mu=6)
 
 
 @pytest.mark.parametrize("call", [

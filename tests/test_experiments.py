@@ -5,6 +5,7 @@ pure Python, which keeps the vectorized chunk kernels honest.
 """
 
 import itertools
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -292,14 +293,15 @@ def test_map_spans_runs_bounded_ahead_and_stops_on_close():
     assert next(gen) == 0
     time.sleep(0.1)  # a slow consumer: the pool must not run on without it
     gen.close()
-    assert len(started) <= 3
+    # with span 0 yielded, spans 1-3 may start: at most threads past span 1
+    assert len(started) <= 4
     time.sleep(0.05)
-    assert len(started) <= 3
+    assert len(started) <= 4
 
 
 def test_map_spans_runs_on_the_caller_and_at_most_threads_at_once():
-    # three threads: two pool workers and the calling thread, which runs
-    # the first span of every round itself
+    # three threads: two kept helpers and the calling thread, which takes
+    # spans too
     cfg = ScanConfig(primes=(3,), mods=(2,), limit=30, chunk_size=1)
     lock = threading.Lock()
     running, most, ran_on = [0], [0], {}
@@ -317,7 +319,126 @@ def test_map_spans_runs_on_the_caller_and_at_most_threads_at_once():
     assert list(map_spans(fn, cfg, threads=3)) == list(range(30))
     assert most[0] <= 3
     assert len(set(ran_on.values())) <= 3
-    assert [s for s, t in ran_on.items() if t == threading.get_ident()] == list(range(0, 30, 3))
+    assert threading.get_ident() in ran_on.values()
+
+
+def test_map_spans_raises_a_span_error_in_span_order_and_starts_no_more():
+    # span 4 is slow, so span 5 fails on the other thread while it runs,
+    # the calling thread's half the time
+    cfg = ScanConfig(primes=(3,), mods=(2,), limit=40, chunk_size=1)
+    boom = KeyError(5)
+    lock = threading.Lock()
+    for _ in range(4):
+        started, got = [], []
+
+        def fn(start, stop):
+            with lock:
+                started.append(start)
+            time.sleep(0.03 if start == 4 else 0.002)
+            if start == 5:
+                raise boom
+            return start
+
+        with pytest.raises(KeyError) as info:
+            for value in map_spans(fn, cfg, threads=2):
+                got.append(value)
+        assert info.value is boom
+        assert got == [0, 1, 2, 3, 4]
+        time.sleep(0.01)
+        assert max(started) <= 5 + 2
+
+
+def test_map_spans_under_contention_yields_every_span_once_in_order():
+    # more threads than cores, and thread switches as often as the
+    # interpreter allows, against the claim counter and the result dict
+    cfg = ScanConfig(primes=(3,), mods=(2,), limit=20000, chunk_size=1)
+    lock = threading.Lock()
+    running, most = [0], [0]
+
+    def fn(start, stop):
+        with lock:
+            running[0] += 1
+            most[0] = max(most[0], running[0])
+        value = sum(range(start % 50))
+        with lock:
+            running[0] -= 1
+        return start, value
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = list(map_spans(fn, cfg, threads=5))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [(s, sum(range(s % 50))) for s in range(20000)]
+    assert most[0] <= 5
+
+
+def test_one_span_scan_starts_no_thread():
+    before = threading.active_count()
+    cfg = ScanConfig(primes=(3, 5), mods=(3, 4), limit=5000)
+    assert joint_histogram(cfg, threads=8) == joint_histogram(cfg)
+    assert threading.active_count() == before
+
+
+def test_scans_keep_their_threads_between_calls(monkeypatch):
+    cfg = ScanConfig(primes=(3, 5), mods=(3, 4), limit=20_000, chunk_size=4099)
+    want = joint_histogram(cfg)
+    joint_histogram(cfg, threads=2)
+    before, alive = threading.active_count(), set(threading.enumerate())
+    ran_on = set()
+    chunk = factexp.experiments._chunk_histogram
+
+    def recorded(*args, **kwargs):
+        ran_on.add(threading.current_thread())
+        return chunk(*args, **kwargs)
+
+    monkeypatch.setattr(factexp.experiments, "_chunk_histogram", recorded)
+    for _ in range(50):
+        assert joint_histogram(cfg, threads=2) == want
+    assert threading.active_count() == before
+    # the calling thread and kept helpers, not a fresh thread per call
+    assert ran_on <= alive
+    assert joint_histogram(cfg, threads=3) == want
+    # a replaced, smaller executor's threads exit on their own
+    deadline = time.monotonic() + 2
+    while threading.active_count() > before + 1 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() <= before + 1
+
+
+def _forked_scan(cfg, results):
+    ran_on = set()
+
+    def fn(start, stop):
+        ran_on.add(threading.get_ident())
+        time.sleep(0.02)
+
+    list(map_spans(fn, ScanConfig(primes=(3,), mods=(2,), limit=6, chunk_size=1), threads=2))
+    results.put((joint_histogram(cfg, threads=2).counts.tolist(), len(ran_on)))
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+# forking beside the kept helper is what this test checks
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_forked_child_scans_on_threads_of_its_own():
+    cfg = ScanConfig(primes=(3, 5), mods=(3, 4), limit=20_000, chunk_size=4099)
+    joint_histogram(cfg, threads=2)
+    ctx = multiprocessing.get_context("fork")
+    results = ctx.Queue()
+    child = ctx.Process(target=_forked_scan, args=(cfg, results))
+    child.start()
+    try:
+        # the one-thread counts, and slow spans taken by a helper of the
+        # child's own, not left queued for the parent's threads
+        assert results.get(timeout=10) == (joint_histogram(cfg).counts.tolist(), 2)
+    finally:
+        child.join(5)
+        if child.is_alive():
+            child.kill()
+            child.join(5)
+    assert child.exitcode == 0
 
 
 # 10**5000 has more digits than an int may print
@@ -723,7 +844,7 @@ def test_scans_invariant_under_chunk_size_and_threads(chunk, limit):
     cfg = ScanConfig(primes=primes, mods=mods, limit=limit, chunk_size=chunk)
     hist = joint_histogram(whole).counts
     pat = pattern_search(whole, pattern)
-    for threads in (1, 2):
+    for threads in (1, 2, 3):
         assert np.array_equal(joint_histogram(cfg, threads=threads).counts, hist)
         got = pattern_search(cfg, pattern, threads=threads)
         assert (got.minimal_n, got.hits, got.max_gap) == (pat.minimal_n, pat.hits, pat.max_gap)
@@ -742,7 +863,7 @@ def test_histogram_at_the_class_cap_is_invariant_under_chunk_size_and_threads(ch
     for p, m in zip(primes, mods):
         idx = idx * m + floor_sum_range(0, limit, p) % m
     want = np.bincount(idx, minlength=CLASS_CAP)
-    for threads in (1, 2):
+    for threads in (1, 2, 3):
         cfg = ScanConfig(primes=primes, mods=mods, limit=limit, chunk_size=chunk)
         assert cfg.class_count == CLASS_CAP
         assert np.array_equal(joint_histogram(cfg, threads=threads).counts.ravel(), want)
@@ -785,7 +906,7 @@ def test_histogram_from_row_tables_is_invariant_under_chunk_size_and_threads(chu
     primes, mods = (3, 2), (1078, 5)
     want = np.bincount((floor_sum_range(0, limit, 3) % 1078) * 5 + floor_sum_range(0, limit, 2) % 5,
                        minlength=1078 * 5)
-    for threads in (1, 2):
+    for threads in (1, 2, 3):
         cfg = ScanConfig(primes=primes, mods=mods, limit=limit, chunk_size=chunk)
         assert np.array_equal(joint_histogram(cfg, threads=threads).counts.ravel(), want)
 
