@@ -17,15 +17,21 @@ exact counts at the very end.
 
 A histogram scan of C classes keeps one int64 accumulator of C counts
 per running chunk, reused by the chunks that run after it, so it holds
-at most `threads` of them, summed once at the end.  A chunk of at least
+at most `threads` of them, summed once at the end.  Where
+4 * sum(m_i - 1) + C <= 35 + 8k (`_plane_route`), a chunk is counted
+from one packed hit plane per prime i and residue a = 1 ... m_i - 1:
+the popcounts of ANDs of planes count the n with given residues at some
+primes and any at the others, and differences along each axis turn them
+into class counts (`_plane_counts`).  Otherwise a chunk of at least
 C indices is counted by np.bincount, added into the accumulator: uint8
 indices as uint16 pair keys of 256 * C bins, the others with C bins.  A
 shorter chunk is counted by np.add.at on the accumulator, so no chunk
 allocates C counts of its own.  Either route takes its keys in counting
 pieces of max(2**17, 8 * bins) (bins = 0 for np.add.at), or the whole
 chunk when shorter, so the intp copy of the keys never outgrows a piece.
-The counts of a scan take threads * C int64 plus one piece per running
-chunk.
+The counts of a scan take threads * C int64 plus, per running chunk,
+one piece, or on the plane route a bool buffer as wide as the chunk and
+sum(m_i - 1) planes of an eighth of that.
 
 Histogram counts are a read-only int64 ndarray of shape `mods`, indexed
 by class tuple; its C order is the lexicographic order of exports.
@@ -298,12 +304,97 @@ def _pieces(keys: np.ndarray, bins: int):
     return (keys[lo : lo + step] for lo in range(0, keys.size, step))
 
 
-def _chunk_histogram(config: ScanConfig, start: int, stop: int, *, spare=None) -> np.ndarray:
+def _packed_hits(buffer, size: int, start: int, p: int, m: int, want: int) -> np.ndarray:
+    """[e_p(n) = want (mod m)] for n in [start, start + size) as little-endian
+    64-bit words, bit i of word j for n = start + 64j + i, padded with
+    misses to a whole word: written into the bool `buffer`, at least
+    `size` rounded up to 64 long (`exponents.write_exponent_hits`), and
+    packed."""
+    mask = buffer[: -(-size // 64) * 64]
+    write_exponent_hits(mask[:size], start, p, m, want)
+    mask[size:] = False
+    return np.packbits(mask, bitorder="little").view("<u8")
+
+
+# The route rule's cost model, in units of one class's AND and popcount
+# (about 14 us on a chunk of 2^20, one thread of a 2.1 GHz Xeon, numpy
+# 2.4): a hit plane costs 4, and the uint8-pair route 35 plus 8 per prime.
+_PLANE_UNITS, _PAIR_UNITS, _PAIR_UNITS_PER_PRIME = 4, 35, 8
+
+
+def _plane_route(mods) -> bool:
+    """Whether a chunk of moduli m_1 ... m_k is counted by packed hit
+    planes: when 4 * sum(m_i - 1) + prod(m_i) <= 35 + 8 * k."""
+    cost = _PLANE_UNITS * (sum(mods) - len(mods)) + math.prod(mods)
+    return cost <= _PAIR_UNITS + _PAIR_UNITS_PER_PRIME * len(mods)
+
+
+def _plane_counts(config: ScanConfig, start: int, stop: int, buffers) -> np.ndarray:
+    """The class counts of [start, stop), of shape config.mods, from packed
+    hit planes: prime i's plane a, for a = 1 ... m_i - 1, holds
+    [e_{p_i}(n) = a (mod m_i)] (`_packed_hits`).  G(a) is the popcount of
+    the AND of plane a_i of each prime i with a_i != 0, and G(0, ..., 0)
+    is the size: a prefix tree over the first k - 1 primes takes one AND
+    per node, and each node ANDs the last prime's planes in one stack.
+    G(a) counts n whose residue is a_i at every nonzero a_i and anything
+    at the others, so subtracting slots 1 ... m - 1 from slot 0 along
+    each axis leaves the class counts.  The bool buffer, popped off the
+    list `buffers` and pushed back after, holds each plane's hits as they
+    are written, and then, as words, the stack and the inner nodes."""
+    size, words = stop - start, -(-(stop - start) // 64)
+    mods = config.mods
+    # the rows of the stack and the inner nodes
+    work = mods[-1] + max(len(mods) - 2, 0)
+    # a popcount sum is at most the size
+    total = np.uint32 if size < 1 << 32 else np.uint64
+    G = np.empty(mods, dtype=np.int64)
+    with _scratch(buffers, max(64, 8 * work) * words, partial(np.empty, dtype=bool)) as buffer:
+        *head, last = [np.stack([_packed_hits(buffer, size, start, p, m, a) for a in range(1, m)])
+                       for p, m in zip(config.primes, mods)]
+        rows = buffer[: 8 * work * words].view(np.uint64).reshape(work, words)
+        stack, nodes = rows[: mods[-1]], rows[mods[-1] :]
+
+        def fill(index, node):
+            # node: the AND of the planes `index` picks, or None while it picks none
+            depth = len(index)
+            if depth == len(head):
+                if node is None:
+                    G[index] = size, *np.bitwise_count(last).sum(axis=1, dtype=total)
+                else:
+                    stack[0] = node
+                    np.bitwise_and(last, node, out=stack[1:])
+                    G[index] = np.bitwise_count(stack).sum(axis=1, dtype=total)
+                return
+            fill(index + (0,), node)
+            for a, plane in enumerate(head[depth], 1):
+                fill(index + (a,), plane if node is None else
+                     np.bitwise_and(node, plane, out=nodes[depth - 1]))
+
+        fill((), None)
+        # fill refers to itself, and so to the planes: break that cycle, so
+        # that they are freed now and not at the next garbage collection
+        del fill
+    for axis in range(G.ndim):
+        g = np.moveaxis(G, axis, 0)
+        g[0] -= g[1:].sum(axis=0)
+    return G
+
+
+def _chunk_histogram(config: ScanConfig, start: int, stop: int, *, spare=None,
+                     buffers=None) -> np.ndarray:
     """Add the class counts of [start, stop) into an int64 accumulator of
-    config.class_count entries, in flat C order, and return it.  The
-    accumulator is popped off the list `spare` and pushed back after, so
-    the calls of one scan hold as many accumulators as run at once."""
+    config.class_count entries, in flat C order, and return it: by packed
+    hit planes (`_plane_counts`, with its bool buffer off the list
+    `buffers`) where `_plane_route` takes the moduli, otherwise from the
+    class indices.  The accumulator is popped off the list `spare` and
+    pushed back after, so the calls of one scan hold as many accumulators
+    and buffers as run at once."""
     classes = config.class_count
+    if _plane_route(config.mods):
+        found = _plane_counts(config, start, stop, buffers).ravel()
+        with _scratch(spare, classes, partial(np.zeros, dtype=np.int64)) as counts:
+            counts += found
+        return counts
     idx = _class_indices(config.primes, config.mods, start, stop)
     with _scratch(spare, classes, partial(np.zeros, dtype=np.int64)) as counts:
         if classes > idx.size:
@@ -334,12 +425,13 @@ def joint_histogram(config: ScanConfig, threads: int = 1) -> ResidueHistogram:
     nobody has taken (`map_spans`).  Each adds its counts into an int64
     accumulator that no other running chunk holds, so a scan holds at
     most `threads` of them, and they are summed once at the end (see
-    the module docstring for the two counting routes and the memory
-    bound).  The counts are exact integers, so the outcome never depends
-    on scheduling.
+    the module docstring for the counting routes and the memory bound).
+    The counts are exact integers, so the outcome never depends on
+    scheduling.
     """
     spare = []
-    deque(map_spans(partial(_chunk_histogram, config, spare=spare), config, threads), maxlen=0)
+    chunk = partial(_chunk_histogram, config, spare=spare, buffers=[])
+    deque(map_spans(chunk, config, threads), maxlen=0)
     total = spare.pop()
     for part in spare:
         total += part
@@ -499,22 +591,15 @@ def _mask_hits(words: np.ndarray, start: int):
 
 
 def _chunk_hits(config: ScanConfig, pattern, start: int, stop: int, *, spare=None):
-    """The hit summary of `pattern` on [start, stop).  Each prime writes its
-    hits into a bool buffer (`exponents.write_exponent_hits`), padded with
-    misses to whole 64-bit words, and packs it into words: the first
-    prime's words are the chunk's, and each later prime's are ANDed into
-    them.  The buffer is popped off the list `spare` and pushed back after,
-    so the calls of one scan hold as many buffers as run at once."""
+    """The hit summary of `pattern` on [start, stop).  Each prime's hits
+    are written into a bool buffer and packed into 64-bit words
+    (`_packed_hits`): the first prime's words are the chunk's, and each
+    later prime's are ANDed into them.  The buffer is popped off the list
+    `spare` and pushed back after, so the calls of one scan hold as many
+    buffers as run at once."""
     size = stop - start
-    width = -(-size // 64) * 64
-    with _scratch(spare, width, partial(np.empty, dtype=bool)) as buffer:
-        mask = buffer[:width]
-        mask[size:] = False
-
-        def packed(p, m, want):
-            write_exponent_hits(mask[:size], start, p, m, want)
-            return np.packbits(mask, bitorder="little").view("<u8")
-
+    with _scratch(spare, size + 63, partial(np.empty, dtype=bool)) as buffer:
+        packed = partial(_packed_hits, buffer, size, start)
         # ANDed in place, so at most one packed prime is alive beside the words
         words = reduce(operator.iand, itertools.starmap(packed, zip(config.primes, config.mods, pattern)))
     return _mask_hits(words, start)
@@ -609,6 +694,10 @@ def pattern_coverage(primes, limit: int, chunk_size: int = CHUNK_SIZE) -> Covera
     """First witnesses for all 2^k parity patterns of (e_p(n))_p below
     `limit`, stopping the scan early once every pattern has one."""
     primes = tuple(int(p) for p in primes)
+    most = CLASS_CAP.bit_length() - 1
+    if len(primes) > most:
+        raise ValueError(f"coverage takes at most {most} primes (2^{most} parity patterns), "
+                         f"got {len(primes)}")
     config = ScanConfig(primes=primes, mods=(2,) * len(primes), limit=limit,
                         chunk_size=chunk_size)
     first = np.full(1 << len(primes), NO_WITNESS, dtype=np.int64)

@@ -17,6 +17,7 @@ import factexp.cli
 from factexp.cli import build_parser, int_list, integer, main
 from factexp.construction import coverage_log_threshold
 from factexp.experiments import CHUNK_SIZE
+from factexp.primes import nth_odd_prime
 
 
 def run(capsys, *argv):
@@ -188,6 +189,16 @@ def test_coverage_command(capsys):
     )
     assert code == 0
     assert out == "pattern,minimal_n\n00,0\n01,6\n10,3\n11,5\n"
+
+
+def test_coverage_refuses_more_than_24_primes_by_their_count(capsys):
+    primes = [nth_odd_prime(i) for i in range(1, 26)]
+    assert run(capsys, "coverage", "--primes", ",".join(map(str, primes)), "--limit", "10") == (
+        1, "", "error: coverage takes at most 24 primes (2^24 parity patterns), got 25\n")
+    # 24 pass the count, so a composite among them is named instead
+    code, out, err = run(capsys, "coverage", "--primes", ",".join(map(str, primes[:23] + [9])),
+                         "--limit", "10")
+    assert (code, out, err) == (1, "", "error: 9 is not prime\n")
 
 
 def test_kofx(capsys):

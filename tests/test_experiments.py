@@ -5,6 +5,7 @@ pure Python, which keeps the vectorized chunk kernels honest.
 """
 
 import itertools
+import math
 import multiprocessing
 import os
 import subprocess
@@ -32,6 +33,7 @@ from factexp.experiments import (
     _chunk_hits,
     _fold_dtype,
     _mask_hits,
+    _plane_route,
     CoverageReport,
     ResidueHistogram,
     ScanConfig,
@@ -177,7 +179,7 @@ def test_chunk_histogram_matches_the_int32_oracle(data):
 # A piece holds max(2^17, 8 bins) keys: a uint8 pair key (two indices) has
 # 256 C bins, any other index C.
 LONG_SPANS = [
-    ((2, 3, 5), 5 * 2**17 + 1),          # uint8, pieces of 2^17 pair keys
+    ((2, 3, 7), 5 * 2**17 + 1),          # uint8, pieces of 2^17 pair keys
     ((256,), 5 * 2**19 + 1),             # uint8, pieces of 2^19 pair keys
     ((257,), 5 * 2**16 + 1),             # uint16, pieces of 2^17
     ((16, 16, 256), 5 * 2**18 + 1),      # uint16, pieces of 2^19
@@ -191,6 +193,109 @@ def test_chunk_histogram_of_many_counting_pieces_matches_the_int32_oracle(mods, 
     cfg = ScanConfig(primes=primes, mods=mods, limit=start + width)
     assert np.array_equal(_chunk_histogram(cfg, start, start + width),
                           int32_chunk_histogram(cfg, start, start + width))
+
+
+# the moduli of one to five primes that the plane route takes, by class count
+PLANE_SHAPES = {}
+for _k in range(1, 6):
+    for _mods in itertools.product(range(2, 12), repeat=_k):
+        if _plane_route(_mods):
+            PLANE_SHAPES.setdefault(math.prod(_mods), []).append(_mods)
+# 2, a prime that divides its modulus and one with no row table, since
+# 131071 * 3 is past the 2^18-entry budget
+PLANE_PRIMES = (2, 3, 5, 7, 11, 131071)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_plane_route_matches_the_int32_oracle(data):
+    mods = data.draw(st.sampled_from(PLANE_SHAPES[data.draw(st.sampled_from(sorted(PLANE_SHAPES)))]))
+    primes = data.draw(st.permutations(PLANE_PRIMES))[: len(mods)]
+    # one span anywhere, of a width that leaves a partial last word
+    start = data.draw(st.integers(0, 2**62))
+    width = data.draw(st.integers(1, 5000).filter(lambda w: w % 64))
+    cfg = ScanConfig(primes=primes, mods=mods, limit=start + width)
+    assert np.array_equal(_chunk_histogram(cfg, start, start + width),
+                          int32_chunk_histogram(cfg, start, start + width))
+    # a whole scan, merged from chunks on one, two or three threads
+    chunk, most = data.draw(st.sampled_from([(1, 40), (7, 600), (2**16 + 3, 2**17 + 9)]))
+    limit = data.draw(st.integers(1, most))
+    cfg = ScanConfig(primes=primes, mods=mods, limit=limit, chunk_size=chunk)
+    want = int32_chunk_histogram(cfg, 0, limit)
+    for threads in (1, 2, 3):
+        assert np.array_equal(joint_histogram(cfg, threads=threads).counts.ravel(), want)
+
+
+@pytest.mark.parametrize("primes,mods", [((2,), (2,)), ((3,), (3,)), ((3,), (9,)),
+                                         ((131071, 3), (3, 2)), ((2, 3, 131071), (2, 3, 3))])
+@pytest.mark.parametrize("chunk,limit", [(1, 300), (7, 20_000), (2**16 + 3, 2**18 + 5)])
+def test_plane_route_of_p_2_p_dividing_m_and_no_row_table(primes, mods, chunk, limit):
+    cfg = ScanConfig(primes=primes, mods=mods, limit=limit, chunk_size=chunk)
+    assert _plane_route(mods)
+    want = int32_chunk_histogram(cfg, 0, limit)
+    for threads in (1, 2, 3):
+        assert np.array_equal(joint_histogram(cfg, threads=threads).counts.ravel(), want)
+    start = 2**62 - 5000
+    cfg = ScanConfig(primes=primes, mods=mods, limit=start + 4999)
+    assert np.array_equal(_chunk_histogram(cfg, start, start + 4999),
+                          int32_chunk_histogram(cfg, start, start + 4999))
+
+
+# moduli just inside and just outside the route rule 4 * sum(m_i - 1) + C
+# <= 35 + 8k, for k = 1 ... 6
+PLANE_BOUNDARY = [
+    ((9,), True), ((10,), False),
+    ((2, 8), True), ((4, 5), True), ((3, 7), False),
+    ((2, 3, 5), True), ((3, 3, 3), True), ((2, 2, 7), False),
+    ((2, 2, 3, 3), True), ((2, 2, 2, 5), False),
+    ((2, 2, 2, 2, 3), True), ((2, 2, 2, 2, 4), False),
+    ((2,) * 6, False),
+]
+
+
+@pytest.mark.parametrize("mods,planes", PLANE_BOUNDARY)
+def test_route_rule_sends_each_side_of_its_bound_its_own_way(mods, planes, monkeypatch):
+    assert _plane_route(mods) is planes
+    cost = 4 * sum(m - 1 for m in mods) + math.prod(mods)
+    assert (cost <= 35 + 8 * len(mods)) is planes
+    folds = []
+    real = factexp.experiments._class_indices
+
+    def spy(*args):
+        folds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(factexp.experiments, "_class_indices", spy)
+    primes = (3, 5, 7, 11, 13, 17)[: len(mods)]
+    start, width = 2**40 + 12345, 3000
+    cfg = ScanConfig(primes=primes, mods=mods, limit=start + width)
+    got = _chunk_histogram(cfg, start, start + width)
+    assert bool(folds) is not planes
+    assert np.array_equal(got, int32_chunk_histogram(cfg, start, start + width))
+
+
+def test_plane_route_reuses_its_buffer_and_frees_its_planes():
+    # a 2^20 chunk of (3, 5, 7) mod (3, 3, 3): the hits and then the stack
+    # and the inner node share one 1 MiB bool buffer, which a second call
+    # takes back off the list; what it allocates besides is the six planes
+    # of 128 KiB, one packed plane and one stack of them at a time, and the
+    # popcounts of a stack, and all of it is freed when the call returns
+    cfg = ScanConfig(primes=(3, 5, 7), mods=(3, 3, 3), limit=6 << 20)
+    start, stop = 5 << 20, 6 << 20
+    spare, buffers = [], []
+    want = _chunk_histogram(cfg, start, stop, spare=spare, buffers=buffers).copy()
+    assert [b.nbytes for b in buffers] == [1 << 20]
+    spare[0][:] = 0
+    tracemalloc.start()
+    try:
+        got = _chunk_histogram(cfg, start, stop, spare=spare, buffers=buffers)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert np.array_equal(want, int32_chunk_histogram(cfg, start, stop))
+    assert peak <= 1.25 * 2**20
+    assert current < 2**12
 
 
 @pytest.mark.parametrize("chunk,limit", [(1, 40), (7, 600), (65539, 2 * 65539 + 9)])
