@@ -7,11 +7,13 @@ narrow unsigned dtypes, and one fold, `_class_indices`, reads them as the
 mixed-radix digits of a class index in the narrowest of uint8, uint16
 and int32 that holds every index (at most CLASS_CAP = 2**24 classes):
 the histogram's classes, and with moduli 2 the parity codes of the
-coverage scan.  Each prime writes its pattern hits into a bool buffer by
-row gathers from cached bool tables (at most 4 MiB, see
-`exponents.write_exponent_hits`), packed and ANDed into 64-bit words,
-whose set bits are counted and whose first and last come from exact
-float64 exponents.  Counts and first witnesses are int64.  The
+coverage scan.  Each prime writes its pattern hits as packed 64-bit
+words (`_packed_hits`), which are ANDed, whose set bits are counted and
+whose first and last come from exact float64 exponents: mod 2, one row
+gather from a cached table of groups of eight blocks straight into the
+words (`exponents.write_parity_words`); otherwise row gathers from
+cached bool tables into a bool buffer (`exponents.write_exponent_hits`),
+then packed.  Counts and first witnesses are int64.  The
 floating-point summaries in DiscrepancyReport are derived from those
 exact counts at the very end.
 
@@ -30,8 +32,9 @@ allocates C counts of its own.  Either route takes its keys in counting
 pieces of max(2**17, 8 * bins) (bins = 0 for np.add.at), or the whole
 chunk when shorter, so the intp copy of the keys never outgrows a piece.
 The counts of a scan take threads * C int64 plus, per running chunk,
-one piece, or on the plane route a bool buffer as wide as the chunk and
-sum(m_i - 1) planes of an eighth of that.
+one piece, or on the plane route sum(m_i - 1) planes of an eighth of the
+chunk's width and a buffer for the hits: a bool per n where a plane is
+not mod 2, otherwise about a plane.
 
 Histogram counts are a read-only int64 ndarray of shape `mods`, indexed
 by class tuple; its C order is the lexicographic order of exports.
@@ -45,7 +48,6 @@ A scan of one chunk, or on one thread, starts no thread.
 
 import itertools
 import math
-import operator
 import os
 import threading
 from collections import deque
@@ -56,7 +58,8 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .exponents import _PIECE, exponent_range, write_exponent_hits
+from .exponents import (_PARITY_SLACK, _PIECE, _group_table, exponent_range, write_exponent_hits,
+                        write_parity_words)
 from .primes import _U63, _shown, is_prime
 
 CLASS_CAP = 1 << 24
@@ -304,16 +307,31 @@ def _pieces(keys: np.ndarray, bins: int):
     return (keys[lo : lo + step] for lo in range(0, keys.size, step))
 
 
+def _hit_bytes(size: int, pairs) -> int:
+    """The bytes of the buffer `_packed_hits` takes for a range of `size`
+    at each (p, m) of `pairs`: the packed words and the slack of a parity
+    write, or the bool hits padded to a whole word where a pair has no
+    parity route (m > 2, or p without a group table)."""
+    words = -(-size // 64)
+    bools = any(m > 2 or _group_table(p) is None for p, m in pairs)
+    return max(8 * words + _PARITY_SLACK, 64 * words * bools)
+
+
 def _packed_hits(buffer, size: int, start: int, p: int, m: int, want: int) -> np.ndarray:
     """[e_p(n) = want (mod m)] for n in [start, start + size) as little-endian
     64-bit words, bit i of word j for n = start + 64j + i, padded with
-    misses to a whole word: written into the bool `buffer`, at least
-    `size` rounded up to 64 long (`exponents.write_exponent_hits`), and
-    packed."""
-    mask = buffer[: -(-size // 64) * 64]
-    write_exponent_hits(mask[:size], start, p, m, want)
-    mask[size:] = False
-    return np.packbits(mask, bitorder="little").view("<u8")
+    misses to a whole word, written into the uint8 `buffer` of at least
+    `_hit_bytes(size, [(p, m)])` bytes.  For m = 2 they are a view of it
+    where p has a group table (`exponents.write_parity_words`); otherwise
+    the hits are written into it as bools (`exponents.write_exponent_hits`)
+    and packed into a new array."""
+    words = write_parity_words(buffer, start, size, p, want) if m == 2 else None
+    if words is None:
+        mask = buffer[: -(-size // 64) * 64].view(bool)
+        write_exponent_hits(mask[:size], start, p, m, want)
+        mask[size:] = False
+        words = np.packbits(mask, bitorder="little").view("<u8")
+    return words
 
 
 # The route rule's cost model, in units of one class's AND and popcount
@@ -338,9 +356,10 @@ def _plane_counts(config: ScanConfig, start: int, stop: int, buffers) -> np.ndar
     per node, and each node ANDs the last prime's planes in one stack.
     G(a) counts n whose residue is a_i at every nonzero a_i and anything
     at the others, so subtracting slots 1 ... m - 1 from slot 0 along
-    each axis leaves the class counts.  The bool buffer, popped off the
-    list `buffers` and pushed back after, holds each plane's hits as they
-    are written, and then, as words, the stack and the inner nodes."""
+    each axis leaves the class counts.  The buffer, popped off the list
+    `buffers` and pushed back after, takes each plane's hits as they are
+    written (`_hit_bytes`), and then, as words, the stack and the inner
+    nodes."""
     size, words = stop - start, -(-(stop - start) // 64)
     mods = config.mods
     # the rows of the stack and the inner nodes
@@ -348,9 +367,12 @@ def _plane_counts(config: ScanConfig, start: int, stop: int, buffers) -> np.ndar
     # a popcount sum is at most the size
     total = np.uint32 if size < 1 << 32 else np.uint64
     G = np.empty(mods, dtype=np.int64)
-    with _scratch(buffers, max(64, 8 * work) * words, partial(np.empty, dtype=bool)) as buffer:
-        *head, last = [np.stack([_packed_hits(buffer, size, start, p, m, a) for a in range(1, m)])
-                       for p, m in zip(config.primes, mods)]
+    hits = max(_hit_bytes(size, zip(config.primes, mods)), 8 * work * words)
+    with _scratch(buffers, hits, partial(np.empty, dtype=np.uint8)) as buffer:
+        *head, last = planes = [np.empty((m - 1, words), dtype=np.uint64) for m in mods]
+        for plane, p, m in zip(planes, config.primes, mods):
+            for a, row in enumerate(plane, 1):
+                row[...] = _packed_hits(buffer, size, start, p, m, a)
         rows = buffer[: 8 * work * words].view(np.uint64).reshape(work, words)
         stack, nodes = rows[: mods[-1]], rows[mods[-1] :]
 
@@ -384,9 +406,9 @@ def _chunk_histogram(config: ScanConfig, start: int, stop: int, *, spare=None,
                      buffers=None) -> np.ndarray:
     """Add the class counts of [start, stop) into an int64 accumulator of
     config.class_count entries, in flat C order, and return it: by packed
-    hit planes (`_plane_counts`, with its bool buffer off the list
-    `buffers`) where `_plane_route` takes the moduli, otherwise from the
-    class indices.  The accumulator is popped off the list `spare` and
+    hit planes (`_plane_counts`, with its buffer off the list `buffers`)
+    where `_plane_route` takes the moduli, otherwise from the class
+    indices.  The accumulator is popped off the list `spare` and
     pushed back after, so the calls of one scan hold as many accumulators
     and buffers as run at once."""
     classes = config.class_count
@@ -592,24 +614,30 @@ def _mask_hits(words: np.ndarray, start: int):
 
 def _chunk_hits(config: ScanConfig, pattern, start: int, stop: int, *, spare=None):
     """The hit summary of `pattern` on [start, stop).  Each prime's hits
-    are written into a bool buffer and packed into 64-bit words
-    (`_packed_hits`): the first prime's words are the chunk's, and each
-    later prime's are ANDed into them.  The buffer is popped off the list
-    `spare` and pushed back after, so the calls of one scan hold as many
-    buffers as run at once."""
+    are written as packed 64-bit words into a buffer (`_packed_hits`):
+    the first prime's words are the chunk's, and each later prime's are
+    ANDed into them.  The buffer is popped off the list `spare` and
+    pushed back after, so the calls of one scan hold as many buffers as
+    run at once."""
     size = stop - start
-    with _scratch(spare, size + 63, partial(np.empty, dtype=bool)) as buffer:
-        packed = partial(_packed_hits, buffer, size, start)
-        # ANDed in place, so at most one packed prime is alive beside the words
-        words = reduce(operator.iand, itertools.starmap(packed, zip(config.primes, config.mods, pattern)))
-    return _mask_hits(words, start)
+    (p, m, want), *later = zip(config.primes, config.mods, pattern)
+    # the first prime's words may be a view of the first part, so the later
+    # primes write into the rest
+    first = _hit_bytes(size, [(p, m)])
+    rest = _hit_bytes(size, [(q, n) for q, n, _ in later])
+    with _scratch(spare, first + rest, partial(np.empty, dtype=np.uint8)) as buffer:
+        words = _packed_hits(buffer[:first], size, start, p, m, want)
+        for p, m, want in later:
+            words &= _packed_hits(buffer[first:], size, start, p, m, want)
+        return _mask_hits(words, start)
 
 
 def pattern_search(config: ScanConfig, pattern, threads: int = 1) -> PatternReport:
     """Scan [0, limit) for n whose residue tuple equals `pattern`: per chunk, each
-    prime's hits are row gathers from cached bool tables (4 MiB in all) into a
-    buffer reused across chunks, packed into 64-bit words and ANDed, and the
-    words are summarized whole, without writing out a hit position (`_mask_hits`).
+    prime's hits are written as packed 64-bit words into a buffer reused across
+    chunks, mod 2 by one row gather from a cached table of eight-block groups
+    (256 KiB at most per prime), and ANDed, and the words are summarized whole,
+    without writing out a hit position (`_mask_hits`).
     On several threads each thread takes the next chunk nobody has taken
     (`map_spans`), and the chunk summaries are joined in chunk order.
 

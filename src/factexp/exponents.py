@@ -47,9 +47,9 @@ The entry points reach those parts through three helpers:
   `_tiled_offsets`, then `_write_blocks`.  It is e_p's route without a
   row table (weight (S - 1)/(p - 1)) and f's route (weight 0).
 - `_gathered` writes a range off an (m, S) row table: the offsets from
-  cached pages of `_PAGE` blocks (`_paged_residues`), then
-  `_write_blocks`.  It is e_p's route with a row table and the route
-  of `write_exponent_hits`.
+  cached pages of `_PAGE` blocks (`_paged`), then `_write_blocks`.  It
+  is e_p's route with a row table and the route of
+  `write_exponent_hits`.
 
 Unreduced, e_p is tiled by an int64 tile of `_tile_span(p)` entries.
 With a modulus m the kernel works on residues only, in the narrowest
@@ -60,9 +60,19 @@ rows shorter than `_SHORT_ROW` within the `_ROW_TABLE` entry budget
 adds its offsets to a reduced tile instead.
 
 `write_exponent_hits` writes [e_p(n) = want (mod m)] through `_gathered`
-on the cached bool table `_shifted_tiles(p, m) == want` (`_hit_rows`).
-Without a row table it compares the residues of `exponent_range` with
-want.
+on the cached bool table `_shifted_tiles(p, m) == want` (`_hit_rows`; for
+m = 2 and want = 1 that table itself, viewed as bool).  Without a row
+table it compares the residues of `exponent_range` with want.
+
+`write_parity_words` writes [e_p(n) = want (mod 2)] as packed 64-bit
+words, with no bool per n.  Eight blocks of an odd span S fill S whole
+bytes, and their bits depend only on the eight block offsets mod 2, so
+the cached (256, S) table `_group_table(p)` holds every group of eight
+blocks, packed, one row per code of eight offset bits.  A range is one
+row gather of the codes of its groups, read off cached pages of `_PAGE`
+groups (`_code_page`, by `_tiled_offsets` mod 2), then a shift by
+start mod 8 bits.  S is the largest power of p with 256*S <=
+`_ROW_TABLE`, so p > 1024 has no group table.
 """
 
 from functools import lru_cache
@@ -95,6 +105,10 @@ _PIECE = 1 << 16
 # (16 cached, 4 KiB each in uint8, 8 KiB in uint16), so that most chunks
 # compute none.
 _PAGE = 1 << 12
+# A parity write into packed words reads at most this many bytes past
+# them: up to two groups of eight blocks (_ROW_TABLE // 256 bytes each)
+# of which it uses part, and a word of alignment.
+_PARITY_SLACK = _ROW_TABLE // 64
 # (dtype, largest value) in the order _residue_dtype tries them
 _RESIDUE_DTYPES = tuple((np.dtype(t), np.iinfo(t).max) for t in (np.uint8, np.uint16, np.uint32))
 
@@ -268,6 +282,15 @@ def _exponent_tile(p: int, mod: int | None) -> np.ndarray:
     return tile
 
 
+def _table_span(p: int, rows: int) -> int:
+    """The largest power of p with rows*span <= _ROW_TABLE, or p when
+    even p is too long."""
+    span = p
+    while rows * span * p <= _ROW_TABLE:
+        span *= p
+    return span
+
+
 @lru_cache(maxsize=16)
 def _shifted_tiles(p: int, mod: int) -> np.ndarray | None:
     """The read-only (mod, span) table, in `_residue_dtype(mod)`, whose row
@@ -275,9 +298,7 @@ def _shifted_tiles(p: int, mod: int) -> np.ndarray | None:
     of p with mod*span <= _ROW_TABLE; None when that span is below
     _SHORT_ROW.  Folded out of the digit rows of e_p on [0, span) with
     the residues c as the top level."""
-    span = p
-    while mod * span * p <= _ROW_TABLE:
-        span *= p
+    span = _table_span(p, mod)
     if mod * span > _ROW_TABLE or span < _SHORT_ROW:
         return None
     levels = _exponent_rows(p, span, mod) + [np.arange(mod, dtype=_residue_dtype(mod))]
@@ -310,10 +331,10 @@ def _tiled_range(start: int, stop: int, span: int, tile, weight: int, mod: int |
 def _gathered(out: np.ndarray, start: int, p: int, mod: int, rows: np.ndarray) -> np.ndarray:
     """Write into `out` the rows of the (mod, span) table `rows` for n in
     [start, start + out.size): block A of span is row e_p(A*span) mod
-    `mod`, its offset off `_paged_residues`, written by `_write_blocks`;
-    return `out`."""
+    `mod`, its offset read off cached pages (`_paged`), written by
+    `_write_blocks`; return `out`."""
     span = rows.shape[1]
-    offsets = _paged_residues(start // span, -(-(start + out.size) // span), p, mod)
+    offsets = _paged(_offset_page, start // span, -(-(start + out.size) // span), p, mod)
     return _write_blocks(out, start, span, rows, offsets, mod)
 
 
@@ -362,13 +383,17 @@ def _offset_page(p: int, mod: int, a0: int, a1: int) -> np.ndarray:
     return offsets
 
 
-def _paged_residues(a0: int, a1: int, p: int, mod: int) -> np.ndarray:
-    """`_offset_page(p, mod, a0, a1)`, a view of a cached page unless the
-    blocks cross into another page, which are computed uncached."""
+def _paged(pages, a0: int, a1: int, *key) -> np.ndarray:
+    """pages(*key, a0, a1) off the cached pages of `_PAGE` entries: a view
+    of the page that holds [a0, a1), the two pages it crosses joined, or
+    computed uncached when it reaches past them."""
     page = a0 // _PAGE * _PAGE
-    if a1 - page > _PAGE:
-        return _offset_page.__wrapped__(p, mod, a0, a1)
-    return _offset_page(p, mod, page, page + _PAGE)[a0 - page : a1 - page]
+    if a1 - page <= _PAGE:
+        return pages(*key, page, page + _PAGE)[a0 - page : a1 - page]
+    if a1 - page <= 2 * _PAGE:
+        return np.concatenate([_paged(pages, a0, page + _PAGE, *key),
+                               _paged(pages, page + _PAGE, a1, *key)])
+    return pages.__wrapped__(*key, a0, a1)
 
 
 @lru_cache(maxsize=16)
@@ -379,6 +404,9 @@ def _hit_rows(p: int, mod: int, want: int) -> np.ndarray | None:
     rows = _shifted_tiles(p, mod)
     if rows is None:
         return None
+    if mod == 2 and want == 1:
+        # the residues 0 and 1 are the hits as bools
+        return rows.view(bool)
     hits = rows == want
     hits.flags.writeable = False
     return hits
@@ -398,3 +426,69 @@ def write_exponent_hits(out: np.ndarray, start: int, p: int, mod: int, want: int
         np.equal(exponent_range(start, start + out.size, p, mod), want, out=out)
     else:
         _gathered(out, start, p, mod, hits)
+
+
+@lru_cache(maxsize=16)
+def _group_table(p: int) -> np.ndarray | None:
+    """The read-only (256, span) uint8 table of the parity hits of groups
+    of eight blocks of span, the largest power of p with 256*span <=
+    _ROW_TABLE: row c is [e_p(b) + c_i = 1 (mod 2)] for b in [0, span) of
+    each block i of the group in turn, packed little-endian, for the
+    eight offsets c_i, the bits of c.  An odd span makes eight blocks the
+    shortest run that fills whole bytes.  None when 256*p > _ROW_TABLE."""
+    span = _table_span(p, 256)
+    if 256 * span > _ROW_TABLE:
+        return None
+    table = np.packbits(np.tile(_fold(_exponent_rows(p, span, 2), 2), 8), bitorder="little")[None]
+    # offset bit i flips the bits of block i: the codes below 2**(i + 1)
+    # are those below 2**i, then the same with block i flipped
+    for flip in np.packbits(np.eye(8, dtype=bool).repeat(span, axis=1), axis=1, bitorder="little"):
+        table = np.concatenate([table, table ^ flip])
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=16)
+def _code_page(p: int, g0: int, g1: int) -> np.ndarray:
+    """The codes of the groups g in [g0, g1) of `_group_table(p)`: bit i
+    is e_p((8g + i)*span) mod 2, the offset of block 8g + i, read-only;
+    cached for whole pages of `_PAGE` groups."""
+    span = _group_table(p).shape[1]
+    tile = _fold(_exponent_rows(p, span, 2), 2)
+    offsets = _tiled_offsets(8 * g0, 8 * g1, span, tile, (span - 1) // (p - 1), 2)
+    codes = np.packbits(offsets, bitorder="little")
+    codes.flags.writeable = False
+    return codes
+
+
+def write_parity_words(buffer: np.ndarray, start: int, size: int, p: int, want: int) -> np.ndarray | None:
+    """[e_p(n) = want (mod 2)] for n in [start, start + size) as
+    little-endian 64-bit words, bit i of word j for n = start + 64j + i,
+    zero past the size: a view of the uint8 `buffer`, which must hold
+    8*ceil(size/64) + _PARITY_SLACK bytes.  The rows of
+    `_group_table(p)` for the codes of the groups the range touches
+    (`_code_page`) are one gather into `buffer`, placed so that the byte
+    of start begins a word, and shifted down by start mod 8 bits.  None
+    where p has no group table.  Unchecked: p prime, size >= 1, want 0
+    or 1, start + size < 2**63."""
+    table = _group_table(p)
+    if table is None:
+        return None
+    span = table.shape[1]
+    g0, g1 = start // (8 * span), -(-(start + size) // (8 * span))
+    first = start // 8 - g0 * span
+    lead, count, shift = -first % 8, -(-size // 64), start % 8
+    whole = buffer[lead : lead + (g1 - g0) * span].reshape(-1, span)
+    np.take(table, _paged(_code_page, g0, g1, p), axis=0, mode="clip", out=whole)
+    # one word more, for the bits shifted down into the last
+    words = buffer[lead + first : lead + first + 8 * count + 8].view("<u8")
+    if shift:
+        high = words[1:] << (64 - shift)
+        words >>= shift
+        words[:-1] |= high
+    words = words[:count]
+    if not want:
+        np.invert(words, out=words)
+    if size % 64:
+        words[-1] &= (1 << size % 64) - 1
+    return words

@@ -16,13 +16,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import factexp
 import factexp.construction
 from factexp.construction import verify_congruence
-from factexp.exponents import _hit_rows, exponent_range, legendre_exponent
+from factexp.exponents import (
+    _PAGE,
+    _code_page,
+    _group_table,
+    _hit_rows,
+    exponent_range,
+    legendre_exponent,
+    write_parity_words,
+)
 from factexp.primes import nth_odd_prime
 from factexp.experiments import (
     CLASS_CAP,
@@ -32,7 +40,9 @@ from factexp.experiments import (
     _chunk_histogram,
     _chunk_hits,
     _fold_dtype,
+    _hit_bytes,
     _mask_hits,
+    _packed_hits,
     _plane_route,
     CoverageReport,
     ResidueHistogram,
@@ -276,10 +286,10 @@ def test_route_rule_sends_each_side_of_its_bound_its_own_way(mods, planes, monke
 
 def test_plane_route_reuses_its_buffer_and_frees_its_planes():
     # a 2^20 chunk of (3, 5, 7) mod (3, 3, 3): the hits and then the stack
-    # and the inner node share one 1 MiB bool buffer, which a second call
-    # takes back off the list; what it allocates besides is the six planes
-    # of 128 KiB, one packed plane and one stack of them at a time, and the
-    # popcounts of a stack, and all of it is freed when the call returns
+    # and the inner node share one 1 MiB buffer, which a second call takes
+    # back off the list; what it allocates besides is the six planes of
+    # 128 KiB, one packed plane at a time, and the popcounts of a stack,
+    # and all of it is freed when the call returns
     cfg = ScanConfig(primes=(3, 5, 7), mods=(3, 3, 3), limit=6 << 20)
     start, stop = 5 << 20, 6 << 20
     spare, buffers = [], []
@@ -798,6 +808,64 @@ def test_pattern_search_matches_the_residue_oracle(primes, mods, chunk, limit):
         for threads in (1, 2):
             rep = pattern_search(cfg, pattern, threads=threads)
             assert (rep.hits, rep.minimal_n, rep.max_gap) == (hits, first, gap)
+
+
+# group tables over blocks of 2^10, 3^6, 5^4, 7^3, 11^2, 13^2 and 1021, and
+# two primes without one (1031, 65537), whose hits are packed bools; every
+# start phase mod 8, ranges moved below the edge of a code page of _PAGE
+# groups so that they cross it, and sizes that leave a partial last word
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13, 1021, 1031, 65537]), st.integers(0, 1),
+       st.one_of(st.integers(1, 5000), st.integers(1, 300_000), st.integers(250_000, 300_000)),
+       st.integers(0, (1 << 62) - (1 << 26)), st.integers(0, 7), st.booleans())
+@example(2, 1, 300_000, 0, 3, True)
+@example(1021, 0, 77_777, 12_345, 1, True)
+@example(13, 1, 1 << 20, (1 << 40) + 13, 5, False)
+@example(3, 0, 5, (1 << 62) - (1 << 20) - 5, 3, False)
+def test_packed_parity_hits_are_the_packed_floor_sum_mask(p, want, size, start, phase, cross):
+    table = _group_table(p)
+    assert (table is None) == (p > 1024)
+    if cross and table is not None:
+        page = 8 * table.shape[1] * _PAGE
+        start = (start // page + 1) * page - 1 - start % max(size - 1, 1)
+    start += phase - start % 8
+    # whatever the buffer held before is overwritten or masked
+    buffer = np.random.default_rng(start).integers(0, 256, _hit_bytes(size, [(p, 2)]), dtype=np.uint8)
+    got = _packed_hits(buffer, size, start, p, 2, want)
+    mask = np.packbits(floor_sum_range(start, start + size, p) % 2 == want, bitorder="little")
+    padded = np.zeros(-(-size // 64) * 8, dtype=np.uint8)
+    padded[: mask.size] = mask
+    np.testing.assert_array_equal(got, padded.view("<u8"))
+    assert (write_parity_words(buffer, start, size, p, want) is None) == (table is None)
+
+
+def test_parity_caches_stay_bounded_while_they_churn(monkeypatch):
+    # forty primes below 1031 build forty group tables, and each chunk
+    # starts on a code page of its own for 3 and for its prime, so both
+    # caches churn
+    primes = [p for p in range(5, 1024, 2) if all(p % d for d in range(3, p, 2))][::4][:40]
+    sizes = []
+    real = factexp.experiments.write_parity_words
+
+    def spy(*args):
+        words = real(*args)
+        sizes.append((_group_table.cache_info().currsize, _code_page.cache_info().currsize))
+        return words
+
+    monkeypatch.setattr(factexp.experiments, "write_parity_words", spy)
+    _group_table.cache_clear()
+    _code_page.cache_clear()
+    page = 8 * 729 * _PAGE
+    for i, p in enumerate(primes):
+        cfg = ScanConfig(primes=(3, p), mods=(2, 2), limit=1 << 62)
+        start = (7 * i + 1) * page + 12345 + i
+        for pattern in ((1, 0), (0, 1)):
+            assert _chunk_hits(cfg, pattern, start, start + 5000) == \
+                residue_chunk_hits(cfg, pattern, start, start + 5000)
+    for info in (_group_table.cache_info(), _code_page.cache_info()):
+        assert info.misses > 2 * info.maxsize
+        assert info.maxsize == 16
+    assert max(max(pair) for pair in sizes) <= 16
 
 
 def test_hit_tile_cache_stays_bounded_while_it_churns(monkeypatch):

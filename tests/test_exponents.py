@@ -21,7 +21,7 @@ from factexp.exponents import (
     _exponent_tile,
     _hit_rows,
     _offset_page,
-    _paged_residues,
+    _paged,
     _residue_dtype,
     _shifted_tiles,
     _tile_span,
@@ -444,7 +444,7 @@ def test_paged_block_residues_match_the_block_residues(p, mod):
     span = _shifted_tiles(p, mod).shape[1]
     for a0, a1 in ((0, 1), (5, 300), (_PAGE - 7, _PAGE), (_PAGE - 7, _PAGE + 9),
                    (3 * _PAGE + 1, 3 * _PAGE + 2), (2**40 // span, 2**40 // span + 600)):
-        got = _paged_residues(a0, a1, p, mod)
+        got = _paged(_offset_page, a0, a1, p, mod)
         assert np.array_equal(got, block_residues(a0, a1, p, mod))
         assert got.tolist() == scalar_block_residues(a0, a1, p, mod)
 
@@ -464,7 +464,7 @@ def test_block_residues_recursion_is_the_scalar_exponent(p, mod):
         got = block_residues(a0, a0 + n, p, mod)
         assert got.dtype == _residue_dtype(mod)
         assert got.tolist() == scalar_block_residues(a0, a0 + n, p, mod), (a0, n)
-        assert np.array_equal(_paged_residues(a0, a0 + n, p, mod), got)
+        assert np.array_equal(_paged(_offset_page, a0, a0 + n, p, mod), got)
 
 
 def test_block_residues_at_the_deepest_recursion():
