@@ -70,8 +70,8 @@ bytes, and their bits depend only on the eight block offsets mod 2, so
 the cached (256, S) table `_group_table(p)` holds every group of eight
 blocks, packed, one row per code of eight offset bits.  A range is one
 row gather of the codes of its groups, read off cached pages of `_PAGE`
-groups (`_code_page`, by `_tiled_offsets` mod 2), then a shift by
-start mod 8 bits.  S is the largest power of p with 256*S <=
+groups (`_code_page`, by `_tiled_offsets` mod 2); it starts on a byte,
+so no bit is shifted.  S is the largest power of p with 256*S <=
 `_ROW_TABLE`, so p > 1024 has no group table.
 """
 
@@ -468,25 +468,19 @@ def write_parity_words(buffer: np.ndarray, start: int, size: int, p: int, want: 
     8*ceil(size/64) + _PARITY_SLACK bytes.  The rows of
     `_group_table(p)` for the codes of the groups the range touches
     (`_code_page`) are one gather into `buffer`, placed so that the byte
-    of start begins a word, and shifted down by start mod 8 bits.  None
-    where p has no group table.  Unchecked: p prime, size >= 1, want 0
-    or 1, start + size < 2**63."""
+    of start begins a word.  None where p has no group table.
+    Unchecked: p prime, start a multiple of 8, size >= 1, want 0 or 1,
+    start + size < 2**63."""
     table = _group_table(p)
     if table is None:
         return None
     span = table.shape[1]
     g0, g1 = start // (8 * span), -(-(start + size) // (8 * span))
     first = start // 8 - g0 * span
-    lead, count, shift = -first % 8, -(-size // 64), start % 8
+    lead, count = -first % 8, -(-size // 64)
     whole = buffer[lead : lead + (g1 - g0) * span].reshape(-1, span)
     np.take(table, _paged(_code_page, g0, g1, p), axis=0, mode="clip", out=whole)
-    # one word more, for the bits shifted down into the last
-    words = buffer[lead + first : lead + first + 8 * count + 8].view("<u8")
-    if shift:
-        high = words[1:] << (64 - shift)
-        words >>= shift
-        words[:-1] |= high
-    words = words[:count]
+    words = buffer[lead + first : lead + first + 8 * count].view("<u8")
     if not want:
         np.invert(words, out=words)
     if size % 64:

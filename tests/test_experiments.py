@@ -13,6 +13,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -205,11 +206,13 @@ def test_chunk_histogram_of_many_counting_pieces_matches_the_int32_oracle(mods, 
                           int32_chunk_histogram(cfg, start, start + width))
 
 
-# the moduli of one to five primes that the plane route takes, by class count
+# the moduli of one to five primes that the plane route takes, by class
+# count, at the price of bool planes, so for any primes: 131071 has no
+# table of eight-block groups
 PLANE_SHAPES = {}
 for _k in range(1, 6):
     for _mods in itertools.product(range(2, 12), repeat=_k):
-        if _plane_route(_mods):
+        if _plane_route((131071,) * _k, _mods):
             PLANE_SHAPES.setdefault(math.prod(_mods), []).append(_mods)
 # 2, a prime that divides its modulus and one with no row table, since
 # 131071 * 3 is past the 2^18-entry budget
@@ -241,7 +244,7 @@ def test_plane_route_matches_the_int32_oracle(data):
 @pytest.mark.parametrize("chunk,limit", [(1, 300), (7, 20_000), (2**16 + 3, 2**18 + 5)])
 def test_plane_route_of_p_2_p_dividing_m_and_no_row_table(primes, mods, chunk, limit):
     cfg = ScanConfig(primes=primes, mods=mods, limit=limit, chunk_size=chunk)
-    assert _plane_route(mods)
+    assert _plane_route(primes, mods)
     want = int32_chunk_histogram(cfg, 0, limit)
     for threads in (1, 2, 3):
         assert np.array_equal(joint_histogram(cfg, threads=threads).counts.ravel(), want)
@@ -265,7 +268,9 @@ PLANE_BOUNDARY = [
 
 @pytest.mark.parametrize("mods,planes", PLANE_BOUNDARY)
 def test_route_rule_sends_each_side_of_its_bound_its_own_way(mods, planes, monkeypatch):
-    assert _plane_route(mods) is planes
+    # primes without a table of eight-block groups write every plane as bools
+    primes = (1031, 1033, 1039, 1049, 1051, 1061)[: len(mods)]
+    assert _plane_route(primes, mods) is planes
     cost = 4 * sum(m - 1 for m in mods) + math.prod(mods)
     assert (cost <= 35 + 8 * len(mods)) is planes
     folds = []
@@ -276,12 +281,56 @@ def test_route_rule_sends_each_side_of_its_bound_its_own_way(mods, planes, monke
         return real(*args)
 
     monkeypatch.setattr(factexp.experiments, "_class_indices", spy)
-    primes = (3, 5, 7, 11, 13, 17)[: len(mods)]
     start, width = 2**40 + 12345, 3000
     cfg = ScanConfig(primes=primes, mods=mods, limit=start + width)
     got = _chunk_histogram(cfg, start, start + width)
     assert bool(folds) is not planes
     assert np.array_equal(got, int32_chunk_histogram(cfg, start, start + width))
+
+
+# <= 35 + 8k, for k = 1 ... 7, with a plane of packed parity words priced
+# at 1: e_3 ... e_19 mod 2 write them, and mod 3 or more write bools
+WORD_PLANE_BOUNDARY = [
+    ((2,), True), ((2, 9), True), ((2, 10), False),
+    ((2, 2, 7), True), ((2, 2, 8), False),
+    ((2, 2, 2, 5), True), ((2, 2, 2, 6), False),
+    ((2, 2, 2, 2, 3), True), ((2, 2, 2, 2, 4), False),
+    ((2,) * 6, True), ((2,) * 5 + (3,), False), ((2,) * 7, False),
+]
+
+
+@pytest.mark.parametrize("mods,planes", WORD_PLANE_BOUNDARY)
+def test_route_rule_prices_a_plane_of_parity_words_at_one(mods, planes):
+    primes = (3, 5, 7, 11, 13, 17, 19)[: len(mods)]
+    cost = sum(m - 1 if m == 2 else 4 * (m - 1) for m in mods) + math.prod(mods)
+    assert (cost <= 35 + 8 * len(mods)) is planes
+    assert _plane_route(primes, mods) is planes
+
+
+def test_six_parity_primes_take_the_planes_and_the_bench_shapes_keep_their_routes(monkeypatch):
+    # (3, 5, 7, 11, 13, 17) mod 2 costs 6 + 64 <= 83 at 1 per plane of
+    # words, but 24 + 64 > 83 at the bool price, which primes without a
+    # table of eight-block groups pay
+    primes, mods = (3, 5, 7, 11, 13, 17), (2,) * 6
+    assert _plane_route(primes, mods)
+    assert not _plane_route((1031, 1033, 1039, 1049, 1051, 1061), mods)
+    start = (5 << 20) + 3
+    cfg = ScanConfig(primes=primes, mods=mods, limit=start + 70_001)
+    planes = _chunk_histogram(cfg, start, cfg.limit)
+    monkeypatch.setattr(factexp.experiments, "_plane_route", lambda primes, mods: False)
+    assert np.array_equal(planes, _chunk_histogram(cfg, start, cfg.limit))
+    # scan-narrow scans three of the five primes mod 2 or 3: every shape
+    # takes the planes; scan-wide scans four or five of them in powers of
+    # two with 2^14 ... 2^18 classes: none does
+    monkeypatch.undo()
+    five = (3, 5, 7, 11, 13)
+    for three in itertools.combinations(five, 3):
+        for narrow in itertools.product((2, 3), repeat=3):
+            assert _plane_route(three, narrow)
+    for k in (4, 5):
+        for bits in itertools.product(range(1, 15), repeat=k):
+            if 14 <= sum(bits) <= 18:
+                assert not _plane_route(five[:k], tuple(1 << b for b in bits))
 
 
 def test_plane_route_reuses_its_buffer_and_frees_its_planes():
@@ -522,6 +571,71 @@ def test_scans_keep_their_threads_between_calls(monkeypatch):
     assert threading.active_count() <= before + 1
 
 
+def _chunk_threads(monkeypatch, name, scan):
+    """scan() and the threads that ran its chunks, through the chunk
+    function `name` of experiments; the chunks the calling thread runs
+    sleep first, so that helper threads, where a scan has any, take some."""
+    caller, ran_on = threading.current_thread(), []
+    real = getattr(factexp.experiments, name)
+
+    def recorded(*args, **kwargs):
+        ran_on.append(threading.current_thread())
+        if threading.current_thread() is caller:
+            time.sleep(0.002)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(factexp.experiments, name, recorded)
+    try:
+        return scan(), ran_on
+    finally:
+        monkeypatch.setattr(factexp.experiments, name, real)
+
+
+@pytest.mark.parametrize("primes,mods", [((3, 5, 7), (2, 2, 2)), ((2, 1021), (2, 2)),
+                                         ((3, 5, 7, 11, 13, 17), (2,) * 6)])
+def test_packed_word_scans_run_on_the_calling_thread(primes, mods, monkeypatch):
+    # every pair writes packed parity words, and the histogram counts
+    # them as planes: three threads asked for, one used
+    cfg = ScanConfig(primes=primes, mods=mods, limit=20_000, chunk_size=1001)
+    pattern = (1,) * len(primes)
+    hist, rep = joint_histogram(cfg), pattern_search(cfg, pattern)
+    alive = set(threading.enumerate())
+    for name, scan, want in [("_chunk_histogram", partial(joint_histogram, cfg, threads=3), hist),
+                             ("_chunk_hits", partial(pattern_search, cfg, pattern, threads=3), rep)]:
+        got, ran_on = _chunk_threads(monkeypatch, name, scan)
+        assert got == want
+        assert ran_on == [threading.current_thread()] * 20
+    assert set(threading.enumerate()) <= alive
+
+
+@pytest.mark.parametrize("primes,mods", [((3, 1031), (2, 2)), ((3, 5), (2, 3)), ((3, 5), (16, 16))])
+def test_scans_with_bool_hits_or_class_indices_run_on_helper_threads(primes, mods, monkeypatch):
+    # 1031 has no table of eight-block groups and e_5 mod 3 no parity
+    # words, so their hits are bools; 256 classes are counted from class
+    # indices
+    cfg = ScanConfig(primes=primes, mods=mods, limit=20_000, chunk_size=1001)
+    pattern = (1, 1)
+    hist, rep = joint_histogram(cfg), pattern_search(cfg, pattern)
+    for name, scan, want in [("_chunk_histogram", partial(joint_histogram, cfg, threads=3), hist),
+                             ("_chunk_hits", partial(pattern_search, cfg, pattern, threads=3), rep)]:
+        got, ran_on = _chunk_threads(monkeypatch, name, scan)
+        assert got == want
+        assert len(ran_on) == 20
+        assert len(set(ran_on)) > 1
+
+
+@pytest.mark.parametrize("threads,message", [
+    (0, "thread count must be positive, got 0"),
+    (THREAD_CAP + 1, f"thread count must be at most {THREAD_CAP}, got {THREAD_CAP + 1}"),
+])
+def test_packed_word_scans_refuse_bad_thread_counts(threads, message):
+    cfg = ScanConfig(primes=(3, 5), mods=(2, 2), limit=10**6, chunk_size=7)
+    with pytest.raises(ValueError, match=message):
+        joint_histogram(cfg, threads=threads)
+    with pytest.raises(ValueError, match=message):
+        pattern_search(cfg, (1, 0), threads=threads)
+
+
 def _forked_scan(cfg, results):
     ran_on = set()
 
@@ -660,9 +774,11 @@ def test_pattern_single_hit_has_no_gap():
 
 
 def test_pattern_gaps_survive_chunk_boundaries():
-    wide = ScanConfig(primes=(3, 5), mods=(2, 2), limit=1000)
-    narrow = ScanConfig(primes=(3, 5), mods=(2, 2), limit=1000, chunk_size=7)
-    for pattern in [(0, 0), (1, 0), (0, 1), (1, 1)]:
+    # mod (2, 2) the scan runs on one thread whatever it is asked for, and
+    # mod (2, 3) on helper threads too
+    for mods, pattern in itertools.product([(2, 2), (2, 3)], [(0, 0), (1, 0), (0, 1), (1, 1)]):
+        wide = ScanConfig(primes=(3, 5), mods=mods, limit=1000)
+        narrow = ScanConfig(primes=(3, 5), mods=mods, limit=1000, chunk_size=7)
         a = pattern_search(wide, pattern)
         b = pattern_search(narrow, pattern)
         c = pattern_search(narrow, pattern, threads=4)
@@ -829,14 +945,18 @@ def test_packed_parity_hits_are_the_packed_floor_sum_mask(p, want, size, start, 
         page = 8 * table.shape[1] * _PAGE
         start = (start // page + 1) * page - 1 - start % max(size - 1, 1)
     start += phase - start % 8
-    # whatever the buffer held before is overwritten or masked
-    buffer = np.random.default_rng(start).integers(0, 256, _hit_bytes(size, [(p, 2)]), dtype=np.uint8)
+    # whatever the buffer held before is overwritten or masked; the words
+    # begin at the byte of start, with misses before it
+    buffer = np.random.default_rng(start).integers(0, 256, _hit_bytes(size + phase, [(p, 2)]),
+                                                   dtype=np.uint8)
     got = _packed_hits(buffer, size, start, p, 2, want)
-    mask = np.packbits(floor_sum_range(start, start + size, p) % 2 == want, bitorder="little")
-    padded = np.zeros(-(-size // 64) * 8, dtype=np.uint8)
+    hits = floor_sum_range(start - phase, start + size, p) % 2 == want
+    hits[:phase] = False
+    mask = np.packbits(hits, bitorder="little")
+    padded = np.zeros(-(-(size + phase) // 64) * 8, dtype=np.uint8)
     padded[: mask.size] = mask
     np.testing.assert_array_equal(got, padded.view("<u8"))
-    assert (write_parity_words(buffer, start, size, p, want) is None) == (table is None)
+    assert (write_parity_words(buffer, start - phase, size, p, want) is None) == (table is None)
 
 
 def test_parity_caches_stay_bounded_while_they_churn(monkeypatch):
