@@ -7,23 +7,22 @@ narrow unsigned dtypes, and one fold, `_class_indices`, reads them as the
 mixed-radix digits of a class index in the narrowest of uint8, uint16
 and int32 that holds every index (at most CLASS_CAP = 2**24 classes):
 the histogram's classes, and with moduli 2 the parity codes of the
-coverage scan.  Each prime writes its pattern hits as packed 64-bit
-words from the byte of the chunk's start (`_packed_hits`), which are
-ANDed, whose set bits are counted and whose first and last come from
-exact float64 exponents.  A pair (p, m) writes packed parity words
-(`_packed_words`) where m = 2 and p has a table of groups of eight
-blocks: one row gather from it straight into the words
-(`exponents.write_parity_words`).  Any other pair writes bools, by row
-gathers from cached bool tables into a bool buffer
-(`exponents.write_exponent_hits`), then packed.  Counts and first
-witnesses are int64.  The floating-point summaries in DiscrepancyReport
-are derived from those exact counts at the very end.
+coverage scan.  Hits come only as packed 64-bit words from the byte of
+the chunk's start, written by the one hit writer `exponents.write_hits`
+into a buffer of `exponents.hit_bytes` bytes reused across chunks: the
+words of a pattern's primes are ANDed, their set bits counted, and their
+first and last read off exact float64 exponents.  How a pair (p, m)
+writes them matters here only through `exponents.gathers_words`: its
+words are gathered packed (mod 2, p <= 1021), or written as a bool per
+n and packed, which costs more.  Counts and first witnesses are int64.
+The floating-point summaries in DiscrepancyReport are derived from those
+exact counts at the very end.
 
 A histogram scan of C classes keeps one int64 accumulator of C counts
 per running chunk, reused by the chunks that run after it, so it holds
 at most `threads` of them, summed once at the end.  Where
 sum((m_i - 1) * u_i) + C <= 35 + 8k (`_plane_route`), with u_i = 1 for
-a pair of packed parity words and 4 for one of bools, a chunk is counted
+a pair of gathered words and 4 for one of bools, a chunk is counted
 from one packed hit plane per prime i and residue a = 1 ... m_i - 1:
 the popcounts of ANDs of planes count the n with given residues at some
 primes and any at the others, and differences along each axis turn them
@@ -48,7 +47,7 @@ threads, started once per process and kept between calls, each take the
 next chunk nobody has taken, and the results come back in chunk order.
 A scan of one chunk, or on one thread, starts no thread.  The thread
 count a scan is given is the most it uses (`_scan_threads`): a pattern
-scan where every pair writes packed parity words, or a histogram scan
+scan where every pair gathers packed words, or a histogram scan
 where also its chunks are counted from planes, runs on the calling
 thread, since its chunks are a few numpy calls of some microseconds
 each and two threads handing the GIL between them run slower than one.
@@ -66,12 +65,12 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .exponents import (_PARITY_SLACK, _PIECE, _group_table, exponent_range, write_exponent_hits,
-                        write_parity_words)
+from .exponents import _PIECE, exponent_range, gathers_words, hit_bytes, write_hits
 from .primes import _U63, _shown, is_prime
 
 CLASS_CAP = 1 << 24
 CHUNK_SIZE = 1 << 20
+CHUNK_CAP = 1 << 24
 THREAD_CAP = 256
 # the first-witness entry of a parity code that has none: no n reaches it
 NO_WITNESS = np.iinfo(np.int64).max
@@ -174,12 +173,12 @@ def _check_threads(threads: int) -> None:
 def _scan_threads(threads: int, config: ScanConfig, hits: bool = True) -> int:
     """The threads a scan of `config` hands `map_spans`, refused first
     outside [1, THREAD_CAP]: 1 where its chunks are counted from hits
-    (`hits`) that every pair writes as packed parity words
-    (`_packed_words`), else `threads`.  Such a chunk is a few numpy calls
-    of some microseconds each, and a second thread waiting for the GIL
-    between them costs more than it runs."""
+    (`hits`) that every pair gathers as packed words
+    (`exponents.gathers_words`), else `threads`.  Such a chunk is a few
+    numpy calls of some microseconds each, and a second thread waiting
+    for the GIL between them costs more than it runs."""
     _check_threads(threads)
-    if hits and all(itertools.starmap(_packed_words, zip(config.primes, config.mods))):
+    if hits and all(itertools.starmap(gathers_words, zip(config.primes, config.mods))):
         return 1
     return threads
 
@@ -193,11 +192,14 @@ def map_spans(fn, config: ScanConfig, threads: int = 1):
     a slow span holds up no other thread.  A span starts only while its
     index is at most `threads` past the oldest span not yet yielded.  A
     call of one span, or on one thread, starts no thread.  More than
-    THREAD_CAP threads are refused before any starts.  A span's exception
-    is raised in its place in span order; then, or when the generator is
-    closed early, no span starts and the running ones are waited for.
+    THREAD_CAP threads, and chunks wider than CHUNK_CAP, are refused
+    before any span starts.  A span's exception is raised in its place in
+    span order; then, or when the generator is closed early, no span
+    starts and the running ones are waited for.
     """
     _check_threads(threads)
+    if config.chunk_size > CHUNK_CAP:
+        raise ValueError(f"chunk size must be at most {CHUNK_CAP}, got {_shown(config.chunk_size)}")
     spans = config.spans()
     count = -(-config.limit // config.chunk_size)
     helpers = min(threads, count) - 1
@@ -333,48 +335,8 @@ def _pieces(keys: np.ndarray, bins: int):
     return (keys[lo : lo + step] for lo in range(0, keys.size, step))
 
 
-def _packed_words(p: int, m: int) -> bool:
-    """Whether e_p mod m writes its hits as packed parity words
-    (`exponents.write_parity_words`): m = 2 and p has a group table.
-    Otherwise it writes a bool per n (`exponents.write_exponent_hits`)."""
-    return m == 2 and _group_table(p) is not None
-
-
-def _hit_bytes(size: int, pairs) -> int:
-    """The bytes of the buffer `_packed_hits` takes for the `size` bits
-    from the byte of a range's start to its end, at each (p, m) of
-    `pairs`: the packed words and the slack of a parity write, or the
-    bool hits padded to a whole word where a pair writes bools
-    (`_packed_words`)."""
-    words = -(-size // 64)
-    bools = not all(itertools.starmap(_packed_words, pairs))
-    return max(8 * words + _PARITY_SLACK, 64 * words * bools)
-
-
-def _packed_hits(buffer, size: int, start: int, p: int, m: int, want: int) -> np.ndarray:
-    """[e_p(n) = want (mod m)] for n in [start, start + size) as little-endian
-    64-bit words from the byte of start: bit i of word j for n = b + 64j + i,
-    b = start - start % 8, with misses before start and after the range to
-    a whole word, written into the uint8 `buffer` of at least
-    `_hit_bytes(size + start % 8, [(p, m)])` bytes.  They are a view of it
-    where the pair writes packed parity words (`_packed_words`), so no bit
-    is shifted; otherwise the hits are written into it as bools
-    (`exponents.write_exponent_hits`) and packed into a new array."""
-    lead = start % 8
-    words = write_parity_words(buffer, start - lead, size + lead, p, want) if m == 2 else None
-    if words is None:
-        mask = buffer[: -(-(size + lead) // 64) * 64].view(bool)
-        mask[:lead] = False
-        write_exponent_hits(mask[lead : lead + size], start, p, m, want)
-        mask[lead + size :] = False
-        words = np.packbits(mask, bitorder="little").view("<u8")
-    elif lead:
-        words[0] = int(words[0]) >> lead << lead
-    return words
-
-
 # The route rule's cost model, in units of one class's AND and popcount:
-# a hit plane of packed parity words costs 1, one of bools 4, and the
+# a hit plane of gathered words costs 1, one of bools 4, and the
 # uint8-pair route 35 plus 8 per prime.  Measured on a chunk of 2^20, one
 # thread of a 2.1 GHz Xeon, numpy 2.4, a unit is 11-12 us, a word plane
 # 0.7-1.0 units (p = 3 ... 13) and a bool plane 4.5-5.5 (mod 3, and
@@ -389,20 +351,18 @@ _WORD_PLANE_UNITS, _BOOL_PLANE_UNITS, _PAIR_UNITS, _PAIR_UNITS_PER_PRIME = 1, 4,
 def _plane_route(primes, mods) -> bool:
     """Whether a chunk of e_{p_i} mod m_i, i = 1 ... k, is counted by
     packed hit planes: when sum((m_i - 1) * u_i) + prod(m_i) <= 35 + 8k,
-    where u_i is 1 for a pair of packed parity words (`_packed_words`)
-    and 4 for one of bools."""
-    bound = _PAIR_UNITS + _PAIR_UNITS_PER_PRIME * len(mods)
-    classes = math.prod(mods)
-    # a class count past the bound builds no group table
-    return classes <= bound and classes + sum(
-        (m - 1) * (_WORD_PLANE_UNITS if _packed_words(p, m) else _BOOL_PLANE_UNITS)
-        for p, m in zip(primes, mods)) <= bound
+    where u_i is 1 for a pair whose hits are gathered as packed words
+    (`exponents.gathers_words`) and 4 for one of bools."""
+    units = sum((m - 1) * (_WORD_PLANE_UNITS if gathers_words(p, m) else _BOOL_PLANE_UNITS)
+                for p, m in zip(primes, mods))
+    return math.prod(mods) + units <= _PAIR_UNITS + _PAIR_UNITS_PER_PRIME * len(mods)
 
 
 def _plane_counts(config: ScanConfig, start: int, stop: int, buffers) -> np.ndarray:
     """The class counts of [start, stop), of shape config.mods, from packed
     hit planes: prime i's plane a, for a = 1 ... m_i - 1, holds
-    [e_{p_i}(n) = a (mod m_i)] (`_packed_hits`, from the byte of start).
+    [e_{p_i}(n) = a (mod m_i)] (`exponents.write_hits`, from the byte of
+    start).
     G(a) is the popcount of the AND of plane a_i of each prime i with
     a_i != 0, and G(0, ..., 0) is the size: a prefix tree over the first
     k - 1 primes takes one AND per node, and each node ANDs the last
@@ -410,8 +370,8 @@ def _plane_counts(config: ScanConfig, start: int, stop: int, buffers) -> np.ndar
     every nonzero a_i and anything at the others, so subtracting slots
     1 ... m - 1 from slot 0 along each axis leaves the class counts.  The
     buffer, popped off the list `buffers` and pushed back after, takes
-    each plane's hits as they are written (`_hit_bytes`), and then, as
-    words, the stack and the inner nodes."""
+    each plane's hits as they are written (`exponents.hit_bytes`), and
+    then, as words, the stack and the inner nodes."""
     size, width = stop - start, stop - start + start % 8
     words = -(-width // 64)
     mods = config.mods
@@ -420,12 +380,12 @@ def _plane_counts(config: ScanConfig, start: int, stop: int, buffers) -> np.ndar
     # a popcount sum is at most the size
     total = np.uint32 if size < 1 << 32 else np.uint64
     G = np.empty(mods, dtype=np.int64)
-    hits = max(_hit_bytes(width, zip(config.primes, mods)), 8 * work * words)
+    hits = max(8 * work * words, *(hit_bytes(width, p, m) for p, m in zip(config.primes, mods)))
     with _scratch(buffers, hits, partial(np.empty, dtype=np.uint8)) as buffer:
         *head, last = planes = [np.empty((m - 1, words), dtype=np.uint64) for m in mods]
         for plane, p, m in zip(planes, config.primes, mods):
             for a, row in enumerate(plane, 1):
-                row[...] = _packed_hits(buffer, size, start, p, m, a)
+                row[...] = write_hits(buffer, start, size, p, m, a)
         rows = buffer[: 8 * work * words].view(np.uint64).reshape(work, words)
         stack, nodes = rows[: mods[-1]], rows[mods[-1] :]
 
@@ -503,8 +463,9 @@ def joint_histogram(config: ScanConfig, threads: int = 1) -> ResidueHistogram:
     the module docstring for the counting routes and the memory bound).
     The counts are exact integers, so the outcome never depends on
     scheduling.  `threads` is the most threads a scan runs on: where
-    every chunk is counted from packed hit planes of parity words
-    (`_plane_route` and `_packed_words`), it runs on the calling thread.
+    every chunk is counted from packed hit planes of gathered words
+    (`_plane_route` and `exponents.gathers_words`), it runs on the
+    calling thread.
     """
     threads = _scan_threads(threads, config, _plane_route(config.primes, config.mods))
     spare = []
@@ -671,20 +632,20 @@ def _mask_hits(words: np.ndarray, start: int):
 def _chunk_hits(config: ScanConfig, pattern, start: int, stop: int, *, spare=None):
     """The hit summary of `pattern` on [start, stop).  Each prime's hits
     are written as packed 64-bit words from the byte of start into a
-    buffer (`_packed_hits`): the first prime's words are the chunk's, and
-    each later prime's are ANDed into them.  The buffer is popped off the
+    buffer (`exponents.write_hits`): the first prime's words are the
+    chunk's, and each later prime's are ANDed into them.  The buffer is popped off the
     list `spare` and pushed back after, so the calls of one scan hold as
     many buffers as run at once."""
     size, lead = stop - start, start % 8
     (p, m, want), *later = zip(config.primes, config.mods, pattern)
     # the first prime's words may be a view of the first part, so the later
     # primes write into the rest
-    first = _hit_bytes(size + lead, [(p, m)])
-    rest = _hit_bytes(size + lead, [(q, n) for q, n, _ in later])
+    first = hit_bytes(size + lead, p, m)
+    rest = max((hit_bytes(size + lead, q, n) for q, n, _ in later), default=0)
     with _scratch(spare, first + rest, partial(np.empty, dtype=np.uint8)) as buffer:
-        words = _packed_hits(buffer[:first], size, start, p, m, want)
+        words = write_hits(buffer[:first], start, size, p, m, want)
         for p, m, want in later:
-            words &= _packed_hits(buffer[first:], size, start, p, m, want)
+            words &= write_hits(buffer[first:], start, size, p, m, want)
         return _mask_hits(words, start - lead)
 
 
@@ -696,9 +657,9 @@ def pattern_search(config: ScanConfig, pattern, threads: int = 1) -> PatternRepo
     without writing out a hit position (`_mask_hits`).
     On several threads each thread takes the next chunk nobody has taken
     (`map_spans`), and the chunk summaries are joined in chunk order.
-    `threads` is the most threads a scan runs on: where every prime
-    writes packed parity words (`_packed_words`), it runs on the calling
-    thread.
+    `threads` is the most threads a scan runs on: where every prime's
+    hits are gathered as packed words (`exponents.gathers_words`), it
+    runs on the calling thread.
 
     max_gap is None when there are fewer than two hits; leading and
     trailing runs without hits do not count as gaps.

@@ -48,8 +48,7 @@ The entry points reach those parts through three helpers:
   row table (weight (S - 1)/(p - 1)) and f's route (weight 0).
 - `_gathered` writes a range off an (m, S) row table: the offsets from
   cached pages of `_PAGE` blocks (`_paged`), then `_write_blocks`.  It
-  is e_p's route with a row table and the route of
-  `write_exponent_hits`.
+  is e_p's route with a row table and the bool route of `write_hits`.
 
 Unreduced, e_p is tiled by an int64 tile of `_tile_span(p)` entries.
 With a modulus m the kernel works on residues only, in the narrowest
@@ -59,20 +58,21 @@ of numpy calls whatever its length.  A modulus whose table would have
 rows shorter than `_SHORT_ROW` within the `_ROW_TABLE` entry budget
 adds its offsets to a reduced tile instead.
 
-`write_exponent_hits` writes [e_p(n) = want (mod m)] through `_gathered`
-on the cached bool table `_shifted_tiles(p, m) == want` (`_hit_rows`; for
-m = 2 and want = 1 that table itself, viewed as bool).  Without a row
-table it compares the residues of `exponent_range` with want.
-
-`write_parity_words` writes [e_p(n) = want (mod 2)] as packed 64-bit
-words, with no bool per n.  Eight blocks of an odd span S fill S whole
+`write_hits` is the one hit writer: [e_p(n) = want (mod m)] as packed
+little-endian 64-bit words from the byte of a range's start, written
+into a caller's buffer of `hit_bytes` bytes.  For m = 2 and p <= 1021
+(`gathers_words`) they are one row gather from the cached (256, S)
+table `_group_table(p)`: eight blocks of an odd span S fill S whole
 bytes, and their bits depend only on the eight block offsets mod 2, so
-the cached (256, S) table `_group_table(p)` holds every group of eight
-blocks, packed, one row per code of eight offset bits.  A range is one
-row gather of the codes of its groups, read off cached pages of `_PAGE`
-groups (`_code_page`, by `_tiled_offsets` mod 2); it starts on a byte,
-so no bit is shifted.  S is the largest power of p with 256*S <=
-`_ROW_TABLE`, so p > 1024 has no group table.
+the table holds every group of eight blocks, packed, one row per code of
+eight offset bits, read off cached pages of `_PAGE` groups
+(`_code_page`, by `_tiled_offsets` mod 2); S is the largest power of p
+with 256*S <= `_ROW_TABLE`.  Any other pair writes a bool per n and
+packs them: through `_gathered` on one cached bool table per (p, m),
+`_hit_rows(p, m)` = `_shifted_tiles(p, m) == 1`, whose row c is the
+hits of want 1 in a block of offset c, so a block of offset o reads the
+hits of want w off row (o + 1 - w) mod m; or, without a row table, by
+comparing the residues of `exponent_range` with want.
 """
 
 from functools import lru_cache
@@ -105,7 +105,7 @@ _PIECE = 1 << 16
 # (16 cached, 4 KiB each in uint8, 8 KiB in uint16), so that most chunks
 # compute none.
 _PAGE = 1 << 12
-# A parity write into packed words reads at most this many bytes past
+# A group gather of packed words writes at most this many bytes past
 # them: up to two groups of eight blocks (_ROW_TABLE // 256 bytes each)
 # of which it uses part, and a word of alignment.
 _PARITY_SLACK = _ROW_TABLE // 64
@@ -328,13 +328,17 @@ def _tiled_range(start: int, stop: int, span: int, tile, weight: int, mod: int |
     return _write_blocks(np.empty(stop - start, dtype=offsets.dtype), start, span, tile, offsets, mod)
 
 
-def _gathered(out: np.ndarray, start: int, p: int, mod: int, rows: np.ndarray) -> np.ndarray:
+def _gathered(out: np.ndarray, start: int, p: int, mod: int, rows: np.ndarray,
+              shift: int = 0) -> np.ndarray:
     """Write into `out` the rows of the (mod, span) table `rows` for n in
-    [start, start + out.size): block A of span is row e_p(A*span) mod
-    `mod`, its offset read off cached pages (`_paged`), written by
-    `_write_blocks`; return `out`."""
+    [start, start + out.size): block A of span is row (e_p(A*span) +
+    `shift`) mod `mod`, for 0 <= shift < mod, its offset read off cached
+    pages (`_paged`), written by `_write_blocks`; return `out`."""
     span = rows.shape[1]
     offsets = _paged(_offset_page, start // span, -(-(start + out.size) // span), p, mod)
+    if shift:
+        offsets = offsets + shift
+        np.minimum(offsets, offsets - mod, out=offsets)
     return _write_blocks(out, start, span, rows, offsets, mod)
 
 
@@ -397,48 +401,28 @@ def _paged(pages, a0: int, a1: int, *key) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _hit_rows(p: int, mod: int, want: int) -> np.ndarray | None:
-    """The read-only bool table `_shifted_tiles(p, mod) == want`: row c
-    holds the hits of a block whose offset is c mod `mod`.  None where
+def _hit_rows(p: int, mod: int) -> np.ndarray | None:
+    """The read-only bool table `_shifted_tiles(p, mod) == 1`: row c holds
+    the hits of want 1 in a block whose offset is c, so a block of offset
+    o finds its hits of want w in row (o + 1 - w) mod `mod`.  None where
     `_shifted_tiles` has no table."""
     rows = _shifted_tiles(p, mod)
     if rows is None:
         return None
-    if mod == 2 and want == 1:
-        # the residues 0 and 1 are the hits as bools
-        return rows.view(bool)
-    hits = rows == want
+    hits = rows == 1
     hits.flags.writeable = False
     return hits
 
 
-def write_exponent_hits(out: np.ndarray, start: int, p: int, mod: int, want: int) -> None:
-    """Write [e_p(n) = want (mod `mod`)] for n in [start, start + out.size)
-    into the bool array `out`: `_gathered` on the table `_hit_rows(p, mod,
-    want)`, whose row c is the hits of a block with offset c.  Where there
-    is no row table, the residues of `exponent_range` are compared with
-    `want`.  Unchecked: p prime, 0 <= want < mod, n < 2**63.  An empty
-    `out` reads no table."""
-    if not out.size:
-        return
-    hits = _hit_rows(p, mod, want)
-    if hits is None:
-        np.equal(exponent_range(start, start + out.size, p, mod), want, out=out)
-    else:
-        _gathered(out, start, p, mod, hits)
-
-
 @lru_cache(maxsize=16)
-def _group_table(p: int) -> np.ndarray | None:
+def _group_table(p: int) -> np.ndarray:
     """The read-only (256, span) uint8 table of the parity hits of groups
     of eight blocks of span, the largest power of p with 256*span <=
-    _ROW_TABLE: row c is [e_p(b) + c_i = 1 (mod 2)] for b in [0, span) of
-    each block i of the group in turn, packed little-endian, for the
-    eight offsets c_i, the bits of c.  An odd span makes eight blocks the
-    shortest run that fills whole bytes.  None when 256*p > _ROW_TABLE."""
+    _ROW_TABLE (for p <= 1021): row c is [e_p(b) + c_i = 1 (mod 2)] for b
+    in [0, span) of each block i of the group in turn, packed
+    little-endian, for the eight offsets c_i, the bits of c.  An odd span
+    makes eight blocks the shortest run that fills whole bytes."""
     span = _table_span(p, 256)
-    if 256 * span > _ROW_TABLE:
-        return None
     table = np.packbits(np.tile(_fold(_exponent_rows(p, span, 2), 2), 8), bitorder="little")[None]
     # offset bit i flips the bits of block i: the codes below 2**(i + 1)
     # are those below 2**i, then the same with block i flipped
@@ -461,28 +445,62 @@ def _code_page(p: int, g0: int, g1: int) -> np.ndarray:
     return codes
 
 
-def write_parity_words(buffer: np.ndarray, start: int, size: int, p: int, want: int) -> np.ndarray | None:
-    """[e_p(n) = want (mod 2)] for n in [start, start + size) as
-    little-endian 64-bit words, bit i of word j for n = start + 64j + i,
-    zero past the size: a view of the uint8 `buffer`, which must hold
-    8*ceil(size/64) + _PARITY_SLACK bytes.  The rows of
-    `_group_table(p)` for the codes of the groups the range touches
-    (`_code_page`) are one gather into `buffer`, placed so that the byte
-    of start begins a word.  None where p has no group table.
-    Unchecked: p prime, start a multiple of 8, size >= 1, want 0 or 1,
-    start + size < 2**63."""
-    table = _group_table(p)
-    if table is None:
-        return None
-    span = table.shape[1]
-    g0, g1 = start // (8 * span), -(-(start + size) // (8 * span))
-    first = start // 8 - g0 * span
-    lead, count = -first % 8, -(-size // 64)
-    whole = buffer[lead : lead + (g1 - g0) * span].reshape(-1, span)
-    np.take(table, _paged(_code_page, g0, g1, p), axis=0, mode="clip", out=whole)
-    words = buffer[lead + first : lead + first + 8 * count].view("<u8")
-    if not want:
-        np.invert(words, out=words)
-    if size % 64:
-        words[-1] &= (1 << size % 64) - 1
+def gathers_words(p: int, mod: int) -> bool:
+    """Whether `write_hits` gathers the hits of e_p mod `mod` as packed
+    words straight from `_group_table(p)`, with no bool per n: mod 2 and
+    p <= 1021.  Otherwise it writes a bool per n and packs them."""
+    return mod == 2 and 256 * p <= _ROW_TABLE
+
+
+def hit_bytes(size: int, p: int, mod: int) -> int:
+    """The bytes of the uint8 buffer `write_hits` takes for `size` bits
+    from the byte of a range's start: the words and the slack of a group
+    gather where `gathers_words(p, mod)`, otherwise a bool per bit to a
+    whole word."""
+    words = -(-size // 64)
+    return 8 * words + _PARITY_SLACK if gathers_words(p, mod) else 64 * words
+
+
+def write_hits(buffer: np.ndarray, start: int, size: int, p: int, mod: int, want: int) -> np.ndarray:
+    """[e_p(n) = want (mod `mod`)] for n in [start, start + size) as
+    little-endian 64-bit words from the byte of start: bit i of word j for
+    n = b + 64j + i, b = start - start % 8, with misses before start and
+    after the range to a whole word, written into the uint8 `buffer` of at
+    least `hit_bytes(size + start % 8, p, mod)` bytes.
+
+    Where `gathers_words(p, mod)`, the words are a view of `buffer`: the
+    rows of `_group_table(p)` for the codes of the groups the range
+    touches (`_code_page`), one gather placed so that the byte of b begins
+    a word, inverted for want 0.  Otherwise the hits are written into
+    `buffer` as bools and packed into a new array: `_gathered` on the
+    table `_hit_rows(p, mod)`, a block of offset o reading row (o + 1 -
+    want) mod `mod`, or where there is no row table the residues of
+    `exponent_range` compared with want.  Unchecked: p prime, 0 <= want <
+    mod, size >= 1, start + size < 2**63."""
+    lead = start % 8
+    bits = size + lead
+    count = -(-bits // 64)
+    if gathers_words(p, mod):
+        table = _group_table(p)
+        span = table.shape[1]
+        g0, g1 = start // (8 * span), -(-(start + size) // (8 * span))
+        first = start // 8 - g0 * span
+        pad = -first % 8
+        whole = buffer[pad : pad + (g1 - g0) * span].reshape(-1, span)
+        np.take(table, _paged(_code_page, g0, g1, p), axis=0, mode="clip", out=whole)
+        words = buffer[pad + first : pad + first + 8 * count].view("<u8")
+        if not want:
+            np.invert(words, out=words)
+    else:
+        mask = buffer[: 64 * count].view(bool)
+        rows = _hit_rows(p, mod)
+        if rows is None:
+            np.equal(exponent_range(start, start + size, p, mod), want, out=mask[lead:bits])
+        else:
+            _gathered(mask[lead:bits], start, p, mod, rows, (1 - want) % mod)
+        words = np.packbits(mask, bitorder="little").view("<u8")
+    if lead:
+        words[0] = int(words[0]) >> lead << lead
+    if bits % 64:
+        words[-1] &= (1 << bits % 64) - 1
     return words

@@ -86,6 +86,19 @@ def floor_sum_range(start: int, stop: int, p: int):
     return acc
 
 
+def packed_floor_sum_hits(start: int, size: int, p: int, m: int, want: int):
+    """[e_p(n) = want (mod m)] for n in [start, start + size) as little-endian
+    64-bit words from the byte of start, with misses before start and after
+    the range to a whole word: the floor sum compared with want, packed."""
+    lead = start % 8
+    hits = floor_sum_range(start - lead, start + size, p) % m == want
+    hits[:lead] = False
+    padded = np.zeros(-(-(size + lead) // 64) * 8, dtype=np.uint8)
+    packed = np.packbits(hits, bitorder="little")
+    padded[: packed.size] = packed
+    return padded.view("<u8")
+
+
 def digit_pass_table(p: int, weights: tuple[int, ...]):
     """The construction's value table on [0, p^lambda), lambda =
     len(weights), one pass per digit position: a // p^j % p times the

@@ -324,6 +324,22 @@ def test_scan_refuses_a_million_threads(capsys):
     assert err == "error: --threads must be in [1, 256], got '1000000'\n"
 
 
+@pytest.mark.parametrize("argv", [
+    "scan --primes 3,5 --mods 16,5",
+    "pattern --primes 3,5 --mods 2,3 --pattern 1,2",
+    "coverage --primes 3,5,7",
+    "verify --prime 3 --mod 5",
+])
+def test_chunks_wider_than_the_cap_exit_1(capsys, argv):
+    args = argv.split() + ["--limit", "1e9"]
+    code, out, err = run(capsys, *args, "--chunk-size", "16777217")
+    assert (code, out) == (1, "")
+    assert err == "error: chunk size must be at most 16777216, got 16777217\n"
+    # a chunk of exactly the cap still runs
+    code, out, err = run(capsys, *args[:-1], "1e4", "--chunk-size", "16777216")
+    assert (code, err) == (0, "")
+
+
 @pytest.mark.parametrize("command", ["scan", "pattern"])
 @pytest.mark.parametrize("value", ["1e5000", "1e400", "0", "-3"])
 def test_threads_out_of_range_are_echoed_as_written(capsys, command, value):

@@ -28,12 +28,16 @@ from factexp.exponents import (
     _code_page,
     _group_table,
     _hit_rows,
+    _shifted_tiles,
     exponent_range,
+    gathers_words,
+    hit_bytes,
     legendre_exponent,
-    write_parity_words,
+    write_hits,
 )
 from factexp.primes import nth_odd_prime
 from factexp.experiments import (
+    CHUNK_CAP,
     CLASS_CAP,
     NO_WITNESS,
     THREAD_CAP,
@@ -41,9 +45,7 @@ from factexp.experiments import (
     _chunk_histogram,
     _chunk_hits,
     _fold_dtype,
-    _hit_bytes,
     _mask_hits,
-    _packed_hits,
     _plane_route,
     CoverageReport,
     ResidueHistogram,
@@ -59,6 +61,7 @@ from oracles import (
     flatnonzero_hits,
     floor_sum_range,
     int32_chunk_histogram,
+    packed_floor_sum_hits,
     parity_of_e2,
     residue_chunk_hits,
     set_covered_prefix,
@@ -686,6 +689,41 @@ def test_map_spans_refuses_too_many_threads_before_starting_any(threads):
     assert threading.active_count() == before
 
 
+# a chunk of 2^24 + 1 at a limit of 10^9 would start a 16 MiB residue
+# array and more per chunk; each scan refuses it with a message naming the
+# cap, having allocated next to nothing
+@pytest.mark.parametrize("scan", [
+    lambda chunk: joint_histogram(ScanConfig(primes=(3, 5), mods=(16, 5), limit=10**9,
+                                             chunk_size=chunk), threads=2),
+    lambda chunk: pattern_search(ScanConfig(primes=(3, 5), mods=(2, 3), limit=10**9,
+                                            chunk_size=chunk), (1, 2)),
+    lambda chunk: pattern_coverage((3, 5, 7), 10**9, chunk_size=chunk),
+    lambda chunk: verify_congruence(3, 5, 10**9, chunk_size=chunk),
+], ids=["scan", "pattern", "coverage", "verify"])
+def test_chunks_wider_than_the_cap_are_refused_before_any_chunk(scan):
+    assert CHUNK_CAP == 1 << 24
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"chunk size must be at most {CHUNK_CAP}, "
+                                             f"got {CHUNK_CAP + 1}"):
+            scan(CHUNK_CAP + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ValueError, match=f"at most {CHUNK_CAP}, got {10**40}$"):
+        scan(10**40)
+
+
+def test_a_chunk_of_exactly_the_cap_still_runs():
+    cfg = ScanConfig(primes=(3, 5), mods=(2, 3), limit=5000, chunk_size=CHUNK_CAP)
+    small = ScanConfig(primes=(3, 5), mods=(2, 3), limit=5000, chunk_size=977)
+    assert joint_histogram(cfg).counts.tolist() == joint_histogram(small).counts.tolist()
+    assert pattern_search(cfg, (1, 2)).hits == pattern_search(small, (1, 2)).hits
+    assert pattern_coverage((3, 5), 5000, chunk_size=CHUNK_CAP) == pattern_coverage((3, 5), 5000)
+    assert verify_congruence(3, 5, 5000, chunk_size=CHUNK_CAP).passed
+
+
 def test_verify_congruence_checks_limit_before_any_chunk(monkeypatch):
     calls = []
     monkeypatch.setattr(factexp.construction, "evaluate_range",
@@ -939,24 +977,20 @@ def test_pattern_search_matches_the_residue_oracle(primes, mods, chunk, limit):
 @example(13, 1, 1 << 20, (1 << 40) + 13, 5, False)
 @example(3, 0, 5, (1 << 62) - (1 << 20) - 5, 3, False)
 def test_packed_parity_hits_are_the_packed_floor_sum_mask(p, want, size, start, phase, cross):
-    table = _group_table(p)
-    assert (table is None) == (p > 1024)
-    if cross and table is not None:
-        page = 8 * table.shape[1] * _PAGE
+    gathered = gathers_words(p, 2)
+    assert gathered == (p <= 1024)
+    if cross and gathered:
+        page = 8 * _group_table(p).shape[1] * _PAGE
         start = (start // page + 1) * page - 1 - start % max(size - 1, 1)
     start += phase - start % 8
     # whatever the buffer held before is overwritten or masked; the words
     # begin at the byte of start, with misses before it
-    buffer = np.random.default_rng(start).integers(0, 256, _hit_bytes(size + phase, [(p, 2)]),
+    buffer = np.random.default_rng(start).integers(0, 256, hit_bytes(size + phase, p, 2),
                                                    dtype=np.uint8)
-    got = _packed_hits(buffer, size, start, p, 2, want)
-    hits = floor_sum_range(start - phase, start + size, p) % 2 == want
-    hits[:phase] = False
-    mask = np.packbits(hits, bitorder="little")
-    padded = np.zeros(-(-(size + phase) // 64) * 8, dtype=np.uint8)
-    padded[: mask.size] = mask
-    np.testing.assert_array_equal(got, padded.view("<u8"))
-    assert (write_parity_words(buffer, start - phase, size, p, want) is None) == (table is None)
+    got = write_hits(buffer, start, size, p, 2, want)
+    np.testing.assert_array_equal(got, packed_floor_sum_hits(start, size, p, 2, want))
+    # gathered words are a view of the buffer, packed bools a new array
+    assert np.shares_memory(got, buffer) == gathered
 
 
 def test_parity_caches_stay_bounded_while_they_churn(monkeypatch):
@@ -965,14 +999,14 @@ def test_parity_caches_stay_bounded_while_they_churn(monkeypatch):
     # caches churn
     primes = [p for p in range(5, 1024, 2) if all(p % d for d in range(3, p, 2))][::4][:40]
     sizes = []
-    real = factexp.experiments.write_parity_words
+    real = factexp.experiments.write_hits
 
     def spy(*args):
         words = real(*args)
         sizes.append((_group_table.cache_info().currsize, _code_page.cache_info().currsize))
         return words
 
-    monkeypatch.setattr(factexp.experiments, "write_parity_words", spy)
+    monkeypatch.setattr(factexp.experiments, "write_hits", spy)
     _group_table.cache_clear()
     _code_page.cache_clear()
     page = 8 * 729 * _PAGE
@@ -989,19 +1023,21 @@ def test_parity_caches_stay_bounded_while_they_churn(monkeypatch):
 
 
 def test_hit_tile_cache_stays_bounded_while_it_churns(monkeypatch):
-    # every pattern entry of e_3 mod 1000 has a bool row table of its own
-    # (1000 rows of 3^5 blocks), so forty entries churn the cache
-    cfg = ScanConfig(primes=(3,), mods=(1000,), limit=1 << 18, chunk_size=1 << 16)
+    # every modulus of e_3 near 1000 has a bool row table of its own (m
+    # rows of 3^5 blocks), so forty moduli churn the cache
     sizes = []
-    real = factexp.experiments.write_exponent_hits
+    real = factexp.experiments.write_hits
 
     def spy(*args):
-        real(*args)
+        words = real(*args)
         sizes.append(_hit_rows.cache_info().currsize)
+        return words
 
-    monkeypatch.setattr(factexp.experiments, "write_exponent_hits", spy)
+    monkeypatch.setattr(factexp.experiments, "write_hits", spy)
     _hit_rows.cache_clear()
-    for want in range(0, 1000, 25):
+    for m in range(980, 1020):
+        cfg = ScanConfig(primes=(3,), mods=(m,), limit=1 << 18, chunk_size=1 << 16)
+        want = m // 3
         hits, first, _, gap = residue_chunk_hits(cfg, (want,), 0, cfg.limit)
         assert hits
         for threads in (1, 2):
@@ -1010,6 +1046,38 @@ def test_hit_tile_cache_stays_bounded_while_it_churns(monkeypatch):
     info = _hit_rows.cache_info()
     assert info.misses > 2 * info.maxsize
     assert max(sizes) <= info.maxsize == 16
+
+
+def test_one_bool_hit_table_per_pair():
+    # a histogram of (3, 5, 7) mod (3, 3, 3), counted from bool planes of
+    # wants 1 and 2, and patterns at every want leave one table per (p, m):
+    # the residue table == 1, whose rows every want reads shifted
+    cfg = ScanConfig(primes=(3, 5, 7), mods=(3, 3, 3), limit=200_003, chunk_size=65539)
+    assert _plane_route(cfg.primes, cfg.mods)
+    _hit_rows.cache_clear()
+    hist = joint_histogram(cfg)
+    for pattern in itertools.product(range(3), repeat=3):
+        assert pattern_search(cfg, pattern).hits == hist.counts[pattern]
+    info = _hit_rows.cache_info()
+    assert info.currsize == info.misses == 3
+    for p in (3, 5, 7):
+        hits = _hit_rows(p, 3)
+        np.testing.assert_array_equal(hits, _shifted_tiles(p, 3) == 1)
+        assert not hits.flags.writeable
+    assert _hit_rows.cache_info().misses == 3
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (1031, 2)])
+@pytest.mark.parametrize("start,stop", [(0, 1 << 20), (5, 70_003)])
+def test_one_prime_pattern_buffer_is_its_hits_alone(p, m, start, stop):
+    # no later prime writes past the first's hits, so the buffer a chunk
+    # leaves on its spare list is exactly their bytes
+    cfg = ScanConfig(primes=(p,), mods=(m,), limit=stop)
+    spare = []
+    assert _chunk_hits(cfg, (1,), start, stop, spare=spare) == \
+        residue_chunk_hits(cfg, (1,), start, stop)
+    (buffer,) = spare
+    assert buffer.size == hit_bytes(stop - start + start % 8, p, m)
 
 
 def test_pattern_validation():

@@ -29,10 +29,13 @@ from factexp.exponents import (
     _write_blocks,
     digit_sum,
     exponent_range,
+    gathers_words,
+    hit_bytes,
     legendre_exponent,
-    write_exponent_hits,
+    write_hits,
 )
-from oracles import ExponentStream, base_digits, blockwise_tiled_range, floor_sum_range
+from oracles import (ExponentStream, base_digits, blockwise_tiled_range, floor_sum_range,
+                     packed_floor_sum_hits)
 
 primes_st = st.sampled_from([2, 3, 5, 7, 11, 13, 47, 97])
 # tile sizes 2^16, 3^10, 47^2, 97^2, 257^2, 509^2, and the prime itself
@@ -172,18 +175,13 @@ def test_exponent_range_mod():
 def test_exponent_range_edges_and_rejections():
     assert exponent_range(10, 10, 3).size == 0
     # empty ranges of a row-table modulus, at a block start (no block
-    # touched) and inside a block, and empty hit writes, on offset pages 0,
-    # 3 and 7, of a row-table modulus and of one without a row table
-    # (65537 mod 5): none reads an offset page or a hit table
+    # touched) and inside a block, on offset pages 0, 3 and 7: none reads
+    # an offset page or a hit table
     span = _shifted_tiles(3, 2).shape[1]
-    assert _shifted_tiles(65537, 5) is None
     pages, hits = _offset_page.cache_info(), _hit_rows.cache_info()
     for s in (0, span, 7 * span, 5, span + 11, 1000 * span + 7, 3 * _PAGE * span):
         got = exponent_range(s, s, 3, mod=2)
         assert got.size == 0 and got.dtype == np.uint8
-    for s in (span, span + 11, 7 * _PAGE * span):
-        write_exponent_hits(np.empty(0, dtype=bool), s, 3, 2, 1)
-        write_exponent_hits(np.empty(0, dtype=bool), s, 65537, 5, 3)
     assert _offset_page.cache_info() == pages
     assert _hit_rows.cache_info() == hits
     with pytest.raises(ValueError):
@@ -410,20 +408,54 @@ def test_residue_dtype_reaches_uint64_and_stops_below_2_63():
         exponent_range(0, 10, 3, mod=2**63)
 
 
+def random_buffer(seed: int, size: int, p: int, m: int) -> np.ndarray:
+    """The uint8 buffer `write_hits` takes for `size` hits from a start of
+    phase `seed` mod 8, full of random bytes."""
+    return np.random.default_rng(seed).integers(0, 256, hit_bytes(size + seed % 8, p, m),
+                                                dtype=np.uint8)
+
+
 # bool row tables over blocks of p^J, p^2 and p (from 2 to 65537, as m
-# allows); moduli small enough to repeat a residue across blocks, and large
-# enough to give most blocks a residue of their own, up to 2**24, where
-# there is no row table and the residues are compared
+# allows), and group tables of 2 ... 521 mod 2; moduli small enough to
+# repeat a residue across blocks, and large enough to give most blocks a
+# residue of their own, up to 2**24, where there is no row table and the
+# residues are compared; starts at any phase mod 8
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([2, 3, 13, 23, 67, 127, 131, 257, 509, 521, 65537]),
        st.one_of(st.integers(2, 40), st.integers(2**16, 2**24)),
        st.integers(0, 2**40), st.integers(1, 300_000), st.data())
 def test_write_exponent_hits_is_the_floor_sum_mask(p, m, start, size, data):
     want = data.draw(st.integers(0, m - 1))
-    # whatever the buffer held before is overwritten
-    out = np.random.default_rng(start).random(size) < 0.5
-    write_exponent_hits(out, start, p, m, want)
-    np.testing.assert_array_equal(out, floor_sum_range(start, start + size, p) % m == want)
+    # whatever the buffer held before is overwritten or masked
+    got = write_hits(random_buffer(start, size, p, m), start, size, p, m, want)
+    np.testing.assert_array_equal(got, packed_floor_sum_hits(start, size, p, m, want))
+
+
+# every want, so every row shift of the one bool table of a pair: mod 3
+# and 7 over blocks of 3^10, 5^6 and 7^5, 67 mod 10 over blocks of 67^2,
+# and 1031 and 65537 mod 2 (no group table) over blocks of the prime; the
+# compare route where there is no row table (65537 mod 5, 3 mod 100003
+# at a few wants); the group route of 3 and 1021 mod 2; each at every
+# start phase mod 8, into buffers of random bytes, over several blocks
+@pytest.mark.parametrize("p,m,wants", [
+    (3, 3, range(3)), (5, 7, range(7)), (7, 3, range(3)), (67, 10, range(10)),
+    (1031, 2, range(2)), (65537, 2, range(2)), (65537, 5, range(5)),
+    (3, 100003, (0, 1, 12345, 100002)), (3, 2, range(2)), (1021, 2, range(2)),
+])
+def test_write_hits_at_every_want_phase_and_route(p, m, wants):
+    rows = _shifted_tiles(p, m)
+    assert (rows is None) == ((p, m) in ((65537, 5), (3, 100003)))
+    assert gathers_words(p, m) == (m == 2 and p <= 1021)
+    base = (1 << 40) + 12345
+    for want in wants:
+        for phase in range(8):
+            start = base - base % 8 + phase + 977 * want
+            size = 3 * (rows.shape[1] if rows is not None else 8) + 13 * phase + 5
+            buffer = random_buffer(start, size, p, m)
+            got = write_hits(buffer, start, size, p, m, want)
+            np.testing.assert_array_equal(got, packed_floor_sum_hits(start, size, p, m, want))
+            # gathered words are a view of the buffer, packed bools are not
+            assert np.shares_memory(got, buffer) == gathers_words(p, m)
 
 
 def scalar_block_residues(a0: int, a1: int, p: int, mod: int) -> list[int]:
