@@ -181,7 +181,7 @@ OPTIONS = {
     "--chunk-size": dict(type=integer, default=CHUNK_SIZE, help="numbers per chunk"),
     "--threads": dict(type=integer_text, default="1",
                       help=f"the most worker threads, 1 to {THREAD_CAP}; a scan of packed "
-                           "parity words alone runs on one"),
+                           "hit words alone runs on one"),
     "--format": dict(choices=("csv", "json"), default="json"),
     "--out": dict(help="output path; stdout if absent or -"),
     "--x": dict(type=float, help="the bound x, past e"),

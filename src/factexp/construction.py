@@ -31,7 +31,7 @@ from math import e as _E, floor, gcd, inf, log, prod
 
 import numpy as np
 
-from .experiments import CHUNK_SIZE, ScanConfig, map_spans
+from .experiments import CHUNK_SIZE, ScanConfig, _check_chunk_size, map_spans
 from .exponents import _exponent_rows, _fold, _require_prime, exponent_range, legendre_exponent
 from .primes import _U64, _shown, factorize, nth_odd_prime
 from .qadditive import (
@@ -268,6 +268,8 @@ def verify_congruence(p: int, m: int, limit: int, chunk_size: int = CHUNK_SIZE) 
     exact (scalar `f.evaluate` and `legendre_exponent`).
     """
     config = ScanConfig(primes=(p,), mods=(m,), limit=limit, chunk_size=chunk_size)
+    # an over-wide chunk is refused before f's table is built
+    _check_chunk_size(chunk_size)
     built = build_function(p, m)
 
     def first_mismatch(start, stop):

@@ -13,8 +13,8 @@ into a buffer of `exponents.hit_bytes` bytes reused across chunks: the
 words of a pattern's primes are ANDed, their set bits counted, and their
 first and last read off exact float64 exponents.  How a pair (p, m)
 writes them matters here only through `exponents.gathers_words`: its
-words are gathered packed (mod 2, p <= 1021), or written as a bool per
-n and packed, which costs more.  Counts and first witnesses are int64.
+words are gathered packed (mod 2 with p <= 1021, mod 3 with p <= 317),
+or written as a bool per n and packed, which costs more.  Counts and first witnesses are int64.
 The floating-point summaries in DiscrepancyReport are derived from those
 exact counts at the very end.
 
@@ -170,6 +170,12 @@ def _check_threads(threads: int) -> None:
         raise ValueError(f"thread count must be at most {THREAD_CAP}, got {_shown(threads)}")
 
 
+def _check_chunk_size(chunk_size: int) -> None:
+    """Refuse a chunk wider than CHUNK_CAP."""
+    if chunk_size > CHUNK_CAP:
+        raise ValueError(f"chunk size must be at most {CHUNK_CAP}, got {_shown(chunk_size)}")
+
+
 def _scan_threads(threads: int, config: ScanConfig, hits: bool = True) -> int:
     """The threads a scan of `config` hands `map_spans`, refused first
     outside [1, THREAD_CAP]: 1 where its chunks are counted from hits
@@ -198,8 +204,7 @@ def map_spans(fn, config: ScanConfig, threads: int = 1):
     starts and the running ones are waited for.
     """
     _check_threads(threads)
-    if config.chunk_size > CHUNK_CAP:
-        raise ValueError(f"chunk size must be at most {CHUNK_CAP}, got {_shown(config.chunk_size)}")
+    _check_chunk_size(config.chunk_size)
     spans = config.spans()
     count = -(-config.limit // config.chunk_size)
     helpers = min(threads, count) - 1
@@ -338,13 +343,14 @@ def _pieces(keys: np.ndarray, bins: int):
 # The route rule's cost model, in units of one class's AND and popcount:
 # a hit plane of gathered words costs 1, one of bools 4, and the
 # uint8-pair route 35 plus 8 per prime.  Measured on a chunk of 2^20, one
-# thread of a 2.1 GHz Xeon, numpy 2.4, a unit is 11-12 us, a word plane
-# 0.7-1.0 units (p = 3 ... 13) and a bool plane 4.5-5.5 (mod 3, and
-# p = 1031 mod 2).  Both routes then cost more than modelled, the pair
-# route about 50 + 11 per prime and a plane chunk about 1.2 times its
-# sum, so next to the bound they stay within 15% of each other, in units
-# on class indices and on planes: (3, 7) 69 and 67, (2, 2, 8) 82 and 81,
-# (2, 2, 2, 2, 4) 106 and 92.
+# thread of a 2.1 GHz Xeon, numpy 2.4, a unit is 13-15 us, a word plane
+# 0.7-1.1 units mod 2 and 0.9-1.3 mod 3 (p = 3 ... 13), and a bool plane
+# 5.0-5.3 (p = 3 ... 13 mod 3 before they gathered words) or 6.1-6.4
+# (331 mod 3).  Both routes then cost more than modelled, the pair route
+# about 50 + 11 per prime, so next to the bound they stay within 15% of
+# each other, in units on class indices and on planes: (3, 7) 69 and 67,
+# (2, 2, 8) 82 and 81, (2, 2, 2, 2, 4) 106 and 92; and (3, 5, 7, 11) mod
+# (3, 3, 3, 2), modelled at 61, took 88 and 66.
 _WORD_PLANE_UNITS, _BOOL_PLANE_UNITS, _PAIR_UNITS, _PAIR_UNITS_PER_PRIME = 1, 4, 35, 8
 
 

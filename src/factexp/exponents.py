@@ -60,19 +60,22 @@ adds its offsets to a reduced tile instead.
 
 `write_hits` is the one hit writer: [e_p(n) = want (mod m)] as packed
 little-endian 64-bit words from the byte of a range's start, written
-into a caller's buffer of `hit_bytes` bytes.  For m = 2 and p <= 1021
-(`gathers_words`) they are one row gather from the cached (256, S)
-table `_group_table(p)`: eight blocks of an odd span S fill S whole
-bytes, and their bits depend only on the eight block offsets mod 2, so
-the table holds every group of eight blocks, packed, one row per code of
-eight offset bits, read off cached pages of `_PAGE` groups
-(`_code_page`, by `_tiled_offsets` mod 2); S is the largest power of p
-with 256*S <= `_ROW_TABLE`.  Any other pair writes a bool per n and
-packs them: through `_gathered` on one cached bool table per (p, m),
-`_hit_rows(p, m)` = `_shifted_tiles(p, m) == 1`, whose row c is the
-hits of want 1 in a block of offset c, so a block of offset o reads the
-hits of want w off row (o + 1 - w) mod m; or, without a row table, by
-comparing the residues of `exponent_range` with want.
+into a caller's buffer of `hit_bytes` bytes.  For m <= 3 and p <=
+min(1024, 2**21 / m**8) (`gathers_words`: p <= 1021 mod 2, p <= 317 mod
+3) they are one row gather from the cached (m**8, S) table
+`_group_table(p, m)`: eight blocks of span S fill S whole bytes, and
+their bits depend only on the eight block offsets mod m, so the table
+holds every group of eight blocks, packed, one row per base-m code of
+the eight offsets, read off cached pages of `_PAGE` groups
+(`_code_page`, by `_tiled_offsets` mod m); S is the largest power of p
+with S <= 1024 and m**8 * S <= 2**21, so 16 cached tables take at most
+32 MiB.  Row c holds the hits of want 1, and want w reads the code whose
+every digit is moved up by 1 - w (`_digit_shift`).  Any other pair
+writes a bool per n and packs them: through `_gathered` on one cached
+bool table per (p, m), `_hit_rows(p, m)` = `_shifted_tiles(p, m) == 1`,
+whose row c is the hits of want 1 in a block of offset c, so a block of
+offset o reads the hits of want w off row (o + 1 - w) mod m; or, without
+a row table, by comparing the residues of `exponent_range` with want.
 """
 
 from functools import lru_cache
@@ -105,10 +108,14 @@ _PIECE = 1 << 16
 # (16 cached, 4 KiB each in uint8, 8 KiB in uint16), so that most chunks
 # compute none.
 _PAGE = 1 << 12
-# A group gather of packed words writes at most this many bytes past
-# them: up to two groups of eight blocks (_ROW_TABLE // 256 bytes each)
-# of which it uses part, and a word of alignment.
-_PARITY_SLACK = _ROW_TABLE // 64
+# Tables of eight-block groups (see write_hits) take blocks of at most
+# _GROUP_SPAN numbers in at most _GROUP_TABLE bytes (16 cached, 32 MiB at
+# most); a group gather of packed words writes at most _GROUP_SLACK bytes
+# past them: up to two groups of eight blocks of which it uses part, and
+# a word of alignment.  Their code pages (128 cached, 8 KiB each) hold
+# every page a scan of a few primes to 2**24 reads.
+_GROUP_SPAN, _GROUP_TABLE = 1 << 10, 1 << 21
+_GROUP_SLACK = 2 * _GROUP_SPAN + 8
 # (dtype, largest value) in the order _residue_dtype tries them
 _RESIDUE_DTYPES = tuple((np.dtype(t), np.iinfo(t).max) for t in (np.uint8, np.uint16, np.uint32))
 
@@ -282,11 +289,11 @@ def _exponent_tile(p: int, mod: int | None) -> np.ndarray:
     return tile
 
 
-def _table_span(p: int, rows: int) -> int:
-    """The largest power of p with rows*span <= _ROW_TABLE, or p when
-    even p is too long."""
+def _table_span(p: int, cap: int) -> int:
+    """The largest power of p that is at most cap, or p when even p is
+    larger."""
     span = p
-    while rows * span * p <= _ROW_TABLE:
+    while span * p <= cap:
         span *= p
     return span
 
@@ -298,7 +305,7 @@ def _shifted_tiles(p: int, mod: int) -> np.ndarray | None:
     of p with mod*span <= _ROW_TABLE; None when that span is below
     _SHORT_ROW.  Folded out of the digit rows of e_p on [0, span) with
     the residues c as the top level."""
-    span = _table_span(p, mod)
+    span = _table_span(p, _ROW_TABLE // mod)
     if mod * span > _ROW_TABLE or span < _SHORT_ROW:
         return None
     levels = _exponent_rows(p, span, mod) + [np.arange(mod, dtype=_residue_dtype(mod))]
@@ -414,42 +421,64 @@ def _hit_rows(p: int, mod: int) -> np.ndarray | None:
     return hits
 
 
+def _group_cap(mod: int) -> int:
+    """The longest block of a table of eight-block groups mod `mod`."""
+    return min(_GROUP_SPAN, _GROUP_TABLE // mod**8)
+
+
 @lru_cache(maxsize=16)
-def _group_table(p: int) -> np.ndarray:
-    """The read-only (256, span) uint8 table of the parity hits of groups
-    of eight blocks of span, the largest power of p with 256*span <=
-    _ROW_TABLE (for p <= 1021): row c is [e_p(b) + c_i = 1 (mod 2)] for b
-    in [0, span) of each block i of the group in turn, packed
-    little-endian, for the eight offsets c_i, the bits of c.  An odd span
-    makes eight blocks the shortest run that fills whole bytes."""
-    span = _table_span(p, 256)
-    table = np.packbits(np.tile(_fold(_exponent_rows(p, span, 2), 2), 8), bitorder="little")[None]
-    # offset bit i flips the bits of block i: the codes below 2**(i + 1)
-    # are those below 2**i, then the same with block i flipped
-    for flip in np.packbits(np.eye(8, dtype=bool).repeat(span, axis=1), axis=1, bitorder="little"):
-        table = np.concatenate([table, table ^ flip])
+def _group_table(p: int, mod: int) -> np.ndarray:
+    """The read-only (mod**8, span) uint8 table of the hits of groups of
+    eight blocks of span, the largest power of p with span <=
+    `_group_cap(mod)` (for `gathers_words(p, mod)`): row c is [e_p(b) +
+    c_i = 1 (mod `mod`)] for b in [0, span) of each block i of the group
+    in turn, packed little-endian, for the eight offsets c_i, the base-mod
+    digits of c, c_0 the lowest.  Eight blocks of any span fill whole
+    bytes."""
+    span = _table_span(p, _group_cap(mod))
+    tile = _fold(_exponent_rows(p, span, mod), mod)
+    # blocks[i, d]: the packed hits of block i at offset d, 0 elsewhere
+    hits = tile == (1 - np.arange(mod)[:, None]) % mod
+    blocks = np.eye(8, dtype=bool)[:, None, :, None] & hits[None, :, None, :]
+    blocks = np.packbits(blocks.reshape(8, mod, 8 * span), axis=-1, bitorder="little")
+    # the codes below mod**(i + 1) are those below mod**i with digit i
+    # = 0, 1, ..., each ORed with block i at that offset
+    table = np.zeros((1, span), dtype=np.uint8)
+    for block in blocks:
+        table = (block[:, None] | table).reshape(-1, span)
     table.flags.writeable = False
     return table
 
 
-@lru_cache(maxsize=16)
-def _code_page(p: int, g0: int, g1: int) -> np.ndarray:
-    """The codes of the groups g in [g0, g1) of `_group_table(p)`: bit i
-    is e_p((8g + i)*span) mod 2, the offset of block 8g + i, read-only;
-    cached for whole pages of `_PAGE` groups."""
-    span = _group_table(p).shape[1]
-    tile = _fold(_exponent_rows(p, span, 2), 2)
-    offsets = _tiled_offsets(8 * g0, 8 * g1, span, tile, (span - 1) // (p - 1), 2)
-    codes = np.packbits(offsets, bitorder="little")
+@lru_cache(maxsize=8)
+def _digit_shift(mod: int, shift: int) -> np.ndarray:
+    """The read-only codes of `_group_table` with every base-mod digit
+    moved up by `shift`, mod `mod`, indexed by code."""
+    digits = np.arange(mod**8)[:, None] // mod ** np.arange(8) % mod
+    codes = ((digits + shift) % mod @ mod ** np.arange(8)).astype(np.uint16)
+    codes.flags.writeable = False
+    return codes
+
+
+@lru_cache(maxsize=128)
+def _code_page(p: int, mod: int, g0: int, g1: int) -> np.ndarray:
+    """The uint16 codes of the groups g in [g0, g1) of `_group_table(p,
+    mod)`: base-mod digit i is e_p((8g + i)*span) mod `mod`, the offset of
+    block 8g + i, read-only; cached for whole pages of `_PAGE` groups."""
+    span = _group_table(p, mod).shape[1]
+    tile = _fold(_exponent_rows(p, span, mod), mod)
+    offsets = _tiled_offsets(8 * g0, 8 * g1, span, tile, (span - 1) // (p - 1), mod)
+    codes = offsets.reshape(-1, 8) @ (mod ** np.arange(8, dtype=np.uint16))
     codes.flags.writeable = False
     return codes
 
 
 def gathers_words(p: int, mod: int) -> bool:
     """Whether `write_hits` gathers the hits of e_p mod `mod` as packed
-    words straight from `_group_table(p)`, with no bool per n: mod 2 and
-    p <= 1021.  Otherwise it writes a bool per n and packs them."""
-    return mod == 2 and 256 * p <= _ROW_TABLE
+    words straight from `_group_table(p, mod)`, with no bool per n: mod 2
+    or 3, p <= 1024 and mod**8 * p <= 2**21 (p <= 1021 mod 2, p <= 317
+    mod 3).  Otherwise it writes a bool per n and packs them."""
+    return mod <= 3 and p <= _group_cap(mod)
 
 
 def hit_bytes(size: int, p: int, mod: int) -> int:
@@ -458,7 +487,7 @@ def hit_bytes(size: int, p: int, mod: int) -> int:
     gather where `gathers_words(p, mod)`, otherwise a bool per bit to a
     whole word."""
     words = -(-size // 64)
-    return 8 * words + _PARITY_SLACK if gathers_words(p, mod) else 64 * words
+    return 8 * words + _GROUP_SLACK if gathers_words(p, mod) else 64 * words
 
 
 def write_hits(buffer: np.ndarray, start: int, size: int, p: int, mod: int, want: int) -> np.ndarray:
@@ -469,9 +498,10 @@ def write_hits(buffer: np.ndarray, start: int, size: int, p: int, mod: int, want
     least `hit_bytes(size + start % 8, p, mod)` bytes.
 
     Where `gathers_words(p, mod)`, the words are a view of `buffer`: the
-    rows of `_group_table(p)` for the codes of the groups the range
-    touches (`_code_page`), one gather placed so that the byte of b begins
-    a word, inverted for want 0.  Otherwise the hits are written into
+    rows of `_group_table(p, mod)` for the codes of the groups the range
+    touches (`_code_page`), their digits moved up by 1 - want
+    (`_digit_shift`), one gather placed so that the byte of b begins a
+    word.  Otherwise the hits are written into
     `buffer` as bools and packed into a new array: `_gathered` on the
     table `_hit_rows(p, mod)`, a block of offset o reading row (o + 1 -
     want) mod `mod`, or where there is no row table the residues of
@@ -481,16 +511,17 @@ def write_hits(buffer: np.ndarray, start: int, size: int, p: int, mod: int, want
     bits = size + lead
     count = -(-bits // 64)
     if gathers_words(p, mod):
-        table = _group_table(p)
+        table = _group_table(p, mod)
         span = table.shape[1]
         g0, g1 = start // (8 * span), -(-(start + size) // (8 * span))
         first = start // 8 - g0 * span
         pad = -first % 8
+        codes = _paged(_code_page, g0, g1, p, mod)
+        if want != 1:
+            codes = _digit_shift(mod, (1 - want) % mod)[codes]
         whole = buffer[pad : pad + (g1 - g0) * span].reshape(-1, span)
-        np.take(table, _paged(_code_page, g0, g1, p), axis=0, mode="clip", out=whole)
+        np.take(table, codes, axis=0, mode="clip", out=whole)
         words = buffer[pad + first : pad + first + 8 * count].view("<u8")
-        if not want:
-            np.invert(words, out=words)
     else:
         mask = buffer[: 64 * count].view(bool)
         rows = _hit_rows(p, mod)

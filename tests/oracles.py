@@ -99,6 +99,22 @@ def packed_floor_sum_hits(start: int, size: int, p: int, m: int, want: int):
     return padded.view("<u8")
 
 
+def doubling_group_table(p: int) -> np.ndarray:
+    """The (256, span) uint8 table of the parity hits of groups of eight
+    blocks of span, the largest power of p at most 1024, built by
+    doubling: row 0 is [e_p(b) = 1 (mod 2)] for b in [0, span) in every
+    block, packed little-endian, and the codes below 2**(i + 1) are those
+    below 2**i, then the same with the bits of block i flipped."""
+    span = p
+    while span * p <= 1024:
+        span *= p
+    hits = floor_sum_range(0, span, p) % 2 == 1
+    table = np.packbits(np.tile(hits, 8), bitorder="little")[None]
+    for flip in np.packbits(np.eye(8, dtype=bool).repeat(span, axis=1), axis=1, bitorder="little"):
+        table = np.concatenate([table, table ^ flip])
+    return table
+
+
 def digit_pass_table(p: int, weights: tuple[int, ...]):
     """The construction's value table on [0, p^lambda), lambda =
     len(weights), one pass per digit position: a // p^j % p times the

@@ -21,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import factexp
+import factexp.cli
 import factexp.construction
 from factexp.construction import verify_congruence
 from factexp.exponents import (
@@ -58,6 +59,7 @@ from factexp.experiments import (
 )
 from oracles import (
     ExponentStream,
+    doubling_group_table,
     flatnonzero_hits,
     floor_sum_range,
     int32_chunk_histogram,
@@ -291,21 +293,22 @@ def test_route_rule_sends_each_side_of_its_bound_its_own_way(mods, planes, monke
     assert np.array_equal(got, int32_chunk_histogram(cfg, start, start + width))
 
 
-# <= 35 + 8k, for k = 1 ... 7, with a plane of packed parity words priced
-# at 1: e_3 ... e_19 mod 2 write them, and mod 3 or more write bools
+# <= 35 + 8k, for k = 1 ... 7, with a plane of packed words priced at 1:
+# e_3 ... e_19 mod 2 and 3 write them, and mod 4 or more write bools
 WORD_PLANE_BOUNDARY = [
     ((2,), True), ((2, 9), True), ((2, 10), False),
     ((2, 2, 7), True), ((2, 2, 8), False),
     ((2, 2, 2, 5), True), ((2, 2, 2, 6), False),
     ((2, 2, 2, 2, 3), True), ((2, 2, 2, 2, 4), False),
     ((2,) * 6, True), ((2,) * 5 + (3,), False), ((2,) * 7, False),
+    ((3, 3, 3, 2), True), ((3, 3, 3, 3), False),
 ]
 
 
 @pytest.mark.parametrize("mods,planes", WORD_PLANE_BOUNDARY)
 def test_route_rule_prices_a_plane_of_parity_words_at_one(mods, planes):
     primes = (3, 5, 7, 11, 13, 17, 19)[: len(mods)]
-    cost = sum(m - 1 if m == 2 else 4 * (m - 1) for m in mods) + math.prod(mods)
+    cost = sum((m - 1) * (1 if m <= 3 else 4) for m in mods) + math.prod(mods)
     assert (cost <= 35 + 8 * len(mods)) is planes
     assert _plane_route(primes, mods) is planes
 
@@ -336,17 +339,16 @@ def test_six_parity_primes_take_the_planes_and_the_bench_shapes_keep_their_route
                 assert not _plane_route(five[:k], tuple(1 << b for b in bits))
 
 
-def test_plane_route_reuses_its_buffer_and_frees_its_planes():
-    # a 2^20 chunk of (3, 5, 7) mod (3, 3, 3): the hits and then the stack
-    # and the inner node share one 1 MiB buffer, which a second call takes
-    # back off the list; what it allocates besides is the six planes of
-    # 128 KiB, one packed plane at a time, and the popcounts of a stack,
-    # and all of it is freed when the call returns
-    cfg = ScanConfig(primes=(3, 5, 7), mods=(3, 3, 3), limit=6 << 20)
+def plane_route_buffer_and_peak(primes, buffer):
+    """Check that a 2^20 chunk of `primes` mod (3, 3, 3) on the plane
+    route takes one buffer of `buffer` bytes, which a second call takes
+    back off the list, peaks at most 1.25 MiB besides, and frees the rest
+    when it returns."""
+    cfg = ScanConfig(primes=primes, mods=(3, 3, 3), limit=6 << 20)
     start, stop = 5 << 20, 6 << 20
     spare, buffers = [], []
     want = _chunk_histogram(cfg, start, stop, spare=spare, buffers=buffers).copy()
-    assert [b.nbytes for b in buffers] == [1 << 20]
+    assert [b.nbytes for b in buffers] == [buffer]
     spare[0][:] = 0
     tracemalloc.start()
     try:
@@ -358,6 +360,20 @@ def test_plane_route_reuses_its_buffer_and_frees_its_planes():
     assert np.array_equal(want, int32_chunk_histogram(cfg, start, stop))
     assert peak <= 1.25 * 2**20
     assert current < 2**12
+
+
+def test_plane_route_reuses_its_buffer_and_frees_its_planes():
+    # (331, 337, 347) mod (3, 3, 3) write bools: the hits and then the
+    # stack and the inner node share one 1 MiB buffer; what a chunk
+    # allocates besides is the six planes of 128 KiB, one packed plane at
+    # a time, and the popcounts of a stack
+    plane_route_buffer_and_peak((331, 337, 347), 1 << 20)
+
+
+def test_word_plane_route_takes_a_buffer_of_its_stack_and_node():
+    # (3, 5, 7) mod (3, 3, 3) gather words: the buffer is the 512 KiB of
+    # the stack and the inner node, and each plane's words pass through it
+    plane_route_buffer_and_peak((3, 5, 7), 1 << 19)
 
 
 @pytest.mark.parametrize("chunk,limit", [(1, 40), (7, 600), (65539, 2 * 65539 + 9)])
@@ -595,10 +611,11 @@ def _chunk_threads(monkeypatch, name, scan):
 
 
 @pytest.mark.parametrize("primes,mods", [((3, 5, 7), (2, 2, 2)), ((2, 1021), (2, 2)),
-                                         ((3, 5, 7, 11, 13, 17), (2,) * 6)])
+                                         ((3, 5, 7, 11, 13, 17), (2,) * 6), ((3, 5), (2, 3)),
+                                         ((3, 5, 317), (3, 3, 3))])
 def test_packed_word_scans_run_on_the_calling_thread(primes, mods, monkeypatch):
-    # every pair writes packed parity words, and the histogram counts
-    # them as planes: three threads asked for, one used
+    # every pair writes packed words (mod 2, or mod 3 up to 317), and the
+    # histogram counts them as planes: three threads asked for, one used
     cfg = ScanConfig(primes=primes, mods=mods, limit=20_000, chunk_size=1001)
     pattern = (1,) * len(primes)
     hist, rep = joint_histogram(cfg), pattern_search(cfg, pattern)
@@ -611,11 +628,10 @@ def test_packed_word_scans_run_on_the_calling_thread(primes, mods, monkeypatch):
     assert set(threading.enumerate()) <= alive
 
 
-@pytest.mark.parametrize("primes,mods", [((3, 1031), (2, 2)), ((3, 5), (2, 3)), ((3, 5), (16, 16))])
+@pytest.mark.parametrize("primes,mods", [((3, 1031), (2, 2)), ((3, 331), (2, 3)), ((3, 5), (16, 16))])
 def test_scans_with_bool_hits_or_class_indices_run_on_helper_threads(primes, mods, monkeypatch):
-    # 1031 has no table of eight-block groups and e_5 mod 3 no parity
-    # words, so their hits are bools; 256 classes are counted from class
-    # indices
+    # 1031 mod 2 and 331 mod 3 have no table of eight-block groups, so
+    # their hits are bools; 256 classes are counted from class indices
     cfg = ScanConfig(primes=primes, mods=mods, limit=20_000, chunk_size=1001)
     pattern = (1, 1)
     hist, rep = joint_histogram(cfg), pattern_search(cfg, pattern)
@@ -722,6 +738,21 @@ def test_a_chunk_of_exactly_the_cap_still_runs():
     assert pattern_search(cfg, (1, 2)).hits == pattern_search(small, (1, 2)).hits
     assert pattern_coverage((3, 5), 5000, chunk_size=CHUNK_CAP) == pattern_coverage((3, 5), 5000)
     assert verify_congruence(3, 5, 5000, chunk_size=CHUNK_CAP).passed
+
+
+def test_verify_refuses_an_over_wide_chunk_before_it_builds_f(monkeypatch, capsys):
+    # 3 mod 143 has lambda = 15: its 3^15-entry table would take 175 MiB
+    def build(*args):
+        raise AssertionError("build_function called")
+
+    monkeypatch.setattr(factexp.construction, "build_function", build)
+    with pytest.raises(ValueError, match=f"^chunk size must be at most {CHUNK_CAP}, got {10**9}$"):
+        verify_congruence(3, 143, 10**9, chunk_size=10**9)
+    code = factexp.cli.main(["verify", "--prime", "3", "--mod", "143", "--limit", "1e9",
+                             "--chunk-size", "1e9"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == f"error: chunk size must be at most {CHUNK_CAP}, got {10**9}\n"
 
 
 def test_verify_congruence_checks_limit_before_any_chunk(monkeypatch):
@@ -964,39 +995,71 @@ def test_pattern_search_matches_the_residue_oracle(primes, mods, chunk, limit):
             assert (rep.hits, rep.minimal_n, rep.max_gap) == (hits, first, gap)
 
 
-# group tables over blocks of 2^10, 3^6, 5^4, 7^3, 11^2, 13^2 and 1021, and
-# two primes without one (1031, 65537), whose hits are packed bools; every
-# start phase mod 8, ranges moved below the edge of a code page of _PAGE
-# groups so that they cross it, and sizes that leave a partial last word
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from([2, 3, 5, 7, 11, 13, 1021, 1031, 65537]), st.integers(0, 1),
+# group tables mod 2 over blocks of 2^10, 3^6, 5^4, 7^3, 11^2, 13^2, 317
+# and 1021, and mod 3 over blocks of 2^8, 3^5, 5^3, 7^2, 11^2, 13^2 and 317
+# (2, 5, 11 and 317 are 2 mod 3, 3 divides 3); primes without one (1031,
+# 65537, and 331 ... 1021 mod 3), whose hits are packed bools; every want,
+# every start phase mod 8, ranges moved below the edge of a code page of
+# _PAGE groups so that they cross it, and sizes that leave a partial last
+# word
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13, 317, 331, 1021, 1031, 65537]),
+       st.sampled_from([(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]),
        st.one_of(st.integers(1, 5000), st.integers(1, 300_000), st.integers(250_000, 300_000)),
        st.integers(0, (1 << 62) - (1 << 26)), st.integers(0, 7), st.booleans())
-@example(2, 1, 300_000, 0, 3, True)
-@example(1021, 0, 77_777, 12_345, 1, True)
-@example(13, 1, 1 << 20, (1 << 40) + 13, 5, False)
-@example(3, 0, 5, (1 << 62) - (1 << 20) - 5, 3, False)
-def test_packed_parity_hits_are_the_packed_floor_sum_mask(p, want, size, start, phase, cross):
-    gathered = gathers_words(p, 2)
-    assert gathered == (p <= 1024)
+@example(2, (2, 1), 300_000, 0, 3, True)
+@example(1021, (2, 0), 77_777, 12_345, 1, True)
+@example(13, (2, 1), 1 << 20, (1 << 40) + 13, 5, False)
+@example(3, (2, 0), 5, (1 << 62) - (1 << 20) - 5, 3, False)
+@example(7, (3, 2), 300_000, 0, 5, True)
+@example(317, (3, 0), 77_777, 12_345, 6, True)
+@example(331, (3, 1), 77_777, 12_345, 2, True)
+@example(3, (3, 1), 5, (1 << 62) - (1 << 20) - 5, 7, False)
+def test_packed_parity_hits_are_the_packed_floor_sum_mask(p, mod_want, size, start, phase, cross):
+    m, want = mod_want
+    gathered = gathers_words(p, m)
+    assert gathered == (p <= (1024 if m == 2 else 319))
     if cross and gathered:
-        page = 8 * _group_table(p).shape[1] * _PAGE
+        page = 8 * _group_table(p, m).shape[1] * _PAGE
         start = (start // page + 1) * page - 1 - start % max(size - 1, 1)
     start += phase - start % 8
     # whatever the buffer held before is overwritten or masked; the words
     # begin at the byte of start, with misses before it
-    buffer = np.random.default_rng(start).integers(0, 256, hit_bytes(size + phase, p, 2),
+    buffer = np.random.default_rng(start).integers(0, 256, hit_bytes(size + phase, p, m),
                                                    dtype=np.uint8)
-    got = write_hits(buffer, start, size, p, 2, want)
-    np.testing.assert_array_equal(got, packed_floor_sum_hits(start, size, p, 2, want))
+    got = write_hits(buffer, start, size, p, m, want)
+    np.testing.assert_array_equal(got, packed_floor_sum_hits(start, size, p, m, want))
     # gathered words are a view of the buffer, packed bools a new array
     assert np.shares_memory(got, buffer) == gathered
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 101, 1021])
+def test_parity_group_tables_are_the_doubling_construction(p):
+    # mod 2, building one block at a time ORs block i's hits at offset 0
+    # or 1 into the table so far, which is flipping block i for the upper
+    # half of the codes
+    np.testing.assert_array_equal(_group_table(p, 2), doubling_group_table(p))
+
+
+def test_the_caches_hold_a_scan_narrow_round():
+    # the bench's scan-narrow round: three of five primes, each mod 2 or 3,
+    # here all to 2^24; a second pass builds no group table and computes
+    # no code page
+    triples = list(itertools.combinations((3, 5, 7, 11, 13), 3))
+    shapes = [(t, m) for t in triples for m in itertools.product((2, 3), repeat=3)]
+    assert len(shapes) == 80
+    assert all(_plane_route(*shape) and all(map(gathers_words, *shape)) for shape in shapes)
+    for _ in range(2):
+        misses = _group_table.cache_info().misses, _code_page.cache_info().misses
+        for primes, mods in shapes:
+            joint_histogram(ScanConfig(primes=primes, mods=mods, limit=1 << 24))
+    assert (_group_table.cache_info().misses, _code_page.cache_info().misses) == misses
+
+
 def test_parity_caches_stay_bounded_while_they_churn(monkeypatch):
-    # forty primes below 1031 build forty group tables, and each chunk
-    # starts on a code page of its own for 3 and for its prime, so both
-    # caches churn
+    # forty primes below 1031 build forty group tables, and each of four
+    # chunks per prime starts on a code page of its own for 3 and for the
+    # prime, so both caches churn
     primes = [p for p in range(5, 1024, 2) if all(p % d for d in range(3, p, 2))][::4][:40]
     sizes = []
     real = factexp.experiments.write_hits
@@ -1012,14 +1075,16 @@ def test_parity_caches_stay_bounded_while_they_churn(monkeypatch):
     page = 8 * 729 * _PAGE
     for i, p in enumerate(primes):
         cfg = ScanConfig(primes=(3, p), mods=(2, 2), limit=1 << 62)
-        start = (7 * i + 1) * page + 12345 + i
-        for pattern in ((1, 0), (0, 1)):
-            assert _chunk_hits(cfg, pattern, start, start + 5000) == \
-                residue_chunk_hits(cfg, pattern, start, start + 5000)
-    for info in (_group_table.cache_info(), _code_page.cache_info()):
+        for j in range(4):
+            start = (7 * (4 * i + j) + 1) * page + 12345 + i
+            for pattern in ((1, 0), (0, 1)):
+                assert _chunk_hits(cfg, pattern, start, start + 5000) == \
+                    residue_chunk_hits(cfg, pattern, start, start + 5000)
+    infos = _group_table.cache_info(), _code_page.cache_info()
+    for info in infos:
         assert info.misses > 2 * info.maxsize
-        assert info.maxsize == 16
-    assert max(max(pair) for pair in sizes) <= 16
+    assert [info.maxsize for info in infos] == [16, 128]
+    assert all(a <= 16 and b <= 128 for a, b in sizes)
 
 
 def test_hit_tile_cache_stays_bounded_while_it_churns(monkeypatch):
@@ -1049,10 +1114,11 @@ def test_hit_tile_cache_stays_bounded_while_it_churns(monkeypatch):
 
 
 def test_one_bool_hit_table_per_pair():
-    # a histogram of (3, 5, 7) mod (3, 3, 3), counted from bool planes of
-    # wants 1 and 2, and patterns at every want leave one table per (p, m):
-    # the residue table == 1, whose rows every want reads shifted
-    cfg = ScanConfig(primes=(3, 5, 7), mods=(3, 3, 3), limit=200_003, chunk_size=65539)
+    # a histogram of (331, 337, 347) mod (3, 3, 3), counted from bool
+    # planes of wants 1 and 2, and patterns at every want leave one table
+    # per (p, m): the residue table == 1, whose rows every want reads
+    # shifted
+    cfg = ScanConfig(primes=(331, 337, 347), mods=(3, 3, 3), limit=200_003, chunk_size=65539)
     assert _plane_route(cfg.primes, cfg.mods)
     _hit_rows.cache_clear()
     hist = joint_histogram(cfg)
@@ -1060,7 +1126,7 @@ def test_one_bool_hit_table_per_pair():
         assert pattern_search(cfg, pattern).hits == hist.counts[pattern]
     info = _hit_rows.cache_info()
     assert info.currsize == info.misses == 3
-    for p in (3, 5, 7):
+    for p in cfg.primes:
         hits = _hit_rows(p, 3)
         np.testing.assert_array_equal(hits, _shifted_tiles(p, 3) == 1)
         assert not hits.flags.writeable

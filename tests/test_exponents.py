@@ -431,21 +431,24 @@ def test_write_exponent_hits_is_the_floor_sum_mask(p, m, start, size, data):
     np.testing.assert_array_equal(got, packed_floor_sum_hits(start, size, p, m, want))
 
 
-# every want, so every row shift of the one bool table of a pair: mod 3
-# and 7 over blocks of 3^10, 5^6 and 7^5, 67 mod 10 over blocks of 67^2,
-# and 1031 and 65537 mod 2 (no group table) over blocks of the prime; the
-# compare route where there is no row table (65537 mod 5, 3 mod 100003
-# at a few wants); the group route of 3 and 1021 mod 2; each at every
-# start phase mod 8, into buffers of random bytes, over several blocks
+# every want, so every row shift of the one bool table of a pair: 5 mod 7
+# over blocks of 5^6, 331 and 347 mod 3 (no group table) over blocks of
+# 331^2 and 347^2, 67 mod 10 over blocks of 67^2, and 1031 and 65537 mod
+# 2 (no group table) over blocks of the prime; the compare route where
+# there is no row table (65537 mod 5, 3 mod 100003 at a few wants); the
+# group route of 3 and 1021 mod 2 and of 3, 7 and 317 mod 3, every digit
+# shift; each at every start phase mod 8, into buffers of random bytes,
+# over several blocks
 @pytest.mark.parametrize("p,m,wants", [
     (3, 3, range(3)), (5, 7, range(7)), (7, 3, range(3)), (67, 10, range(10)),
+    (317, 3, range(3)), (331, 3, range(3)), (347, 3, range(3)),
     (1031, 2, range(2)), (65537, 2, range(2)), (65537, 5, range(5)),
     (3, 100003, (0, 1, 12345, 100002)), (3, 2, range(2)), (1021, 2, range(2)),
 ])
 def test_write_hits_at_every_want_phase_and_route(p, m, wants):
     rows = _shifted_tiles(p, m)
     assert (rows is None) == ((p, m) in ((65537, 5), (3, 100003)))
-    assert gathers_words(p, m) == (m == 2 and p <= 1021)
+    assert gathers_words(p, m) == (m == 2 and p <= 1021 or m == 3 and p <= 317)
     base = (1 << 40) + 12345
     for want in wants:
         for phase in range(8):
