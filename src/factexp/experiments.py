@@ -14,9 +14,9 @@ words of a pattern's primes are ANDed, their set bits counted, and their
 first and last read off exact float64 exponents.  How a pair (p, m)
 writes them matters here only through `exponents.gathers_words`: its
 words are gathered packed (mod 2 with p <= 1021, mod 3 with p <= 317),
-or written as a bool per n and packed, which costs more.  Counts and first witnesses are int64.
-The floating-point summaries in DiscrepancyReport are derived from those
-exact counts at the very end.
+or written as a bool per n and packed, which costs more.  Counts and
+first witnesses are int64.  The floating-point summaries in
+DiscrepancyReport are derived from those exact counts at the very end.
 
 A histogram scan of C classes keeps one int64 accumulator of C counts
 per running chunk, reused by the chunks that run after it, so it holds
