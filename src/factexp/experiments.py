@@ -42,10 +42,11 @@ Histogram counts are a read-only int64 ndarray of shape `mods`, indexed
 by class tuple; its C order is the lexicographic order of exports.
 
 Histogram and pattern scans run their chunks through one driver,
-`map_spans`: on t threads, the calling thread and up to t - 1 helper
-threads, started once per process and kept between calls, each take the
-next chunk nobody has taken, and the results come back in chunk order.
-A scan of one chunk, or on one thread, starts no thread.  The thread
+`map_spans`: on t threads, chunks run in rounds of t, the first of a
+round on the calling thread and the rest on up to t - 1 helper threads,
+started once per process and kept between calls; a round starts once
+the one before it has returned, and the results come back in chunk
+order.  A scan of one chunk, or on one thread, starts no thread.  The thread
 count a scan is given is the most it uses (`_scan_threads`): a pattern
 scan where every pair gathers packed words, or a histogram scan
 where also its chunks are counted from planes, runs on the calling
@@ -58,7 +59,7 @@ import math
 import os
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial, reduce
@@ -150,14 +151,13 @@ _pool_lock = threading.Lock()
 
 def _kept_pool(workers: int) -> ThreadPoolExecutor:
     """This process's kept executor, with at least `workers` threads: one
-    that is smaller is replaced and shut down without waiting, and one
-    built by another pid is rebuilt, since a forked child inherits the
-    executor but not its threads."""
+    that is smaller, or built by another pid (a forked child inherits the
+    executor but not its threads), is replaced.  The replaced executor is
+    not shut down, since a scan on another thread may still submit to it;
+    its idle threads exit once no scan holds it."""
     global _pool
     with _pool_lock:
         if _pool is None or _pool[0] != os.getpid() or _pool[1] < workers:
-            if _pool is not None and _pool[0] == os.getpid():
-                _pool[2].shutdown(wait=False)
             _pool = os.getpid(), workers, ThreadPoolExecutor(max_workers=workers)
         return _pool[2]
 
@@ -192,71 +192,34 @@ def _scan_threads(threads: int, config: ScanConfig, hits: bool = True) -> int:
 def map_spans(fn, config: ScanConfig, threads: int = 1):
     """Yield fn(start, stop) for each span of config.spans(), in span order.
 
-    With threads > 1 and more than one span, the calling thread and up to
-    threads - 1 helpers, kept by the process between calls, each take the
-    next span nobody has taken, so at most `threads` calls run at once and
-    a slow span holds up no other thread.  A span starts only while its
-    index is at most `threads` past the oldest span not yet yielded.  A
-    call of one span, or on one thread, starts no thread.  More than
-    THREAD_CAP threads, and chunks wider than CHUNK_CAP, are refused
-    before any span starts.  A span's exception is raised in its place in
-    span order; then, or when the generator is closed early, no span
-    starts and the running ones are waited for.
+    With threads > 1 and more than one span, the spans run in rounds of
+    `threads`: the first span of a round on the calling thread and the
+    rest on helpers kept by the process between calls, and a round starts
+    once every span of the one before it has returned, so at most
+    `threads` calls run at once.  A call of one span, or on one thread,
+    starts no thread.  More than THREAD_CAP threads, and chunks wider than
+    CHUNK_CAP, are refused before any span starts.  A span's exception is
+    raised in its place in span order; then, or when the generator is
+    closed early, the round's spans not started are cancelled and the
+    running ones are waited for.
     """
     _check_threads(threads)
     _check_chunk_size(config.chunk_size)
     spans = config.spans()
-    count = -(-config.limit // config.chunk_size)
-    helpers = min(threads, count) - 1
-    if helpers < 1:
+    if threads == 1 or config.limit <= config.chunk_size:
         yield from itertools.starmap(fn, spans)
         return
-    cond = threading.Condition()
-    done = {}  # span index: (raised, result or exception), until yielded
-    taken = oldest = 0
-    stop = False
-
-    def work(ready):
-        # take and run spans until ready(), read under cond, holds
-        nonlocal taken
-        while True:
-            with cond:
-                while not ready() and (stop or taken == count or taken > oldest + threads):
-                    cond.wait()
-                if ready():
-                    return
-                i, span = taken, next(spans)
-                taken += 1
-            try:
-                out = False, fn(*span)
-            except BaseException as exc:
-                out = True, exc
-            with cond:
-                done[i] = out
-                cond.notify_all()
-
     pool = _kept_pool(threads - 1)
-    futures = [pool.submit(work, lambda: stop or taken == count) for _ in range(helpers)]
-    try:
-        for i in range(count):
-            # the caller takes spans too, until span i is done
-            work(lambda: i in done)
-            with cond:
-                raised, value = done.pop(i)
-                if not raised:
-                    oldest = i + 1
-                    cond.notify_all()
-            if raised:
-                raise value
-            yield value
-    finally:
-        with cond:
-            stop = True
-            cond.notify_all()
-        # cancel the helpers not started, and wait for the others
-        for future in futures:
-            if not future.cancel():
-                future.result()
+    for batch in iter(lambda: tuple(itertools.islice(spans, threads)), ()):
+        futures = [pool.submit(fn, *span) for span in batch[1:]]
+        try:
+            yield fn(*batch[0])
+            for future in futures:
+                yield future.result()
+        finally:
+            # wait() counts a cancelled future done only once a helper
+            # dequeues it, so wait only for those not cancelled
+            wait([future for future in futures if not future.cancel()])
 
 
 @dataclass(frozen=True)
@@ -462,8 +425,8 @@ def joint_histogram(config: ScanConfig, threads: int = 1) -> ResidueHistogram:
     """Count n in [0, limit) by the tuple (e_p(n) mod m) over the
     configured prime/modulus pairs.
 
-    Chunks may run on several threads, each thread taking the next chunk
-    nobody has taken (`map_spans`).  Each adds its counts into an int64
+    Chunks may run on several threads, in rounds of `threads` chunks
+    (`map_spans`).  Each adds its counts into an int64
     accumulator that no other running chunk holds, so a scan holds at
     most `threads` of them, and they are summed once at the end (see
     the module docstring for the counting routes and the memory bound).
@@ -661,8 +624,8 @@ def pattern_search(config: ScanConfig, pattern, threads: int = 1) -> PatternRepo
     chunks, mod 2 by one row gather from a cached table of eight-block groups
     (256 KiB at most per prime), and ANDed, and the words are summarized whole,
     without writing out a hit position (`_mask_hits`).
-    On several threads each thread takes the next chunk nobody has taken
-    (`map_spans`), and the chunk summaries are joined in chunk order.
+    On several threads the chunks run in rounds of `threads` (`map_spans`),
+    and the chunk summaries are joined in chunk order.
     `threads` is the most threads a scan runs on: where every prime's
     hits are gathered as packed words (`exponents.gathers_words`), it
     runs on the calling thread.

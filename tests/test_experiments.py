@@ -476,10 +476,10 @@ def test_map_spans_runs_bounded_ahead_and_stops_on_close():
     assert next(gen) == 0
     time.sleep(0.1)  # a slow consumer: the pool must not run on without it
     gen.close()
-    # with span 0 yielded, spans 1-3 may start: at most threads past span 1
-    assert len(started) <= 4
+    # with span 0 yielded, only its round, spans 0 and 1, has started
+    assert len(started) <= 2
     time.sleep(0.05)
-    assert len(started) <= 4
+    assert len(started) <= 2
 
 
 def test_map_spans_runs_on_the_caller_and_at_most_threads_at_once():
@@ -503,6 +503,31 @@ def test_map_spans_runs_on_the_caller_and_at_most_threads_at_once():
     assert most[0] <= 3
     assert len(set(ran_on.values())) <= 3
     assert threading.get_ident() in ran_on.values()
+
+
+def test_map_spans_runs_rounds_with_the_first_span_of_each_on_the_caller():
+    # three threads, ten spans: rounds (0, 1, 2), (3, 4, 5), (6, 7, 8), (9);
+    # span 1 is slow, so no span of the next round may start before it returns
+    cfg = ScanConfig(primes=(3,), mods=(2,), limit=10, chunk_size=1)
+    lock = threading.Lock()
+    events, ran_on = [], {}
+
+    def fn(start, stop):
+        with lock:
+            events.append(("start", start))
+            ran_on[start] = threading.get_ident()
+        time.sleep(0.03 if start % 3 == 1 else 0.002)
+        with lock:
+            events.append(("return", start))
+        return start
+
+    assert list(map_spans(fn, cfg, threads=3)) == list(range(10))
+    caller = threading.get_ident()
+    assert sorted(s for s, ident in ran_on.items() if ident == caller) == [0, 3, 6, 9]
+    for i, (kind, start) in enumerate(events):
+        if kind == "start":
+            returned = {s for k, s in events[:i] if k == "return"}
+            assert set(range(start // 3 * 3)) <= returned
 
 
 def test_map_spans_raises_a_span_error_in_span_order_and_starts_no_more():
@@ -533,7 +558,7 @@ def test_map_spans_raises_a_span_error_in_span_order_and_starts_no_more():
 
 def test_map_spans_under_contention_yields_every_span_once_in_order():
     # more threads than cores, and thread switches as often as the
-    # interpreter allows, against the claim counter and the result dict
+    # interpreter allows, against the rounds and their in-order results
     cfg = ScanConfig(primes=(3,), mods=(2,), limit=20000, chunk_size=1)
     lock = threading.Lock()
     running, most = [0], [0]
@@ -588,6 +613,30 @@ def test_scans_keep_their_threads_between_calls(monkeypatch):
     while threading.active_count() > before + 1 and time.monotonic() < deadline:
         time.sleep(0.01)
     assert threading.active_count() <= before + 1
+
+
+def test_scans_on_several_user_threads_share_the_kept_executor():
+    # calls at 2-5 threads replace the kept executor while scans on the
+    # other user threads still submit to the one they hold
+    cfg = ScanConfig(primes=(3, 5), mods=(16, 16), limit=2 * 10**5, chunk_size=1001)
+    want = joint_histogram(cfg)
+    errors, wrong = [], []
+
+    def scans(threads):
+        try:
+            for _ in range(30):
+                if joint_histogram(cfg, threads=threads) != want:
+                    wrong.append(threads)
+        except BaseException as exc:
+            errors.append(exc)
+
+    users = [threading.Thread(target=scans, args=(t,)) for t in (2, 3, 4, 5)]
+    for user in users:
+        user.start()
+    for user in users:
+        user.join()
+    assert errors == []
+    assert wrong == []
 
 
 def _chunk_threads(monkeypatch, name, scan):
