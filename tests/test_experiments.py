@@ -507,7 +507,8 @@ def test_map_spans_runs_on_the_caller_and_at_most_threads_at_once():
 
 def test_map_spans_runs_rounds_with_the_first_span_of_each_on_the_caller():
     # three threads, ten spans: rounds (0, 1, 2), (3, 4, 5), (6, 7, 8), (9);
-    # span 1 is slow, so no span of the next round may start before it returns
+    # each round's second span is slow, and no span of the next round may
+    # start before it returns
     cfg = ScanConfig(primes=(3,), mods=(2,), limit=10, chunk_size=1)
     lock = threading.Lock()
     events, ran_on = [], {}
