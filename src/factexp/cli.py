@@ -112,7 +112,7 @@ def cmd_lambda(args) -> None:
 
 
 def cmd_construct(args) -> None:
-    # built by hand: asdict would deep-copy f's value table of up to 2^24 entries
+    # built by hand: the JSON is not the shape of the dataclass
     built = build_function(args.prime, args.mod)
     try:
         delta = str(construction_error_exponent(1, args.prime, args.mod))
@@ -124,7 +124,7 @@ def cmd_construct(args) -> None:
         "lambda": built.certificate.lam,
         "q": built.q,
         "weights": list(built.weights),
-        "table_prefix": built.f.table[:16].tolist(),
+        "table_prefix": [built.f(n) for n in range(min(built.q, 16))],
         "F": built.F,
         "d": built.d,
         "delta": delta,

@@ -17,6 +17,12 @@ hypotheses, giving equidistribution of the residue tuples of
 (e_{p_1}(n), ..., e_{p_k}(n)) with error exponent
 1/(120 k^2 p^{3m} m^2).
 
+`build_function` keeps f by those lambda weights, as a
+`qadditive.DigitWeightFunction`: f(n) = sum_j n_j * w_{j mod lambda} over
+the base-p digits of any n, with no table of its p^lambda values.
+`verify_congruence` checks the congruence n by n, writing both sides
+into two reused buffers piece by piece.
+
 The coverage functions at the bottom quantify the same machinery aimed
 at parity patterns over the first k odd primes: a scan bound satisfying
 `coverage_log_threshold` guarantees every length-k pattern appears, and
@@ -32,15 +38,21 @@ from math import e as _E, floor, gcd, inf, log, prod
 import numpy as np
 
 from .experiments import CHUNK_SIZE, ScanConfig, _check_chunk_size, map_spans
-from .exponents import _exponent_rows, _fold, _require_prime, exponent_range, legendre_exponent
+from .exponents import _gathered, _require_prime, _shifted_tiles, exponent_range, legendre_exponent
 from .primes import _U64, _shown, factorize, nth_odd_prime
 from .qadditive import (
     TABLE_CAP,
-    QAdditiveFunction,
+    DigitWeightFunction,
+    _write_range,
     derive_invariants,
     evaluate_range,
     kim_error_exponent,
 )
+
+# verify writes each side of a chunk into one buffer of at most this many
+# residues, reused piece by piece; smaller pieces cost more calls than
+# they save, and a chunk-sized pair of buffers faults its pages in again
+_VERIFY_PIECE = 1 << 18
 
 __all__ = [
     "LambdaCertificate",
@@ -184,7 +196,7 @@ class ConstructionResult:
     m: int
     certificate: LambdaCertificate
     q: int
-    f: QAdditiveFunction
+    f: DigitWeightFunction
     F: int
     d: int
     weights: tuple[int, ...]
@@ -199,16 +211,16 @@ class ConstructionResult:
 
 
 def build_function(p: int, m: int) -> ConstructionResult:
-    """Materialize the value table on [0, p^lambda) and derive (F, d).
+    """f by its lambda digit weights (p^j - 1)/(p - 1), j < lambda, with
+    (F, d) derived from them.
 
-    The table is e_p's digit rows on [0, p^lambda) folded digit level by
-    digit level, lowest first (`exponents._fold`): level j puts base-p
-    digit a_j on top with weight (p^j - 1)/(p - 1), so each level is one
-    broadcast add, t <- (w_j*arange(p)[:, None] + t).ravel(), and the
-    last one writes the int64 table the function keeps.  The
-    derived invariants are recomputed through the generic q-additive
-    path and must come out F = 0, d = 1; anything else is an internal
-    error, not a user mistake.
+    f is a `DigitWeightFunction`: no table of its values on [0, q) is
+    built, and its ranges are written from the weights
+    (`qadditive.evaluate_range`).  The invariants come from the closed
+    form of `derive_invariants`, F = w_0 = 0 and d = 1 since w_1 = 1;
+    anything else is an internal error, not a user mistake.  TABLE_CAP
+    still bounds q = p^lambda, and so the exact q and weights that
+    `construct` prints, with the message of the table it once bounded.
     """
     cert = lambda_index(p, m)
     # p^lambda >= 2^lambda, so a long lambda is refused before the power
@@ -218,7 +230,7 @@ def build_function(p: int, m: int) -> ConstructionResult:
         )
     q = p**cert.lam
     weights = tuple((p**j - 1) // (p - 1) for j in range(cert.lam))
-    f = QAdditiveFunction(q=q, table=_fold(_exponent_rows(p, q, None)))
+    f = DigitWeightFunction(p=p, weights=weights)
     F, d = derive_invariants(f, m)
     if F != 0 or d != 1:
         raise RuntimeError(
@@ -250,42 +262,58 @@ class CongruenceReport:
 
 
 def verify_congruence(p: int, m: int, limit: int, chunk_size: int = CHUNK_SIZE) -> CongruenceReport:
-    """Check f(n) = e_p(n) (mod m) for all 0 <= n < limit.
+    """Check f(n) = e_p(n) (mod m) for all 0 <= n < limit, n by n.
 
-    The two sides are computed chunk by chunk: e_p mod m off the row
-    table of `exponents._shifted_tiles` on base p^j, block weight
-    (p^j - 1)/(p - 1), and f mod m off a table folded out of the
-    lambda-digit value table on base q^j, block weight 0.  (A modulus too
-    large for a row table sends e_p through its reduced tile.)  Both
-    sides share the table fold, the block writer and the offset
-    recursion of `exponents`, on different tables and weights, so they
-    are not independent routes; the tests pin each side to independent
-    oracles (the floor sum, the digit-by-digit `folded_value` and scalar
-    `f.evaluate`).  Each chunk is checked with no mismatch mask: e_p's
-    residues are XORed into f's in place and the nonzeros counted, and
-    only a chunk with one is searched for its first.  The report carries
-    the smallest counterexample if there is one, with f and e_p there
-    exact (scalar `f.evaluate` and `legendre_exponent`).
+    Each chunk is written piece by piece into two buffers of at most
+    `_VERIFY_PIECE` residues, allocated once per call (the chunks run on
+    the calling thread): f's residues by `qadditive._write_range`, e_p's
+    off the row table `exponents._shifted_tiles(p, m)` by
+    `exponents._gathered`.  e_p's are XORed into f's in place and the
+    nonzeros counted, so no mismatch mask is formed, and only a piece
+    with one is searched for its first.  A modulus with no row table
+    takes both sides from the public kernels `evaluate_range` and
+    `exponent_range`, which allocate a piece each.
+
+    The two sides share the fold (`_fold`) and the block writer
+    (`_write_blocks`).  f's block offsets come from its own weights,
+    rotated through lambda (`qadditive._block_offsets`), and e_p's from
+    its offset pages.  f's row table is its own fold of its digit rows,
+    except where its blocks are no longer than q = p^lambda: there its
+    rows are e_p's, and so is its table.  So the two sides are not
+    independent routes; the tests pin each to independent oracles (the
+    floor sum, the digit-by-digit `folded_value` and scalar `f.evaluate`).
+    The report carries the smallest counterexample if there is one, with
+    f and e_p there exact (scalar `f.evaluate` and `legendre_exponent`).
     """
     config = ScanConfig(primes=(p,), mods=(m,), limit=limit, chunk_size=chunk_size)
-    # an over-wide chunk is refused before f's table is built
+    # an over-wide chunk is refused before f is built
     _check_chunk_size(chunk_size)
-    built = build_function(p, m)
+    f = build_function(p, m).f
+    rows = _shifted_tiles(p, m)
+    size = min(chunk_size, limit, _VERIFY_PIECE)
+    if rows is not None:
+        # one allocation: freed, it raises malloc's mmap threshold past both,
+        # so the next call takes them off the heap with no page faults
+        sides = np.empty((2, size), dtype=rows.dtype)
 
     def first_mismatch(start, stop):
-        # f's residues are freshly written, so e_p's are XORed into them in
-        # place: a chunk that agrees everywhere is left all zero
-        diff = evaluate_range(built.f, start, stop, mod=m)
-        diff ^= exponent_range(start, stop, p, mod=m)
-        if not np.count_nonzero(diff):
-            return None
-        return start + int(np.flatnonzero(diff)[0])
+        for lo in range(start, stop, size):
+            hi = min(lo + size, stop)
+            if rows is None:
+                diff = evaluate_range(f, lo, hi, mod=m)
+                diff ^= exponent_range(lo, hi, p, mod=m)
+            else:
+                diff = _write_range(sides[0, : hi - lo], f, lo, m)
+                diff ^= _gathered(sides[1, : hi - lo], lo, p, m, rows)
+            if np.count_nonzero(diff):
+                return lo + int(np.flatnonzero(diff)[0])
+        return None
 
     for n in map_spans(first_mismatch, config):
         if n is not None:
             return CongruenceReport(
                 p=p, m=m, limit=limit, counterexample=n,
-                f_value=built.f.evaluate(n), e_value=legendre_exponent(n, p),
+                f_value=f.evaluate(n), e_value=legendre_exponent(n, p),
             )
     return CongruenceReport(p=p, m=m, limit=limit, counterexample=None)
 

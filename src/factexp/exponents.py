@@ -18,16 +18,17 @@ splits n = A*S + b with b < S = p^J and uses
 
 so a range is a run of blocks, each the same table of e_p on [0, S) plus
 one block offset e_p(A*S), with no division per element.  A completely
-q-additive function f obeys the same block rule with weight 0,
-f(A*S + b) = f(b) + f(A), and `qadditive.evaluate_range` runs on the
-same three parts:
+q-additive function f is a run of blocks too, and
+`qadditive.evaluate_range` runs on the same parts, with f's own tables
+and offsets:
 
 - `_fold` builds every table, one digit level per broadcast add (and,
-  with a modulus, one wrap): the e_p tile from the digit rows
-  d*(p^j - 1)/(p - 1) (`_exponent_rows`), the (m, S) row table from the
-  same rows under a top level of the residues c, so that its row c is
-  the tile shifted by c mod m (`_shifted_tiles`), and f's value table
-  and tiles from f's digit values.
+  with a modulus, one wrap), from digit rows d*w_j (`_digit_rows`): the
+  e_p tile from the weights (p^j - 1)/(p - 1) (`_exponent_rows`), an
+  (m, S) row table from a function's rows under a top level of the
+  residues c, so that its row c is the tile shifted by c mod m
+  (`_row_table`; e_p's is `_shifted_tiles`), and f's tables from f's
+  digit values or weights.
 - `_write_blocks` writes a range from a table and one offset per block.
   With a row table, block A is the row of its offset: the whole blocks
   are one row gather, the partial blocks at either end slice copies.
@@ -36,7 +37,9 @@ same three parts:
 - `_tiled_offsets` gives the offsets of a run of blocks: block A's is
   A*w + g(A), and g on the block indices is the same kind of range one
   level of blocks up, written by `_write_blocks` from the same table,
-  down to block 0, whose offset is 0.
+  down to block 0, whose offset is 0.  A value table of f takes it at
+  weight 0, f(A*S + b) = f(b) + f(A); f by its digit weights reads its
+  offsets off tables of its own (`qadditive._block_offsets`).
 
 The entry points reach those parts through three helpers:
 
@@ -45,7 +48,7 @@ The entry points reach those parts through three helpers:
   alike.
 - `_tiled_range` writes a range off a tile: the offsets from
   `_tiled_offsets`, then `_write_blocks`.  It is e_p's route without a
-  row table (weight (S - 1)/(p - 1)) and f's route (weight 0).
+  row table (weight (S - 1)/(p - 1)).
 - `_gathered` writes a range off an (m, S) row table: the offsets from
   cached pages of `_PAGE` blocks (`_paged`), then `_write_blocks`.  It
   is e_p's route with a row table and the bool route of `write_hits`.
@@ -184,16 +187,22 @@ def _fold(rows, mod: int | None = None) -> np.ndarray:
     return tile
 
 
+def _digit_rows(p: int, weights, mod: int | None) -> list:
+    """The digit rows of base-p digit weights, for `_fold`: row j is
+    d*weights[j] for the digits d < p, int64 (so each must fit), or
+    reduced mod `mod` into `_residue_dtype(mod)`."""
+    rows = [np.arange(p, dtype=np.int64) * w for w in weights]
+    return rows if mod is None else [(row % mod).astype(_residue_dtype(mod)) for row in rows]
+
+
 def _exponent_rows(p: int, span: int, mod: int | None) -> list:
     """The digit rows whose `_fold` is e_p on [0, span), span a power of p:
-    row j is d*(p^j - 1)/(p - 1) for the digits d < p, int64, or reduced
-    mod `mod` into `_residue_dtype(mod)`.  Every entry is below span."""
-    rows, weight = [], 0
-    while p ** len(rows) < span:
-        row = np.arange(p, dtype=np.int64) * weight
-        rows.append(row if mod is None else (row % mod).astype(_residue_dtype(mod)))
-        weight = weight * p + 1
-    return rows
+    the rows of the weights (p^j - 1)/(p - 1) for p^j < span.  Every entry
+    is below span."""
+    weights = []
+    while p ** len(weights) < span:
+        weights.append((p ** len(weights) - 1) // (p - 1))
+    return _digit_rows(p, weights, mod)
 
 
 def _shift(out: np.ndarray, tile, offset, mod: int | None) -> None:
@@ -298,20 +307,32 @@ def _table_span(p: int, cap: int) -> int:
     return span
 
 
+def _row_span(p: int, mod: int) -> int | None:
+    """The row length of a (mod, span) row table of a function on base-p
+    digits: the largest power of p with mod*span <= _ROW_TABLE, or None
+    when there is none or it is below _SHORT_ROW."""
+    span = _table_span(p, _ROW_TABLE // mod)
+    return None if mod * span > _ROW_TABLE or span < _SHORT_ROW else span
+
+
+def _row_table(rows: list, mod: int) -> np.ndarray:
+    """The read-only (mod, span) table whose row c is (g(b) + c) mod `mod`
+    for b in [0, span), g the `_fold` of the reduced digit `rows`: their
+    fold with the residues c as the top level."""
+    levels = rows + [np.arange(mod, dtype=_residue_dtype(mod))]
+    table = _fold(levels, mod).reshape(mod, -1)
+    table.flags.writeable = False
+    return table
+
+
 @lru_cache(maxsize=16)
 def _shifted_tiles(p: int, mod: int) -> np.ndarray | None:
     """The read-only (mod, span) table, in `_residue_dtype(mod)`, whose row
-    c is (e_p(b) + c) mod `mod` for b in [0, span), span the largest power
-    of p with mod*span <= _ROW_TABLE; None when that span is below
-    _SHORT_ROW.  Folded out of the digit rows of e_p on [0, span) with
-    the residues c as the top level."""
-    span = _table_span(p, _ROW_TABLE // mod)
-    if mod * span > _ROW_TABLE or span < _SHORT_ROW:
-        return None
-    levels = _exponent_rows(p, span, mod) + [np.arange(mod, dtype=_residue_dtype(mod))]
-    rows = _fold(levels, mod).reshape(mod, span)
-    rows.flags.writeable = False
-    return rows
+    c is (e_p(b) + c) mod `mod` for b in [0, span), span = `_row_span(p,
+    mod)`; None where that is None.  The `_row_table` of the digit rows of
+    e_p on [0, span)."""
+    span = _row_span(p, mod)
+    return None if span is None else _row_table(_exponent_rows(p, span, mod), mod)
 
 
 def _check_range(start: int, stop: int, mod: int | None) -> None:

@@ -33,7 +33,14 @@ from factexp.construction import (
 from factexp.cli import main
 from factexp.exponents import legendre_exponent
 from factexp.primes import nth_odd_prime, primes_up_to
-from factexp.qadditive import TABLE_CAP, QAdditiveFunction, derive_invariants, kim_error_exponent
+from factexp.qadditive import (
+    TABLE_CAP,
+    DigitWeightFunction,
+    QAdditiveFunction,
+    derive_invariants,
+    evaluate_range,
+    kim_error_exponent,
+)
 from oracles import digit_pass_table, folded_value
 
 odd_primes_st = st.sampled_from([3, 5, 7, 11, 13, 31, 97])
@@ -183,48 +190,80 @@ def test_certificate_rejects_non_minimal_lambda():
         cons.LambdaCertificate(p=13, m=10, lam=8, m_prime=2, m_dprime=5, mu=8)
 
 
+def table_of(built) -> QAdditiveFunction:
+    """The construction as a value table on [0, q), from the digit-pass
+    oracle: the table form that build_function no longer builds."""
+    return QAdditiveFunction(q=built.q, table=digit_pass_table(built.p, built.weights))
+
+
 def test_build_function_smallest_case():
     built = build_function(3, 2)
     assert built.q == 9
-    assert built.weights == (0, 1)
-    assert built.f.table.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+    assert built.weights == built.f.weights == (0, 1)
+    assert evaluate_range(built.f, 0, built.q).tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
     assert (built.F, built.d) == (0, 1)
     assert built.certificate.lam == 2
 
 
 @pytest.mark.parametrize("p,m", [(3, 5), (5, 3), (7, 2)])
 def test_table_equals_exact_exponents_below_q(p, m):
-    # with fewer than lambda digits nothing folds, so the table must be
-    # e_p itself on [0, q)
+    # with fewer than lambda digits nothing folds, so f must be e_p itself
+    # on [0, q)
     built = build_function(p, m)
+    values = evaluate_range(built.f, 0, built.q)
     for n in range(built.q):
-        assert built.f.table[n] == legendre_exponent(n, p)
+        assert values[n] == built.f(n) == legendre_exponent(n, p)
 
 
 def test_build_function_invariants_recomputed():
     built = build_function(13, 10)
-    assert derive_invariants(built.f, 10) == (0, 1)
-    assert built.f.table[1] == 0
-    assert built.f.table[13] == 1
+    assert derive_invariants(built.f, 10) == derive_invariants(table_of(built), 10) == (0, 1)
+    assert built.f(1) == 0
+    assert built.f(13) == 1
+
+
+def acceptance_grid():
+    """The 248 pairs of the acceptance grid: odd p < 100, m <= 50 with p
+    not dividing m, and p^lambda <= 2^20.  It holds every tabulable
+    FROZEN_LAMBDAS pair."""
+    return [(p, m) for p in primes_up_to(100)[1:] for m in range(2, 51)
+            if m % p and p ** lambda_index(p, m).lam <= 1 << 20]
 
 
 def test_folded_table_equals_the_digit_pass_build_on_the_grid():
-    # the acceptance grid, which holds every tabulable FROZEN_LAMBDAS pair
-    built_count = 0
-    for p in primes_up_to(100)[1:]:
-        for m in range(2, 51):
-            if m % p == 0 or p ** lambda_index(p, m).lam > 1 << 20:
-                continue
-            built = build_function(p, m)
-            assert built.f.table.dtype == np.int64
-            assert np.array_equal(built.f.table, digit_pass_table(p, built.weights)), (p, m)
-            built_count += 1
-    assert built_count == 248
+    # f on [0, q), written from the weights, is the digit-pass table, and
+    # the closed-form invariants are those of that table
+    grid = acceptance_grid()
+    for p, m in grid:
+        built = build_function(p, m)
+        values = evaluate_range(built.f, 0, built.q)
+        assert values.dtype == np.int64
+        assert np.array_equal(values, digit_pass_table(p, built.weights)), (p, m)
+        assert (built.F, built.d) == derive_invariants(table_of(built), m) == (0, 1)
+    assert len(grid) == 248
 
 
-def test_build_at_the_table_cap_peaks_near_the_table_size():
-    # lambda(3, 7174453) = 15, and 3^15 is just below TABLE_CAP: the fold
-    # holds the table and the level below it, never a table-sized temporary
+def test_construct_prints_what_a_table_form_f_prints_on_the_grid(capsys):
+    # the table prefix is f on [0, min(q, 16)), now evaluated from the
+    # weights; the JSON is built here from a table-form f of the oracle
+    for p, m in acceptance_grid():
+        assert main(["construct", "--prime", str(p), "--mod", str(m)]) == 0
+        cert = lambda_index(p, m)
+        weights = tuple((p**j - 1) // (p - 1) for j in range(cert.lam))
+        f = QAdditiveFunction(q=p**cert.lam, table=digit_pass_table(p, weights))
+        F, d = derive_invariants(f, m)
+        try:
+            delta = str(construction_error_exponent(1, p, m))
+        except OverflowError:
+            delta = None
+        want = {"p": p, "m": m, "lambda": cert.lam, "q": f.q, "weights": list(weights),
+                "table_prefix": f.table[:16].tolist(), "F": F, "d": d, "delta": delta}
+        assert capsys.readouterr().out == json.dumps(want, separators=(",", ":"), sort_keys=True) + "\n"
+
+
+def test_build_at_the_table_cap_peaks_below_a_mebibyte():
+    # lambda(3, 7174453) = 15, and 3^15 is just below TABLE_CAP: f is its
+    # 15 weights, with no table of 3^15 int64 entries (109 MiB)
     tracemalloc.start()
     try:
         built = build_function(3, 7174453)
@@ -232,7 +271,7 @@ def test_build_at_the_table_cap_peaks_near_the_table_size():
     finally:
         tracemalloc.stop()
     assert built.q == 3**15 <= TABLE_CAP
-    assert peak < 1.5 * built.f.table.nbytes
+    assert peak < 1 << 20
 
 
 def test_build_function_rejects_oversized_base():
@@ -268,10 +307,11 @@ def test_verify_congruence_passes_and_reports():
 
 
 def bump_last_entry(monkeypatch, p, m):
-    """Make build_function(p, m) return the construction with its last
-    table entry raised by one, so f first differs from e_p at n = q - 1."""
+    """Make build_function(p, m) return the construction as a value table
+    with its last entry raised by one, so f first differs from e_p at
+    n = q - 1."""
     real = build_function(p, m)
-    table = real.f.table.copy()
+    table = digit_pass_table(p, real.weights)
     table[-1] += 1
     bumped = dataclasses.replace(real, f=QAdditiveFunction(q=real.q, table=table))
     monkeypatch.setattr(cons, "build_function", lambda p, m: bumped)
@@ -311,9 +351,40 @@ def test_verify_congruence_reports_a_uint16_counterexample(monkeypatch):
     assert verify_congruence(3, 130, 531440).passed
 
 
+def test_verify_congruence_reports_a_raised_weight_exactly(monkeypatch):
+    # (3, 143) has lambda = 15, so raising w_12 by one makes the weight form
+    # first differ from e_3 at n = 3^12 = 531441, in the third piece of
+    # 2^18; chunks of 10^6, 997 and 3^12 put it mid-chunk, mid-chunk and
+    # first in the second chunk
+    real = build_function(3, 143)
+    weights = list(real.weights)
+    weights[12] += 1
+    bumped = dataclasses.replace(real, f=DigitWeightFunction(p=3, weights=tuple(weights)))
+    monkeypatch.setattr(cons, "build_function", lambda p, m: bumped)
+    n = 3**12
+    for chunk in (10**6, 997, n):
+        rep = verify_congruence(3, 143, 10**6, chunk_size=chunk)
+        assert rep.counterexample == n and not rep.passed
+        assert (rep.f_value, rep.e_value) == (bumped.f(n), legendre_exponent(n, 3)) == (265721, 265720)
+    assert verify_congruence(3, 143, n).passed
+
+
+@pytest.mark.parametrize("chunk", [1 << 20, 1 << 24])
+def test_verify_congruence_peaks_at_its_two_piece_buffers(chunk):
+    # 3 mod 143 has lambda = 15 and uint16 residues: no 3^15-entry table
+    # and no chunk-sized array, only two buffers of 2^18 residues (1 MiB)
+    tracemalloc.start()
+    try:
+        assert verify_congruence(3, 143, 1 << 22, chunk_size=chunk).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20
+
+
 def test_verify_congruence_keeps_no_mismatch_mask():
-    # warmed, a chunk holds f's residues with e_p's XORed into them and
-    # e_p's own residues, two 2^20-element arrays and no third
+    # warmed, a piece holds f's residues with e_p's XORed into them and
+    # e_p's own residues, two buffers of 2^18 and no third array
     verify_congruence(3, 2, 1 << 22)
     tracemalloc.start()
     try:

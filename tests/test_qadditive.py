@@ -2,6 +2,7 @@
 
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -10,17 +11,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factexp.construction import build_function
-from factexp.exponents import _tile_span, _tiled_offsets, digit_sum, exponent_range
+from factexp.exponents import (
+    _residue_dtype,
+    _row_span,
+    _shifted_tiles,
+    _tile_span,
+    _tiled_offsets,
+    digit_sum,
+    exponent_range,
+    legendre_exponent,
+)
 from factexp.qadditive import (
     TABLE_CAP,
+    DigitWeightFunction,
     QAdditiveFunction,
     _value_tile,
+    _weight_table,
     check_system,
     derive_invariants,
     evaluate_range,
     kim_error_exponent,
 )
-from oracles import folded_value
+from oracles import digit_pass_table, folded_value
 
 
 def digit_sum_function(q: int) -> QAdditiveFunction:
@@ -33,6 +45,14 @@ def small_functions(draw):
     values = draw(st.lists(st.integers(-40, 40), min_size=q, max_size=q))
     values[0] = 0
     return QAdditiveFunction(q=q, table=tuple(values))
+
+
+@lru_cache(maxsize=None)
+def both_forms(p: int, m: int) -> tuple[DigitWeightFunction, QAdditiveFunction]:
+    """The construction for (p, m) as built, by its weights, and as a
+    value table on [0, q) from the digit-pass oracle."""
+    f = build_function(p, m).f
+    return f, QAdditiveFunction(q=f.q, table=digit_pass_table(p, f.weights))
 
 
 def digit_levels_oracle(f: QAdditiveFunction, start: int, stop: int, mod=None) -> np.ndarray:
@@ -209,19 +229,21 @@ def test_value_tile_allocates_no_int64_copy_of_the_table(pair):
     # q = 5^8 and 3^12 tile by q itself; the uint8 and uint16 residues are
     # reduced from the int64 table in pieces, and 1 << 17 covers the piece
     # buffer and the ufunc buffers
-    built = build_function(*pair)
-    m = built.m
+    # a new function on the construction's value table, so that its tile
+    # is reduced under tracemalloc
+    m, table = pair[1], both_forms(*pair)[1].table
+    f = QAdditiveFunction(q=table.size, table=table)
     tracemalloc.start()
     try:
-        got = evaluate_range(built.f, 0, 10, mod=m)
+        got = evaluate_range(f, 0, 10, mod=m)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    tile = built.f._tiles[m]
-    assert tile.size == built.q
+    tile = f._tiles[m]
+    assert tile.size == f.q
     assert peak < tile.nbytes + (1 << 17)
-    assert np.array_equal(tile, built.f.table % m)
-    assert got.tolist() == [built.f(n) % m for n in range(10)]
+    assert np.array_equal(tile, f.table % m)
+    assert got.tolist() == [f(n) % m for n in range(10)]
 
 
 @pytest.mark.parametrize("q", [7, 81, 8193, 19683])
@@ -280,9 +302,8 @@ STRATA_PAIRS = [(3, 365), (3, 40), (5, 313), (7, 344), (11, 366), (13, 14)]
 def test_weight_zero_block_offsets_are_the_scalar_value(pair):
     # block ranges near 0, across a block of the level above, and near 2^62
     # (three levels above q^12) across a block of the level above, unreduced
-    # and mod m
-    built = build_function(*pair)
-    f, m = built.f, built.m
+    # and mod m, on the construction as a value table
+    f, m = both_forms(*pair)[1], pair[1]
     span = _tile_span(f.q)
     far = (1 << 62) // span
     edge = far // span * span
@@ -294,6 +315,96 @@ def test_weight_zero_block_offsets_are_the_scalar_value(pair):
             assert got.dtype == tile.dtype
             want = [f.evaluate(a) for a in range(a0, a0 + n)]
             assert got.tolist() == (want if mod is None else [v % m for v in want]), (mod, a0, n)
+
+
+# uint8, uint16 and no-row moduli, each with q <= 3^12
+ROUTE_PAIRS = [(3, 35), (13, 10), (13, 7), (3, 40), (5, 313), (3, 130), (7, 344),
+               (3, 7381), (5, 3906), (13, 2380)]
+
+
+def test_route_pairs_cover_every_residue_route():
+    rows = {(_residue_dtype(m).itemsize, _row_span(p, m) is not None) for p, m in ROUTE_PAIRS}
+    assert rows == {(1, True), (2, True), (2, False)}
+    assert all(p ** len(both_forms(p, m)[0].weights) <= 3**12 for p, m in ROUTE_PAIRS)
+
+
+@st.composite
+def ranges_of(draw, pair):
+    """A range of 1 to 2^17 numbers below 2^62: anywhere, or from a few
+    numbers before an edge of a run of digit groups of blocks."""
+    p, m = pair
+    f = both_forms(p, m)[0]
+    span = _weight_table(f, m)[0].shape[-1]
+    top = 0
+    while span * p ** (top + 1) < 2**62:
+        top += 1
+    width = draw(st.integers(1, 1 << 17))
+    edge = min(span * p ** draw(st.integers(0, top)) * draw(st.integers(1, p - 1)), 2**62 - 1)
+    start = draw(st.one_of(st.integers(0, 2**62 - 1), st.integers(max(0, edge - width), edge)))
+    return start, start + width
+
+
+@settings(max_examples=80)
+@given(st.sampled_from(ROUTE_PAIRS), st.data())
+def test_weight_route_equals_the_table_route_mod_m(pair, data):
+    start, stop = data.draw(ranges_of(pair))
+    weight, table = both_forms(*pair)
+    got = evaluate_range(weight, start, stop, mod=pair[1])
+    want = evaluate_range(table, start, stop, mod=pair[1])
+    assert got.dtype == want.dtype == _residue_dtype(pair[1])
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(ROUTE_PAIRS + [(3, 143)]), st.integers(0, 2**62 - (1 << 12)),
+       st.lists(st.integers(0, (1 << 12) - 1), min_size=1, max_size=8))
+def test_weight_route_is_the_floor_sum_mod_m(pair, start, points):
+    # (3, 143) has q = 3^15, past any table this test builds
+    p, m = pair
+    f = build_function(p, m).f
+    got = evaluate_range(f, start, start + (1 << 12), mod=m)
+    for i in points:
+        assert got[i] == legendre_exponent(start + i, p) % m
+
+
+@given(st.sampled_from([2, 3, 5, 13, 101]), st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=20),
+       st.integers(0, 2**200))
+def test_weight_function_evaluate_is_the_folded_value(p, weights, n):
+    f = DigitWeightFunction(p=p, weights=tuple(weights))
+    assert f.evaluate(n) == f(n) == folded_value(n, p, tuple(weights))
+    assert isinstance(f.q, int) and f.q == p ** len(weights)
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.lists(st.integers(-40, 40), min_size=1, max_size=4),
+       st.integers(2, 60))
+def test_closed_form_invariants_are_those_of_the_table(p, weights, m):
+    # F = w_0 and d = gcd(m, (q - 1)F, w_j - p^j F for j >= 1), against the
+    # scan over the value table on [0, q)
+    f = DigitWeightFunction(p=p, weights=tuple(weights))
+    table = QAdditiveFunction(q=f.q, table=[f(r) for r in range(f.q)])
+    assert derive_invariants(f, m) == derive_invariants(table, m)
+
+
+@pytest.mark.parametrize("pair, shared", [((3, 130), True), ((5, 313), True), ((3, 40), False),
+                                          ((13, 14), False)])
+def test_weight_row_table_is_e_ps_only_where_its_digits_carry_e_ps_weights(pair, shared):
+    # 3^6 and 5^4 blocks are shorter than q = 3^12 and 5^8; 3^7 and 13^3
+    # blocks are longer than q = 3^4 and 13^2, so a weight folds back
+    f = build_function(*pair).f
+    table, s = _weight_table(f, pair[1])
+    assert (table is _shifted_tiles(*pair)) == shared == (s <= len(f.weights))
+    assert not table.flags.writeable
+
+
+def test_weight_function_rejections():
+    with pytest.raises(ValueError, match="base"):
+        DigitWeightFunction(p=1, weights=(0,))
+    with pytest.raises(ValueError, match="at least one weight"):
+        DigitWeightFunction(p=3, weights=())
+    with pytest.raises(ValueError, match="fit int64"):
+        DigitWeightFunction(p=3, weights=(0, 1 << 62))
+    with pytest.raises(ValueError):
+        DigitWeightFunction(p=3, weights=(0, 1)).evaluate(-1)
 
 
 def test_invariants_of_digit_sums():
