@@ -807,8 +807,10 @@ def test_verify_refuses_an_over_wide_chunk_before_it_builds_f(monkeypatch, capsy
 
 def test_verify_congruence_checks_limit_before_any_chunk(monkeypatch):
     calls = []
-    monkeypatch.setattr(factexp.construction, "evaluate_range",
-                        lambda *args, **kwargs: calls.append(args))
+    # a modulus with a row table writes f through _write_range, one without
+    # through evaluate_range
+    for name in ("evaluate_range", "_write_range"):
+        monkeypatch.setattr(factexp.construction, name, lambda *args, **kwargs: calls.append(args))
     with pytest.raises(ValueError, match="limit"):
         verify_congruence(3, 2, 2**63)
     assert calls == []
