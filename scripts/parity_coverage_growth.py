@@ -10,13 +10,20 @@ N_k lies past the limit are named as not covered.  The growth of these
 N_k is what the (astronomically larger) theoretical thresholds bound
 from above.
 
+Beside each N_k it prints a coupon-collector model of it
+(`coupon_model`): s_k, the share of n whose parity code differs from
+that of n - 1; C_k = 2^k (k ln 2 + gamma) / s_k, the expected wait for
+all 2^k codes at s_k fresh uniform codes per n; and N_k / C_k.
+
     python3 scripts/parity_coverage_growth.py
     python3 scripts/parity_coverage_growth.py --max-k 16 --limit 1e7
 """
 
 import argparse
+import math
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -24,6 +31,27 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from factexp.cli import integer
 from factexp.experiments import CLASS_CAP, pattern_coverage
 from factexp.primes import nth_odd_prime
+
+
+# Euler's constant, the gamma of the coupon collector's expected wait
+EULER_GAMMA = 0.5772156649015329
+
+
+def coupon_model(primes, n_k: int):
+    """(s_k, C_k, N_k / C_k) for the k = len(primes) primes and their N_k.
+
+    e_p(n) - e_p(n - 1) = v_p(n) (Legendre), so the parity code of n
+    differs from that of n - 1 exactly where some v_p(n) is odd.  That
+    holds for a share sum_{a odd} p^-a (1 - 1/p) = 1/(p + 1) of n, and by
+    the Chinese remainder theorem independently across the primes, so
+    s_k = 1 - prod p/(p + 1), an exact Fraction.  Collecting all 2^k codes
+    takes 2^k (k ln 2 + gamma) uniform draws on average, so at s_k draws
+    per n the model's wait is C_k = 2^k (k ln 2 + gamma) / s_k, a float.
+    """
+    k = len(primes)
+    share = 1 - math.prod(Fraction(p, p + 1) for p in primes)
+    wait = 2**k * (k * math.log(2) + EULER_GAMMA) / share
+    return share, wait, n_k / wait
 
 
 def main() -> int:
@@ -47,9 +75,11 @@ def main() -> int:
     limits = report.covering_limits()
     elapsed = time.monotonic() - t0
 
-    print(f"{'k':>2}  {'p_k':>4}  {'patterns':>8}  {'N_k':>11}")
+    print(f"{'k':>2}  {'p_k':>4}  {'patterns':>8}  {'N_k':>11}  {'s_k':>8}  {'C_k':>11}  {'N_k/C_k':>7}")
     for k, n_k in enumerate(limits, 1):
-        print(f"{k:>2}  {primes[k - 1]:>4}  {2**k:>8}  {n_k:>11}")
+        share, wait, ratio = coupon_model(primes[:k], n_k)
+        print(f"{k:>2}  {primes[k - 1]:>4}  {2**k:>8}  {n_k:>11}  {float(share):>8.6f}"
+              f"  {wait:>11.0f}  {ratio:>7.3f}")
     if len(limits) < args.max_k:
         missed = range(len(limits) + 1, args.max_k + 1)
         ks = f"{missed[0]}" if len(missed) == 1 else f"{missed[0]}..{missed[-1]}"

@@ -18,25 +18,36 @@ or written as a bool per n and packed, which costs more.  Counts and
 first witnesses are int64.  The floating-point summaries in
 DiscrepancyReport are derived from those exact counts at the very end.
 
-A histogram scan of C classes keeps one int64 accumulator of C counts
-per running chunk, reused by the chunks that run after it, so it holds
-at most `threads` of them, summed once at the end.  Where
-sum((m_i - 1) * u_i) + C <= 35 + 8k (`_plane_route`), with u_i = 1 for
-a pair of gathered words and 4 for one of bools, a chunk is counted
-from one packed hit plane per prime i and residue a = 1 ... m_i - 1:
-the popcounts of ANDs of planes count the n with given residues at some
-primes and any at the others, and differences along each axis turn them
-into class counts (`_plane_counts`).  Otherwise a chunk of at least
-C indices is counted by np.bincount, added into the accumulator: uint8
-indices as uint16 pair keys of 256 * C bins, the others with C bins.  A
-shorter chunk is counted by np.add.at on the accumulator, so no chunk
-allocates C counts of its own.  Either route takes its keys in counting
-pieces of max(2**17, 8 * bins) (bins = 0 for np.add.at), or the whole
-chunk when shorter, so the intp copy of the keys never outgrows a piece.
-The counts of a scan take threads * C int64 plus, per running chunk,
-one piece, or on the plane route sum(m_i - 1) planes of an eighth of the
+A histogram scan of C classes counts each chunk into an int64
+accumulator of C counts that no other running chunk holds, and sums
+them once at the end.  Where sum((m_i - 1) * u_i) + C <= 35 + 8k
+(`_plane_route`), with u_i = 1 for a pair of gathered words and 4 for
+one of bools, a chunk is counted from one packed hit plane per prime i
+and residue a = 1 ... m_i - 1: the popcounts of ANDs of planes count the
+n with given residues at some primes and any at the others, and
+differences along each axis turn them into class counts
+(`_plane_counts`).  Its accumulators stay on the scan's spare list,
+reused by the chunks that run after, so it holds at most `threads` of
+them, and per running chunk sum(m_i - 1) planes of an eighth of the
 chunk's width and a buffer for the hits: a bool per n where a pair
 writes bools, otherwise about a plane.
+
+Otherwise, before the first chunk starts, the calling thread allocates
+one workspace (`_Workspace`) for each chunk that can run at once,
+min(threads, chunks), and lends them to the chunks; they go with the
+scan.  A workspace holds the accumulator, a fold buffer of one chunk in
+the fold dtype, one residue buffer of one chunk per residue dtype of the
+primes that have a row table (`exponents._gathered` writes into it; a
+prime without one takes `exponent_range`'s array), and an intp key
+buffer of at most 2**18 keys.  A chunk of at least C indices is counted
+by np.bincount, added into the accumulator: uint8 indices as uint16
+pair keys of 256 * C bins, the others with C bins.  A shorter chunk is
+counted by np.add.at on the accumulator.  Either route copies its keys
+into the key buffer in counting pieces of max(2**17, 8 * bins), at most
+the buffer (bins = 0 for np.add.at), so np.bincount copies none.  So the
+counts of such a scan take its workspaces, plus per running chunk one
+bincount result of `bins` int64, and a helper thread allocates no other
+array of a chunk's length, but for a prime without a row table.
 
 Histogram counts are a read-only int64 ndarray of shape `mods`, indexed
 by class tuple; its C order is the lexicographic order of exports.
@@ -66,7 +77,8 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .exponents import _PIECE, exponent_range, gathers_words, hit_bytes, write_hits
+from .exponents import (_PIECE, _gathered, _shifted_tiles, exponent_range, gathers_words,
+                        hit_bytes, write_hits)
 from .primes import _U63, _shown, is_prime
 
 CLASS_CAP = 1 << 24
@@ -261,8 +273,9 @@ def _fold_dtype(class_count: int) -> np.dtype:
 
 @contextmanager
 def _scratch(spare, size: int, make):
-    """An array of at least `size` elements popped off the list `spare`, or
-    make(size) when the list is empty (or None) or its array is shorter.
+    """An array (or `_Workspace`) of at least `size` elements popped off
+    the list `spare`, or make(size) when the list is empty (or None) or
+    what it pops is shorter.
     It goes back on the list when the block ends, so the calls of one scan
     hold as many arrays as run at once."""
     spare = [] if spare is None else spare
@@ -276,31 +289,73 @@ def _scratch(spare, size: int, make):
     spare.append(array)
 
 
-def _class_indices(primes, mods, start: int, stop: int) -> np.ndarray:
+class _Workspace:
+    """The buffers one running class-index chunk of a scan writes into
+    (see the module docstring), for chunks of at most `size` numbers:
+    `counts`, the int64 accumulator of config.class_count entries;
+    `fold`, the class indices in `_fold_dtype`; `keys`, the intp key
+    buffer of at most _KEYS keys; and one residue buffer per residue
+    dtype of the primes with a row table (`residues`)."""
+
+    def __init__(self, config: ScanConfig, size: int):
+        self.size = size
+        classes = config.class_count
+        self.fold = np.empty(size, dtype=_fold_dtype(classes))
+        self.keys = np.empty(min(size, _KEYS), dtype=np.intp)
+        tables = (_shifted_tiles(p, m) for p, m in zip(config.primes, config.mods))
+        self._buffers = {rows.dtype: np.empty(size, dtype=rows.dtype)
+                         for rows in tables if rows is not None}
+        self.counts = np.zeros(classes, dtype=np.int64)
+
+    def residues(self, start: int, stop: int, p: int, mod: int) -> np.ndarray:
+        """e_p(n) mod `mod` for n in [start, stop): gathered off the row
+        table into this workspace's buffer of its dtype
+        (`exponents._gathered`), or where there is none `exponent_range`."""
+        rows = _shifted_tiles(p, mod)
+        if rows is None:
+            return exponent_range(start, stop, p, mod=mod)
+        return _gathered(self._buffers[rows.dtype][: stop - start], start, p, mod, rows)
+
+
+def _class_indices(primes, mods, start: int, stop: int, work: _Workspace | None = None) -> np.ndarray:
     """The class index of each n in [start, stop): the digits e_p(n) mod m
     read in the mixed radix of `mods`, the first prime's the most
-    significant, in `_fold_dtype` of the class count."""
+    significant, in `_fold_dtype` of the class count.  The residues come
+    from `exponent_range`, and the first prime's are the indices where
+    their dtype is the fold's; or with a workspace `work`, from its
+    residue buffers (`_Workspace.residues`), folded into its fold buffer."""
     pairs = zip(primes, mods)
     p, m = next(pairs)
-    # every partial class index is below the class count too
-    idx = exponent_range(start, stop, p, mod=m).astype(_fold_dtype(math.prod(mods)), copy=False)
+    residues = exponent_range if work is None else work.residues
+    first = residues(start, stop, p, mod=m)
+    if work is None:
+        # every partial class index is below the class count too
+        idx = first.astype(_fold_dtype(math.prod(mods)), copy=False)
+    else:
+        idx = work.fold[: stop - start]
+        np.copyto(idx, first)
     for p, m in pairs:
         idx *= m
-        idx += exponent_range(start, stop, p, mod=m)
+        idx += residues(start, stop, p, mod=m)
     return idx
 
 
-# The shortest counting piece: its intp copy (1 MiB) stays in the L2 cache.
-_COUNT_PIECE = 1 << 17
+# The shortest counting piece: its intp keys (1 MiB) stay in the L2
+# cache; and the longest, the length of a workspace's key buffer.
+_COUNT_PIECE, _KEYS = 1 << 17, 1 << 18
 
 
-def _pieces(keys: np.ndarray, bins: int):
-    """`keys` in counting pieces of max(_COUNT_PIECE, 8 * bins), or whole
-    when shorter: np.bincount copies a piece to intp, and its bins-entry
-    result is added into the counts once per piece, so that addition stays
-    an eighth of the work or less."""
-    step = max(_COUNT_PIECE, 8 * bins)
-    return (keys[lo : lo + step] for lo in range(0, keys.size, step))
+def _pieces(values: np.ndarray, bins: int, keys: np.ndarray):
+    """`values` in counting pieces of max(_COUNT_PIECE, 8 * bins), at most
+    the length of the intp buffer `keys`, or whole when shorter, each
+    copied into `keys`, which is yielded: np.bincount takes intp keys
+    without a copy, and its bins-entry result is added into the counts
+    once per piece."""
+    step = min(keys.size, max(_COUNT_PIECE, 8 * bins))
+    for lo in range(0, values.size, step):
+        piece = values[lo : lo + step]
+        np.copyto(keys[: piece.size], piece)
+        yield keys[: piece.size]
 
 
 # The route rule's cost model, in units of one class's AND and popcount:
@@ -389,35 +444,40 @@ def _chunk_histogram(config: ScanConfig, start: int, stop: int, *, spare=None,
     """Add the class counts of [start, stop) into an int64 accumulator of
     config.class_count entries, in flat C order, and return it: by packed
     hit planes (`_plane_counts`, with its buffer off the list `buffers`)
-    where `_plane_route` takes the moduli, otherwise from the class
-    indices.  The accumulator is popped off the list `spare` and
-    pushed back after, so the calls of one scan hold as many accumulators
-    and buffers as run at once."""
+    where `_plane_route` takes the moduli, with the accumulator popped off
+    the list `spare`; otherwise from the class indices, with a workspace
+    popped off `spare` (`_Workspace`), whose accumulator it is.  The
+    accumulator or workspace is made where the list is empty (or None),
+    and pushed back after, so the calls of one scan hold as many as run at
+    once.  A class-index chunk allocates one bincount result of C, or of
+    256 * C counts for uint8 indices, besides, and no other array of its
+    length but for a prime without a row table."""
     classes = config.class_count
     if _plane_route(config.primes, config.mods):
         found = _plane_counts(config, start, stop, buffers).ravel()
         with _scratch(spare, classes, partial(np.zeros, dtype=np.int64)) as counts:
             counts += found
         return counts
-    idx = _class_indices(config.primes, config.mods, start, stop)
-    with _scratch(spare, classes, partial(np.zeros, dtype=np.int64)) as counts:
+    with _scratch(spare, stop - start, partial(_Workspace, config)) as work:
+        idx = _class_indices(config.primes, config.mods, start, stop, work)
+        counts = work.counts
         if classes > idx.size:
             # a bincount would write more classes than the chunk has indices
-            for piece in _pieces(idx, 0):
-                np.add.at(counts, piece, 1)
+            for keys in _pieces(idx, 0, work.keys):
+                np.add.at(counts, keys, 1)
         elif idx.dtype == np.uint8:
             # counted in pairs, all but an odd last one: a uint16 view entry is one
             # index plus 256 times the other, in either byte order, so the row sums
             # count one index of each pair and the column sums the other
             if idx.size & 1:
                 counts[idx[-1]] += 1
-            for piece in _pieces(idx[: idx.size & ~1].view(np.uint16), 256 * classes):
-                table = np.bincount(piece, minlength=256 * classes).reshape(classes, 256)
+            for keys in _pieces(idx[: idx.size & ~1].view(np.uint16), 256 * classes, work.keys):
+                table = np.bincount(keys, minlength=256 * classes).reshape(classes, 256)
                 counts += table.sum(axis=1)
                 counts += table[:, :classes].sum(axis=0)
         else:
-            for piece in _pieces(idx, classes):
-                counts += np.bincount(piece, minlength=classes)
+            for keys in _pieces(idx, classes, work.keys):
+                counts += np.bincount(keys, minlength=classes)
     return counts
 
 
@@ -426,9 +486,14 @@ def joint_histogram(config: ScanConfig, threads: int = 1) -> ResidueHistogram:
     configured prime/modulus pairs.
 
     Chunks may run on several threads, in rounds of `threads` chunks
-    (`map_spans`).  Each adds its counts into an int64
-    accumulator that no other running chunk holds, so a scan holds at
-    most `threads` of them, and they are summed once at the end (see
+    (`map_spans`).  Each adds its counts into an int64 accumulator that
+    no other running chunk holds, and they are summed once at the end.
+    On the plane route a scan holds at most `threads` accumulators.
+    Otherwise the calling thread first allocates a workspace
+    (`_Workspace`) for each of the min(threads, chunks) chunks that run
+    at once, and lends them to the chunks: a workspace holds the
+    accumulator and a chunk's fold, residue and key buffers, so a scan
+    takes its workspaces plus one bincount result per running chunk (see
     the module docstring for the counting routes and the memory bound).
     The counts are exact integers, so the outcome never depends on
     scheduling.  `threads` is the most threads a scan runs on: where
@@ -436,12 +501,20 @@ def joint_histogram(config: ScanConfig, threads: int = 1) -> ResidueHistogram:
     (`_plane_route` and `exponents.gathers_words`), it runs on the
     calling thread.
     """
-    threads = _scan_threads(threads, config, _plane_route(config.primes, config.mods))
+    planes = _plane_route(config.primes, config.mods)
+    threads = _scan_threads(threads, config, planes)
     spare = []
+    if not planes:
+        # refused before any workspace is allocated, as map_spans would
+        _check_chunk_size(config.chunk_size)
+        running = min(threads, -(-config.limit // config.chunk_size))
+        width = min(config.chunk_size, config.limit)
+        spare = [_Workspace(config, width) for _ in range(running)]
     chunk = partial(_chunk_histogram, config, spare=spare, buffers=[])
     deque(map_spans(chunk, config, threads), maxlen=0)
-    total = spare.pop()
-    for part in spare:
+    parts = spare if planes else [work.counts for work in spare]
+    total = parts.pop()
+    for part in parts:
         total += part
     return ResidueHistogram(config=config, counts=total)
 

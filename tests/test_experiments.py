@@ -4,6 +4,7 @@ The stream-based oracle below recounts everything one n at a time in
 pure Python, which keeps the vectorized chunk kernels honest.
 """
 
+import gc
 import itertools
 import math
 import multiprocessing
@@ -192,13 +193,14 @@ def test_chunk_histogram_matches_the_int32_oracle(data):
 
 
 # (mods, width): odd spans of two and a half counting pieces plus one index.
-# A piece holds max(2^17, 8 bins) keys: a uint8 pair key (two indices) has
-# 256 C bins, any other index C.
+# A piece holds max(2^17, 8 bins) keys, at most the 2^18 of a workspace's
+# key buffer: a uint8 pair key (two indices) has 256 C bins, any other
+# index C.
 LONG_SPANS = [
     ((2, 3, 7), 5 * 2**17 + 1),          # uint8, pieces of 2^17 pair keys
-    ((256,), 5 * 2**19 + 1),             # uint8, pieces of 2^19 pair keys
+    ((256,), 5 * 2**18 + 1),             # uint8, pieces of 2^18 pair keys
     ((257,), 5 * 2**16 + 1),             # uint16, pieces of 2^17
-    ((16, 16, 256), 5 * 2**18 + 1),      # uint16, pieces of 2^19
+    ((16, 16, 256), 5 * 2**17 + 1),      # uint16, pieces of 2^18
 ]
 
 
@@ -385,6 +387,85 @@ def test_histogram_of_more_classes_than_the_chunk_matches_the_int32_oracle(chunk
     want = int32_chunk_histogram(cfg, 0, limit)
     for threads in (1, 2):
         assert np.array_equal(joint_histogram(cfg, threads=threads).counts.ravel(), want)
+
+
+# (primes, mods) of each fold dtype on the class-index route, with
+# 131071, which has no row table at any modulus, beside primes that have
+# one: uint8 residues into uint8 and int32 folds, uint16 ones (mod 256)
+# into uint16 and int32 folds
+LENT_SHAPES = [
+    ((3, 5, 131071), (4, 8, 2)),          # 64 classes, uint8
+    ((3, 7, 11), (16, 16, 16)),           # 2^12, uint16
+    ((3, 131071), (256, 256)),            # 2^16, uint16
+    ((131071, 3, 5), (256, 8, 64)),       # 2^17, int32
+    ((3, 7, 11, 13), (32, 16, 32, 16)),   # 2^18, int32
+]
+
+
+def floor_sum_histogram(primes, mods, limit):
+    """The class counts of [0, limit) from floor-sum residues, folded in
+    int64 and counted by one bincount."""
+    idx = np.zeros(limit, dtype=np.int64)
+    for p, m in zip(primes, mods):
+        idx *= m
+        idx += floor_sum_range(0, limit, p) % m
+    return np.bincount(idx, minlength=math.prod(mods))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_lent_workspaces_match_the_floor_sum_and_the_one_thread_scan(data):
+    # chunks of 1 and 7, and of 65539 and 2^18 + 3, whose last chunk is
+    # short and whose last counting piece is partial
+    primes, mods = data.draw(st.sampled_from(LENT_SHAPES))
+    assert not _plane_route(primes, mods)
+    chunk, most = data.draw(st.sampled_from([(1, 300), (7, 3000), (65539, 3 * 65539),
+                                             (2**18 + 3, 2**19 + 9)]))
+    limit = data.draw(st.integers(1, most))
+    want = floor_sum_histogram(primes, mods, limit)
+    whole = joint_histogram(ScanConfig(primes=primes, mods=mods, limit=limit))
+    assert np.array_equal(whole.counts.ravel(), want)
+    cfg = ScanConfig(primes=primes, mods=mods, limit=limit, chunk_size=chunk)
+    for threads in (1, 2, 3):
+        assert np.array_equal(joint_histogram(cfg, threads=threads).counts.ravel(), want)
+
+
+def test_scans_of_other_shapes_back_to_back_keep_no_workspace():
+    # each call lends its own workspaces on the kept helpers: a scan after
+    # one of another shape, dtype or chunk width counts as it does alone,
+    # and once a scan returns no workspace is left
+    scans = [(ScanConfig(primes=primes, mods=mods, limit=limit, chunk_size=chunk), threads)
+             for (primes, mods), limit, chunk, threads in [
+                 (LENT_SHAPES[4], 3 * 2**18 + 5, 2**18 + 3, 2),
+                 (LENT_SHAPES[0], 20_000, 7, 3),
+                 (LENT_SHAPES[2], 2**18 + 1, 65539, 3),
+                 (LENT_SHAPES[3], 200_000, 65539, 2),
+                 (LENT_SHAPES[4], 3 * 2**18 + 5, 2**18 + 3, 3)]]
+    wants = [floor_sum_histogram(cfg.primes, cfg.mods, cfg.limit) for cfg, _ in scans]
+    for _ in range(2):
+        for (cfg, threads), want in zip(scans, wants):
+            assert np.array_equal(joint_histogram(cfg, threads=threads).counts.ravel(), want)
+            assert not [o for o in gc.get_objects()
+                        if isinstance(o, factexp.experiments._Workspace)]
+
+
+@pytest.mark.parametrize("threads,bound", [(2, 24), (1, 12.5)])
+def test_class_index_scan_peaks_at_its_workspaces(threads, bound):
+    # 2^18 classes to 2^22 in chunks of 2^20: a workspace holds 2 MiB of
+    # counts, 4 MiB of int32 indices, 2 MiB of intp keys and 1 MiB of
+    # uint8 residues, and each running chunk adds one 2 MiB bincount
+    # result: 22 MiB on two threads, 11 on one.  The first scan builds the
+    # row tables and offset pages the second reads.
+    cfg = ScanConfig(primes=(3, 7, 11, 13), mods=(32, 16, 32, 16), limit=1 << 22)
+    want = joint_histogram(cfg, threads=threads)
+    tracemalloc.start()
+    try:
+        got = joint_histogram(cfg, threads=threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak <= bound * 2**20
 
 
 def test_histogram_accessors():
