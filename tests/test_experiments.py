@@ -391,8 +391,8 @@ def test_histogram_of_more_classes_than_the_chunk_matches_the_int32_oracle(chunk
 
 # (primes, mods) of each fold dtype on the class-index route, with
 # 131071, which has no row table at any modulus, beside primes that have
-# one: uint8 residues into uint8 and int32 folds, uint16 ones (mod 256)
-# into uint16 and int32 folds
+# one: uint8 residues into uint8, uint16 and int32 folds, and uint16
+# residues (mod 256) into uint16 and int32 folds
 LENT_SHAPES = [
     ((3, 5, 131071), (4, 8, 2)),          # 64 classes, uint8
     ((3, 7, 11), (16, 16, 16)),           # 2^12, uint16
